@@ -1,0 +1,10 @@
+"""Put the checkout's ``src`` and root on the path, so the benchmark's
+tests run with ``python3 -m pytest perfbench/tests`` from the root."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
