@@ -35,7 +35,7 @@ from repro.core.tetris_fix import TetrisFixStats, place_at_nearest_free
 from repro.netlist.cell import CellInstance
 from repro.netlist.design import Design
 from repro.rows.sitemap import SiteMap
-from repro.utils.timer import StageTimer
+from repro.telemetry import active_tracer
 
 
 @dataclass
@@ -70,9 +70,11 @@ class ChowLegalizer:
 
     # ------------------------------------------------------------------
     def legalize(self, design: Design) -> BaselineResult:
-        timer = StageTimer()
+        tracer = active_tracer()
         core = design.core
-        with timer.stage("greedy"):
+        with tracer.span(
+            "legalize", design=design.name, algorithm=self.name
+        ) as root, tracer.span("greedy"):
             self._site_map = SiteMap(core)
             self._rows: List[List[_Placed]] = [[] for _ in range(core.num_rows)]
             for cell in design.cells:
@@ -88,9 +90,10 @@ class ChowLegalizer:
                 if not self._place(cell, design):
                     failed += 1
 
+        stages = root.child_seconds()
         return finish_result(
-            design, self.name, timer.total(), num_failed=failed,
-            stage_seconds=timer.as_dict(),
+            design, self.name, sum(stages.values()), num_failed=failed,
+            stage_seconds=stages,
         )
 
     # ------------------------------------------------------------------

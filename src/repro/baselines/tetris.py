@@ -20,7 +20,7 @@ from repro.baselines.common import BaselineResult, finish_result
 from repro.geometry import snap_up
 from repro.netlist.cell import CellInstance
 from repro.netlist.design import Design
-from repro.utils.timer import StageTimer
+from repro.telemetry import active_tracer
 
 
 class TetrisLegalizer:
@@ -32,9 +32,11 @@ class TetrisLegalizer:
         self.row_search_range = row_search_range
 
     def legalize(self, design: Design) -> BaselineResult:
-        timer = StageTimer()
+        tracer = active_tracer()
         core = design.core
-        with timer.stage("tetris"):
+        with tracer.span(
+            "legalize", design=design.name, algorithm=self.name
+        ) as root, tracer.span("tetris"):
             frontiers: List[float] = [core.xl] * core.num_rows
             # Fixed cells pre-advance the frontier of the rows they block.
             for cell in design.cells:
@@ -51,9 +53,10 @@ class TetrisLegalizer:
                 if not self._drop(cell, core, frontiers):
                     stranded.append(cell)
             failed = self._repair(design, stranded) if stranded else 0
+        stages = root.child_seconds()
         return finish_result(
-            design, self.name, timer.total(), num_failed=failed,
-            stage_seconds=timer.as_dict(),
+            design, self.name, sum(stages.values()), num_failed=failed,
+            stage_seconds=stages,
         )
 
     # ------------------------------------------------------------------

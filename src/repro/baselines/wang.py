@@ -37,7 +37,7 @@ from repro.baselines.placerow import RowPlacer, quadratic_cost
 from repro.geometry import snap_up
 from repro.netlist.cell import CellInstance
 from repro.netlist.design import Design
-from repro.utils.timer import StageTimer
+from repro.telemetry import active_tracer
 
 
 class WangLegalizer:
@@ -49,61 +49,65 @@ class WangLegalizer:
         self.row_search_range = row_search_range
 
     def legalize(self, design: Design) -> BaselineResult:
-        timer = StageTimer()
+        tracer = active_tracer()
         core = design.core
-        with timer.stage("wang"):
-            placers: Dict[int, RowPlacer] = {
-                r: RowPlacer(core.xl, core.xh) for r in range(core.num_rows)
-            }
-            cells = sorted(design.movable_cells, key=lambda c: (c.gp_x, c.id))
-            failed = 0
-            for cell in cells:
-                if cell.height_rows == 1:
-                    ok = self._commit_single(cell, core, placers)
-                else:
-                    ok = self._commit_multi(cell, core, placers)
-                if not ok:
-                    failed += 1
+        with tracer.span(
+            "legalize", design=design.name, algorithm=self.name
+        ) as root:
+            with tracer.span("wang"):
+                placers: Dict[int, RowPlacer] = {
+                    r: RowPlacer(core.xl, core.xh) for r in range(core.num_rows)
+                }
+                cells = sorted(design.movable_cells, key=lambda c: (c.gp_x, c.id))
+                failed = 0
+                for cell in cells:
+                    if cell.height_rows == 1:
+                        ok = self._commit_single(cell, core, placers)
+                    else:
+                        ok = self._commit_multi(cell, core, placers)
+                    if not ok:
+                        failed += 1
 
-            for placer in placers.values():
-                placer.snap_to_sites(core.xl, core.site_width)
-            for row, placer in placers.items():
-                for cid, x in placer.positions():
-                    cell = design.cells[cid]
-                    if cell.row_index == row:  # walls appear in several rows
-                        cell.x = x
+                for placer in placers.values():
+                    placer.snap_to_sites(core.xl, core.site_width)
+                for row, placer in placers.items():
+                    for cid, x in placer.positions():
+                        cell = design.cells[cid]
+                        if cell.row_index == row:  # walls appear in several rows
+                            cell.x = x
 
-        unplaced = 0
-        has_fixed = any(cell.fixed for cell in design.cells)
-        if has_fixed:
-            # The sequential placers are obstacle-blind; re-commit through
-            # the obstacle-aware allocation, which re-places any cell that
-            # landed on a fixed footprint.
-            with timer.stage("obstacle_repair"):
-                stats = tetris_allocate(design)
-                unplaced = stats.num_unplaced
-        if failed:
-            # Rare dense-row fallback: re-place stranded cells at the
-            # nearest free footprint of the otherwise-final placement.
-            with timer.stage("repair"):
-                for cell in design.movable_cells:
-                    if cell.row_index is None:
-                        cell.x = cell.gp_x
-                        cell.row_index = core.nearest_correct_row(
-                            cell.master, cell.gp_y
-                        )
-                        cell.y = core.row_y(cell.row_index)
-                stats = tetris_allocate(design)
-                unplaced = stats.num_unplaced
+            unplaced = 0
+            has_fixed = any(cell.fixed for cell in design.cells)
+            if has_fixed:
+                # The sequential placers are obstacle-blind; re-commit through
+                # the obstacle-aware allocation, which re-places any cell that
+                # landed on a fixed footprint.
+                with tracer.span("obstacle_repair"):
+                    stats = tetris_allocate(design)
+                    unplaced = stats.num_unplaced
+            if failed:
+                # Rare dense-row fallback: re-place stranded cells at the
+                # nearest free footprint of the otherwise-final placement.
+                with tracer.span("repair"):
+                    for cell in design.movable_cells:
+                        if cell.row_index is None:
+                            cell.x = cell.gp_x
+                            cell.row_index = core.nearest_correct_row(
+                                cell.master, cell.gp_y
+                            )
+                            cell.y = core.row_y(cell.row_index)
+                    stats = tetris_allocate(design)
+                    unplaced = stats.num_unplaced
 
-        if unplaced == 0:
-            # Refinement assumes a legal layout; skip it when the repair
-            # could not restore one (the failure is reported instead).
-            with timer.stage("refine"):
-                placerow_refine(design)
+            if unplaced == 0:
+                # Refinement assumes a legal layout; skip it when the repair
+                # could not restore one (the failure is reported instead).
+                with tracer.span("refine"):
+                    placerow_refine(design)
+        stages = root.child_seconds()
         return finish_result(
-            design, self.name, timer.total(), num_failed=unplaced,
-            stage_seconds=timer.as_dict(),
+            design, self.name, sum(stages.values()), num_failed=unplaced,
+            stage_seconds=stages,
         )
 
     # ------------------------------------------------------------------

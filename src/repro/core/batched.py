@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.setup_cache import combine_keys
-from repro.kernels import DEFAULT_BLOCK, reference_sweeps
+from repro.kernels import ReferenceSweepRunner
 from repro.lcp.mmsim import MMSIMOptions, warm_start_from_z
 from repro.lcp.problem import LCP, LCPResult, make_kkt_lcp
 from repro.telemetry import current_session
@@ -133,24 +133,6 @@ def _segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     if values.size and nonempty.any():
         out[nonempty] = np.maximum.reduceat(values, starts[nonempty])
     return out
-
-
-class _ReferenceRunnerAdapter:
-    """Sweep-runner-shaped wrapper over the reference arithmetic.
-
-    Used by the blocked batched drive when a repack lands on a stack
-    whose armed backend was probe-rejected (its ``sweep_runner`` is
-    None): the drive keeps its blocked structure but the sweeps run the
-    reference path, so the degradation costs correctness nothing.
-    """
-
-    block = DEFAULT_BLOCK
-
-    def __init__(self, splitting) -> None:
-        self.splitting = splitting
-
-    def run(self, s, count, gq, omega=None):
-        return reference_sweeps(self.splitting, s, count, gq, omega)
 
 
 class _GroupPack:
@@ -431,147 +413,26 @@ class _GroupPack:
     # The batched sweep
     # ------------------------------------------------------------------
     def solve(self, batch: BatchOptions) -> Dict[int, LCPResult]:
-        if getattr(self.splitting, "sweep_runner", None) is not None:
-            return self._solve_blocked(batch)
-        opts = self.opts
-        gamma = self.gamma
-        emit = opts.telemetry.emit if opts.telemetry is not None else None
-        s = self.s
-        z_prev = (np.abs(s) + s) / gamma
-        last_pack_k = 0
-        for k in range(1, opts.max_iterations + 1):
-            total = self.N + self.M
-            self.swept_entries += total
-            self.wasted_entries += self.inactive_entries
-            s_abs = np.abs(s)
-            rhs = self.splitting.apply_rhs(s, s_abs, self.gq)
-            s_hat = self.splitting.solve_M_plus_omega(rhs)
-            if self._any_damped:
-                ow = self.omega_entry
-                s = np.where(ow == 1.0, s_hat, ow * s_hat + (1.0 - ow) * s)
-            else:
-                s = s_hat
-            z = np.abs(s)
-            z += s
-            z /= gamma
-            np.subtract(z, z_prev, out=z_prev)
-            np.abs(z_prev, out=z_prev)
-            steps = np.maximum(
-                _segment_max(z_prev[: self.N], self.top_off),
-                _segment_max(z_prev[self.N:], self.bot_off),
-            )
-            z_prev = z
-            at_check = k % opts.check_every == 0 or k == opts.max_iterations
-            if at_check:
-                cand = self.active & (steps < opts.tol)
-                if cand.any():
-                    cand_idx = np.where(cand)[0]
-                    residuals = self._candidate_residuals(cand, z)
-                    if opts.residual_tol is not None:
-                        passed = residuals <= opts.residual_tol
-                    else:
-                        passed = np.ones(len(cand_idx), dtype=bool)
-                    for j, res in zip(cand_idx[passed], residuals[passed]):
-                        self._finish(j, z, k, converged=True, residual=res)
-                        self.active[j] = False
-                        self.inactive_entries += int(
-                            self.top_sizes[j] + self.bot_sizes[j]
-                        )
-            active_count = int(self.active.sum())
-            if emit is not None:
-                emit(
-                    "mmsim_batch", "iteration",
-                    group=self.label, iteration=k, active=active_count,
-                    step=float(steps[self.active].max())
-                    if active_count else 0.0,
-                )
-            if active_count == 0:
-                break
-            # Per-shard stall rescue, on the per-shard schedule (see
-            # repro.lcp.mmsim — same gate, same escalation arithmetic).
-            if opts.auto_damping and k % opts.stall_window == 0:
-                eligible = self.active & (self.omega > opts.min_damping)
-                if eligible.any():
-                    fire = (
-                        eligible
-                        & ~np.isnan(self.checkpoint)
-                        & (steps >= 0.9 * self.checkpoint)
-                    )
-                    if fire.any():
-                        self.omega[fire] = np.maximum(
-                            self.omega[fire] * opts.rescue_damping,
-                            opts.min_damping,
-                        )
-                        self.rescued[fire] = True
-                        self._any_damped = True
-                        self._refresh_omega_entry()
-                        if emit is not None:
-                            emit(
-                                "mmsim_batch", "stall_rescue",
-                                group=self.label, iteration=k,
-                                shards=int(fire.sum()),
-                            )
-                    self.checkpoint[eligible] = steps[eligible]
-            if (
-                k < opts.max_iterations
-                and k - last_pack_k >= batch.repack_interval
-                and active_count <= batch.repack_fraction * len(self.shards)
-            ):
-                self.s = s
-                z_new = self._repack(z_prev)
-                if z_new is not None:
-                    s = self.s
-                    z_prev = z_new
-                    last_pack_k = k
-        # Shards still active at max_iterations: not converged, final
-        # residual at the last iterate (as the per-shard loop reports).
-        leftovers = np.where(self.active)[0]
-        if len(leftovers):
-            residuals = self._all_residuals(z_prev)
-            for j in leftovers:
-                self._finish(
-                    j, z_prev, opts.max_iterations,
-                    converged=False, residual=residuals[j],
-                )
-        if emit is not None:
-            emit(
-                "mmsim_batch", "done",
-                group=self.label, shards=len(self.results),
-                iterations=k,
-                converged=sum(
-                    1 for r in self.results.values() if r.converged
-                ),
-            )
-        return self.results
+        """The batched sweep: the drive of :func:`repro.lcp.mmsim.mmsim_solve`
+        over the stacked state.
 
-    def _solve_blocked(self, batch: BatchOptions) -> Dict[int, LCPResult]:
-        """The batched sweep over an armed sweep-kernel runner.
-
-        Same structure as :meth:`solve` at block granularity: ``L =
-        max(check_every, runner.block)`` sweeps per Python-level step
-        (``L−1`` blind, a ``z`` recomputation at the penultimate iterate,
-        one measured sweep), so every convergence decision still sees a
-        true single-iteration z-step — just sampled at block boundaries,
-        which is what puts armed backends in the "reordered" tolerance
-        class.  Freeze/repack/rescue bookkeeping is unchanged; entry
-        accounting is exact because the active set and stack shape only
-        change at block boundaries.  A repack that lands on a stack whose
-        runner declined (probe-rejected after restacking) continues
-        through :class:`_ReferenceRunnerAdapter`.
-
-        The block length ramps geometrically (1, 2, 4, ... up to the
-        runner's block) so packs whose shards converge in a sweep or two
-        are detected almost immediately, and while any shard remains
-        rescue-eligible the boundaries are clamped to land exactly on
-        ``stall_window`` multiples — the rescue then samples its step
-        checkpoints at the same iterates as the per-sweep loop, keeping
-        the ω escalation sequence (and hence stiff-shard trajectories)
-        identical to :meth:`solve`.
+        Each step runs ``span`` sweeps through the stack's armed runner
+        (or :class:`~repro.kernels.reference.ReferenceSweepRunner`, one
+        sweep per step): ``span − 1`` blind, a ``z`` recomputation at the
+        penultimate iterate, one measured sweep, so every convergence
+        decision sees a true single-iteration z-step.  ``span`` ramps
+        geometrically up to the runner's block, is clamped to the budget
+        and, while any shard remains rescue-eligible, to the next
+        ``stall_window`` multiple, so the per-shard rescue samples its
+        checkpoints at the same iterates at any block length.
+        Freeze/repack/rescue bookkeeping happens at step boundaries, so
+        entry accounting is exact.  A repack that lands on a stack whose
+        armed runner declined continues on the reference runner.
         """
         opts = self.opts
         gamma = self.gamma
         emit = opts.telemetry.emit if opts.telemetry is not None else None
-        runner = self.splitting.sweep_runner
+        runner = self._runner()
         s = self.s
         z_prev = (np.abs(s) + s) / gamma
         last_pack_k = 0
@@ -579,29 +440,23 @@ class _GroupPack:
         ramp = 1
         k = 0
         while k < opts.max_iterations:
-            if runner is None:
-                runner = _ReferenceRunnerAdapter(self.splitting)
-            block = max(opts.check_every, runner.block)
-            span = min(
-                max(opts.check_every, min(block, ramp)),
-                opts.max_iterations - k,
-            )
-            ramp = min(ramp * 2, block)
-            if opts.auto_damping and bool(
-                (self.active & (self.omega > opts.min_damping)).any()
-            ):
-                # Align boundaries with the rescue schedule so
-                # checkpoints are sampled at the same iterates as the
-                # per-sweep loop.
-                span = max(1, min(span, next_rescue - k))
-            total = self.N + self.M
-            self.swept_entries += span * total
+            # A one-sweep step always fits the budget and the rescue
+            # schedule, so the eligibility test runs only for blocks.
+            span = ramp
+            if ramp > 1:
+                span = min(ramp, opts.max_iterations - k)
+                if opts.auto_damping and bool(
+                    (self.active & (self.omega > opts.min_damping)).any()
+                ):
+                    span = min(span, next_rescue - k)
+                if span > 1:
+                    s = runner.run(s, span - 1, self.gq, self.omega_entry)
+                    z_prev = (np.abs(s) + s) / gamma
+            if ramp < runner.block:
+                ramp = min(2 * ramp, runner.block)
+            self.swept_entries += span * (self.N + self.M)
             self.wasted_entries += span * self.inactive_entries
-            omega_arg = self.omega_entry if self._any_damped else None
-            if span > 1:
-                s = runner.run(s, span - 1, self.gq, omega_arg)
-                z_prev = (np.abs(s) + s) / gamma
-            s = runner.run(s, 1, self.gq, omega_arg)
+            s = runner.run(s, 1, self.gq, self.omega_entry)
             k += span
             z = np.abs(s)
             z += s
@@ -613,9 +468,6 @@ class _GroupPack:
                 _segment_max(z_prev[self.N:], self.bot_off),
             )
             z_prev = z
-            # Every block boundary is a check point (block >= check_every
-            # keeps the residual audits at least as rate-limited as the
-            # per-sweep loop's schedule).
             cand = self.active & (steps < opts.tol)
             if cand.any():
                 cand_idx = np.where(cand)[0]
@@ -640,9 +492,8 @@ class _GroupPack:
                 )
             if active_count == 0:
                 break
-            # Stall rescue at the first block boundary at or past each
-            # stall_window multiple (block lengths need not divide the
-            # window); same gate and escalation as the per-sweep loop.
+            # Per-shard stall rescue, on the per-shard schedule (see
+            # repro.lcp.mmsim — same gate, same escalation arithmetic).
             if opts.auto_damping and k >= next_rescue:
                 eligible = self.active & (self.omega > opts.min_damping)
                 if eligible.any():
@@ -680,7 +531,10 @@ class _GroupPack:
                     s = self.s
                     z_prev = z_new
                     last_pack_k = k
-                    runner = getattr(self.splitting, "sweep_runner", None)
+                    runner = self._runner()
+                    ramp = min(ramp, runner.block)
+        # Shards still active at max_iterations: not converged, final
+        # residual at the last iterate.
         leftovers = np.where(self.active)[0]
         if len(leftovers):
             residuals = self._all_residuals(z_prev)
@@ -699,6 +553,11 @@ class _GroupPack:
                 ),
             )
         return self.results
+
+    def _runner(self):
+        return self.splitting.sweep_runner or ReferenceSweepRunner(
+            self.splitting
+        )
 
 
 def solve_shards_batched(
@@ -720,7 +579,7 @@ def solve_shards_batched(
     cfg = batch or BatchOptions()
     source = getattr(sharded, "source", None)
     results: Dict[int, LCPResult] = {}
-    if source is None or not source.fast_kernels or opts.record_history:
+    if source is None or not source.fast_kernels:
         return results
     groups = group_shards(sharded.shards, cfg)
     tel = current_session()

@@ -75,7 +75,6 @@ class LegalizerConfig:
     max_iterations: int = 20000
     warm_start: bool = True
     validate_theorem2: bool = False
-    record_history: bool = False
     #: Extension beyond the paper: shift cells out of over-capacity rows
     #: before the MMSIM (reduces right-boundary spill on dense designs).
     balance_rows: bool = False
@@ -148,17 +147,6 @@ class LegalizerConfig:
             raise ValueError(
                 f"invalid LegalizerConfig: {format_violations(violations)}"
             )
-        if self.record_history:
-            warnings.warn(
-                "LegalizerConfig.record_history is deprecated: per-sweep "
-                "convergence data now flows through the telemetry event "
-                "sink (run inside repro.telemetry.session() and read the "
-                "solver 'iteration' events). The flag still populates "
-                "LegalizationResult.residual_history, bounded to the most "
-                "recent MMSIMOptions.history_limit steps.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass
@@ -226,7 +214,6 @@ class LegalizationResult:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     qp_objective: float = 0.0
     theorem2_ok: Optional[bool] = None
-    residual_history: list = field(default_factory=list)
     #: One record per shard whose primary MMSIM failed and walked the
     #: solver fallback ladder (empty on healthy runs).
     solver_escalations: List[ShardEscalation] = field(default_factory=list)
@@ -576,7 +563,6 @@ class MMSIMLegalizer:
             tol=cfg.tol,
             residual_tol=cfg.residual_tol,
             max_iterations=cfg.max_iterations,
-            record_history=cfg.record_history,
             telemetry=tel.solver_events,
         )
 
@@ -742,7 +728,6 @@ class MMSIMLegalizer:
             stage_seconds={},
             qp_objective=legal_qp.qp.objective(y),
             theorem2_ok=prepared.theorem2_ok,
-            residual_history=mmsim_result.residual_history,
             solver_escalations=escalations,
             kkt_solution=mmsim_result.z,
             legality=legality,

@@ -77,16 +77,14 @@ class DesignJob:
 def _mergeable(cfg: LegalizerConfig) -> bool:
     """Whether a config can join a merged stacked solve.
 
-    Excluded: the deprecated history buffer (per-design history cannot
-    be disentangled from a stacked sweep), theorem-2 validation (needs
-    per-design splittings materialized), custom resilience configs
+    Excluded: theorem-2 validation (needs per-design splittings
+    materialized), custom resilience configs
     (fault-injection hooks are keyed by per-design shard indices), and
     the explicitly monolithic / slow-kernel paths.
     """
     return (
         cfg.shard
         and cfg.fast_kernels
-        and not cfg.record_history
         and not cfg.validate_theorem2
         and cfg.resilience is None
     )

@@ -290,7 +290,6 @@ def solve_shard_resilient(
             max_iterations=max(
                 1, int(opts.max_iterations * cfg.safe_iteration_factor)
             ),
-            record_history=False,
         )
         return mmsim_solve(
             lcp, splitting.rebuilt(fast_kernels=False), safe_opts, s0=s0, z0=z0

@@ -524,8 +524,7 @@ def solve_sharded(
     MMSIM before any per-shard dispatch; per-shard results are
     bit-identical to the per-shard path.  Shards the engine declines
     (ineligible kernels, tiny groups) fall through to the normal
-    per-shard solve.  Ignored when ``options.record_history`` is set
-    (the deprecated history path stays per-shard).
+    per-shard solve.
 
     ``shard_solver`` replaces the per-shard solve (default: the plain
     MMSIM); :func:`repro.core.resilience.solve_sharded_resilient` uses it
@@ -557,7 +556,7 @@ def solve_sharded(
     )
 
     primary: Dict[int, LCPResult] = {}
-    if batch and not opts.record_history and sharded.num_shards:
+    if batch and sharded.num_shards:
         from repro.core.batched import BatchOptions, solve_shards_batched
 
         batch_opts = batch if isinstance(batch, BatchOptions) else None
@@ -590,23 +589,6 @@ def solve_sharded(
         z[shard.variables] = res.z[: shard.num_variables]
         z[n + shard.b_rows] = res.z[shard.num_variables :]
 
-    # Global z-step history: the global inf-norm step is the max over the
-    # shards still iterating (a finished shard's step is zero).
-    history: List[float] = []
-    if opts.record_history:
-        length = max((len(r.residual_history) for r in results), default=0)
-        history = [
-            max(
-                (
-                    r.residual_history[i]
-                    for r in results
-                    if i < len(r.residual_history)
-                ),
-                default=0.0,
-            )
-            for i in range(length)
-        ]
-
     converged = all(r.converged for r in results)
     stalled = sum(1 for r in results if not r.converged)
     rescued = sum(1 for r in results if "stall rescued" in r.message)
@@ -620,7 +602,6 @@ def solve_sharded(
         converged=converged,
         iterations=max((r.iterations for r in results), default=0),
         residual=max((r.residual for r in results), default=0.0),
-        residual_history=history,
         solver="mmsim",
         message=message,
     )

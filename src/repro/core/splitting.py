@@ -183,8 +183,8 @@ class LegalizationSplitting:
     kernel_backend:
         Sweep-kernel backend name from the :mod:`repro.kernels` registry.
         Non-reference backends are probe-gated at setup and arm
-        ``self.sweep_runner`` (consumed by the blocked solver loops);
-        any rejection degrades to the reference loop with a telemetry
+        ``self.sweep_runner`` (consumed by the solver drives); any
+        rejection degrades to the reference runner with a telemetry
         counter.  ``self.kernel_backend`` records the *effective* backend
         after gating.
     """
@@ -274,7 +274,7 @@ class LegalizationSplitting:
         )
         # Sweep-kernel backend (repro.kernels): probe-gated at setup;
         # anything but a verified non-reference backend leaves
-        # sweep_runner None and the solver loops on the reference path.
+        # sweep_runner None and the solver drives on the reference runner.
         # GeneralSplitting (which shares this setup) never requests one.
         requested = getattr(self, "_requested_backend", "reference")
         self.sweep_runner = None

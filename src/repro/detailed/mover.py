@@ -27,7 +27,7 @@ from repro.netlist.cell import CellInstance
 from repro.netlist.design import Design
 from repro.netlist.net import Net
 from repro.rows.sitemap import SiteMap
-from repro.utils.timer import StageTimer
+from repro.telemetry import active_tracer
 
 
 @dataclass
@@ -88,37 +88,39 @@ class DetailedPlacer:
 
     # ------------------------------------------------------------------
     def refine(self, design: Design) -> DetailedPlacementResult:
-        timer = StageTimer()
-        with timer.stage("setup"):
-            site_map = self._build_site_map(design)
-            nets_of: Dict[int, List[Net]] = {c.id: [] for c in design.cells}
-            for net in design.nets:
-                for pin in net.pins:
-                    if pin.cell is not None:
-                        nets_of[pin.cell.id].append(net)
+        tracer = active_tracer()
+        with tracer.span("detailed_placement", design=design.name) as root:
+            with tracer.span("setup"):
+                site_map = self._build_site_map(design)
+                nets_of: Dict[int, List[Net]] = {c.id: [] for c in design.cells}
+                for net in design.nets:
+                    for pin in net.pins:
+                        if pin.cell is not None:
+                            nets_of[pin.cell.id].append(net)
 
-        hpwl_before = design.total_hpwl()
-        tried = accepted = 0
-        with timer.stage("moves"):
-            for _ in range(self.passes):
-                pass_accepted = 0
-                for cell in design.movable_cells:
-                    if not nets_of[cell.id]:
-                        continue
-                    tried += 1
-                    if self._try_move(cell, design, site_map, nets_of[cell.id]):
-                        accepted += 1
-                        pass_accepted += 1
-                if pass_accepted == 0:
-                    break
+            hpwl_before = design.total_hpwl()
+            tried = accepted = 0
+            with tracer.span("moves"):
+                for _ in range(self.passes):
+                    pass_accepted = 0
+                    for cell in design.movable_cells:
+                        if not nets_of[cell.id]:
+                            continue
+                        tried += 1
+                        if self._try_move(cell, design, site_map, nets_of[cell.id]):
+                            accepted += 1
+                            pass_accepted += 1
+                    if pass_accepted == 0:
+                        break
+        stages = root.child_seconds()
         return DetailedPlacementResult(
             hpwl_before=hpwl_before,
             hpwl_after=design.total_hpwl(),
             moves_accepted=accepted,
             moves_tried=tried,
             passes=self.passes,
-            runtime=timer.total(),
-            stage_seconds=timer.as_dict(),
+            runtime=sum(stages.values()),
+            stage_seconds=stages,
         )
 
     # ------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Pluggable sweep-kernel backends for the MMSIM solver loops.
+"""Pluggable sweep-kernel backends for the MMSIM solver drives.
 
 This package owns the stacked Woodbury/``pttrs`` sweep primitives (and the
 direct ``csr_matvec`` they build on) behind a named backend registry:
 
-* ``reference`` — the numpy/LAPACK per-sweep path, bit-identical to the
-  pre-registry solver and the default;
+* ``reference`` — the numpy/LAPACK path, run one sweep per step by
+  :class:`ReferenceSweepRunner` through the shared solver drives;
+  bit-identical to the plain per-sweep iteration and the default;
 * ``fused`` — always-available pure-numpy backend running K sweeps per
   Python-level step with preallocated scratch (see
   :mod:`repro.kernels.fused`);
@@ -26,6 +27,7 @@ from repro.kernels.numba_backend import NumbaBackend, NumbaSweepRunner
 from repro.kernels.reference import (
     PROBE_CACHE_CAP,
     ReferenceBackend,
+    ReferenceSweepRunner,
     csr_matvec_into,
     probe_cache_size,
     probe_vector,
@@ -49,6 +51,7 @@ __all__ = [
     "KernelBackend",
     "SweepRunner",
     "ReferenceBackend",
+    "ReferenceSweepRunner",
     "FusedBackend",
     "FusedSweepRunner",
     "NumbaBackend",

@@ -2,12 +2,14 @@
 
 A *backend* owns the inner MMSIM sweep over one (possibly stacked)
 block-lower-triangular splitting: everything between "here is the modulus
-iterate s^k" and "here is s^{k+K}".  The solver loops in
+iterate s^k" and "here is s^{k+K}".  The solver drives in
 :mod:`repro.lcp.mmsim` and :mod:`repro.core.batched` keep ownership of
-convergence testing, stall rescue, telemetry and repacking; a backend only
+convergence testing, stall rescue, telemetry and repacking; a runner only
 replaces the arithmetic between convergence checks, which is why a
-non-reference backend may legally run ``K`` sweeps per Python-level step
-(``check_every``-aligned blocks) without recomputing ``z`` in between.
+runner with ``block > 1`` may run several sweeps per Python-level step
+without recomputing ``z`` in between.  Splittings without an armed
+runner (the reference backend, generic splittings) are driven by
+:class:`~repro.kernels.reference.ReferenceSweepRunner` with ``block = 1``.
 
 Two contracts live here:
 
@@ -27,13 +29,12 @@ Two contracts live here:
 
   and returns the new iterate, which may live in a runner-owned scratch
   buffer: callers must treat the returned array as invalidated by the next
-  ``run`` call (the solver loops copy what they keep, exactly as they do
-  with the reference splitting's fused-rhs buffer).
+  ``run`` call (the solver drives copy what they keep).
 
-``omega`` is the damping state in the same three shapes the reference
-loops use: ``None`` for the plain iteration, a scalar ω for the per-shard
-loop, or a per-entry array for the batched loop's per-shard damping (where
-the reference arithmetic is ``np.where(ω == 1, ŝ, ω·ŝ + (1−ω)·s)``).
+``omega`` is the damping state in one of three shapes: ``None`` for the
+plain iteration, a scalar ω for the per-shard drive, or a per-entry array
+for the batched drive's per-shard damping (where the reference arithmetic
+is ``np.where(ω == 1, ŝ, ω·ŝ + (1−ω)·s)``).
 
 Tolerance classes
 -----------------
@@ -55,19 +56,18 @@ from typing import Optional
 
 import numpy as np
 
-#: Default sweeps per Python-level step for blocked backends.  The blocked
-#: loops run ``max(check_every, DEFAULT_BLOCK)`` sweeps between convergence
-#: checks; 8 amortizes most of the per-sweep Python dispatch while keeping
-#: the worst-case overshoot (converging mid-block) a handful of cheap
-#: sweeps.
+#: Default sweeps per Python-level step for blocked backends.  The drives
+#: ramp up to ``block`` sweeps between convergence checks; 8 amortizes
+#: most of the per-sweep Python dispatch while keeping the worst-case
+#: overshoot (converging mid-block) a handful of cheap sweeps.
 DEFAULT_BLOCK = 8
 
 
 class SweepRunner:
     """One backend's armed sweep loop over a specific splitting."""
 
-    #: Sweeps to fuse per Python-level step (the solver loops still align
-    #: this up to ``check_every``).
+    #: Most sweeps to fuse per Python-level step (the drives ramp up to it
+    #: and clamp it onto the budget and the stall-rescue schedule).
     block: int = DEFAULT_BLOCK
 
     def run(

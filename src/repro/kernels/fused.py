@@ -1,18 +1,18 @@
 """Fused pure-numpy sweep backend: K sweeps per Python-level step.
 
-The reference solver loops pay, per sweep, not just the four sparse
-matvecs and the tridiagonal solve but also a fresh ``|s|`` temporary, a
-``np.zeros`` for the block solve, the ``z = (|s|+s)/γ`` bookkeeping, the
-per-segment step reductions, and the convergence branchwork.  At
+The reference path pays, per sweep, not just the four sparse matvecs and
+the tridiagonal solve but also a fresh ``|s|`` temporary, a ``np.zeros``
+for the block solve, the ``z = (|s|+s)/γ`` bookkeeping, the per-segment
+step reductions, and the convergence branchwork.  At
 micro-shard sizes those tiny numpy calls dominate the arithmetic.
 
 This backend keeps the *identical* per-sweep arithmetic — same operations,
 same order, accumulating through :func:`repro.kernels.reference.csr_matvec_into`
 into preallocated ping-pong buffers instead of fresh allocations — and
-exposes it as a :class:`~repro.kernels.base.SweepRunner` so the solver
-loops can advance ``K = max(check_every, DEFAULT_BLOCK)`` sweeps per
-Python-level step, computing ``z`` and the convergence step only at block
-boundaries.  A single fused sweep therefore matches the reference sweep to
+exposes it as a :class:`~repro.kernels.base.SweepRunner` with
+``block = DEFAULT_BLOCK``, so the solver drives can advance up to ``K = 8``
+sweeps per Python-level step, computing ``z`` and the convergence step
+only at block boundaries.  A single fused sweep therefore matches the reference sweep to
 the last bit in practice (the probe gate still verifies it); whole *runs*
 are only tolerance-equivalent because convergence is detected on block
 boundaries — a run that would have stopped at iteration k now stops at the
@@ -95,7 +95,7 @@ class FusedSweepRunner(SweepRunner):
             np.copyto(w, rhs[n:])
             csr_matvec_into(sp._B_neg, o1, w)
             target[n:] = sp._solve_bottom(w)
-        # Damping, in the same arithmetic form as the reference loop for
+        # Damping, in the same arithmetic form as the reference runner for
         # each omega shape (see repro.kernels.base).
         if omega is None:
             return target

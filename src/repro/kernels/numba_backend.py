@@ -129,7 +129,7 @@ def _sweep_kernel(
                     s_new[n + j] = (
                         s_new[n + j] / pt_d[j] - pt_e[j] * s_new[n + j + 1]
                     )
-        # Damping (same forms as the reference loops), then advance.
+        # Damping (same forms as the reference runner), then advance.
         if omega_mode == 0 or (omega_mode == 1 and omega_scalar == 1.0):
             tmp = s
             s = s_new

@@ -8,14 +8,19 @@ inlined in :mod:`repro.core.splitting`:
 * :func:`probe_vector` — the capped cache of deterministic probe vectors
   used by kernel verification (both the per-block-solver probes inside
   ``LegalizationSplitting`` and the registry's backend probe gate);
-* :func:`reference_sweeps` — the reference modulus sweep, expressed over
-  any :class:`repro.lcp.mmsim.Splitting`.  This is the arithmetic every
-  other backend is probe-verified against, and the fallback the blocked
-  solver loops use if a repack produces a splitting whose runner declined.
+* :class:`ReferenceSweepRunner` — the reference modulus sweep, expressed
+  over any :class:`repro.lcp.mmsim.Splitting`, as a one-sweep
+  (``block = 1``) runner.  The solver drives use it whenever a splitting
+  has no armed backend runner — the reference backend, generic splittings
+  and repacks whose backend declined;
+* :func:`reference_sweeps` — the same arithmetic as a function, the
+  oracle every other backend is probe-verified against.
 
-The reference *backend* itself arms no runner: selecting it leaves the
-existing per-sweep solver loops in charge, which is what keeps it
-bit-identical to the pre-registry behavior (and the default).
+The reference *backend* itself arms no runner: the drives fall back to
+:class:`ReferenceSweepRunner`, and with one sweep per step they test
+convergence and stall rescue after every sweep, which is what keeps the
+reference backend bit-identical to the plain per-sweep iteration (and the
+default).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.kernels.base import KernelBackend
+from repro.kernels.base import KernelBackend, SweepRunner
 
 try:  # pragma: no cover - exercised indirectly by every fast solve
     from scipy.sparse import _sparsetools as _spt
@@ -100,45 +105,68 @@ def probe_cache_size() -> int:
 # ----------------------------------------------------------------------
 # The reference sweep
 # ----------------------------------------------------------------------
+class ReferenceSweepRunner(SweepRunner):
+    """The reference per-sweep arithmetic as a one-sweep runner.
+
+    Each sweep is the fused rhs when the splitting provides one (else
+    ``N s + (Ω − A)|s| − γq`` from the separate products),
+    ``solve_M_plus_omega``, then the damping form matching *omega*'s
+    shape (see :mod:`repro.kernels.base`).  The splitting's callables are
+    resolved once here, so a step costs one method call over the sweep
+    itself.  ``block = 1`` keeps the drives' geometric ramp at one sweep
+    per step: every sweep is measured, so the iterate stream, stopping
+    sweep and rescue schedule are those of the plain iteration.
+    """
+
+    block = 1
+
+    def __init__(self, splitting) -> None:
+        self._solve = splitting.solve_M_plus_omega
+        fused = getattr(splitting, "apply_rhs", None)
+        if fused is None:
+            apply_N = splitting.apply_N
+            apply_omega_minus_A = splitting.apply_omega_minus_A
+
+            def fused(s, s_abs, gq):
+                return apply_N(s) + apply_omega_minus_A(s_abs) - gq
+
+        self._rhs = fused
+
+    def run(self, s, count, gq, omega=None):
+        rhs = self._rhs
+        solve = self._solve
+        if isinstance(omega, np.ndarray):
+            plain = omega == 1.0
+            for _ in range(count):
+                s_hat = solve(rhs(s, np.abs(s), gq))
+                s = np.where(plain, s_hat, omega * s_hat + (1.0 - omega) * s)
+        elif omega is None or omega == 1.0:
+            for _ in range(count):
+                s = solve(rhs(s, np.abs(s), gq))
+        else:
+            for _ in range(count):
+                s_hat = solve(rhs(s, np.abs(s), gq))
+                s = omega * s_hat + (1.0 - omega) * s
+        return s
+
+
 def reference_sweeps(
     splitting, s: np.ndarray, count: int, gq: np.ndarray, omega=None
 ) -> np.ndarray:
     """``count`` modulus sweeps with the reference per-sweep arithmetic.
 
-    Exactly the operations the solver loops perform — fused rhs when the
-    splitting provides one, ``solve_M_plus_omega``, then the damping form
-    matching *omega*'s shape (see :mod:`repro.kernels.base`).  Used as
-    the probe-gate oracle for every other backend and as the blocked
-    loops' fallback runner.
+    The probe-gate oracle every other backend is verified against; see
+    :class:`ReferenceSweepRunner`.
     """
-    for _ in range(count):
-        s_abs = np.abs(s)
-        fused = getattr(splitting, "apply_rhs", None)
-        if fused is not None:
-            rhs = fused(s, s_abs, gq)
-        else:
-            rhs = (
-                splitting.apply_N(s)
-                + splitting.apply_omega_minus_A(s_abs)
-                - gq
-            )
-        s_hat = splitting.solve_M_plus_omega(rhs)
-        if omega is None:
-            s = s_hat
-        elif np.ndim(omega) == 0:
-            s = s_hat if omega == 1.0 else omega * s_hat + (1.0 - omega) * s
-        else:
-            s = np.where(omega == 1.0, s_hat, omega * s_hat + (1.0 - omega) * s)
-    return s
+    return ReferenceSweepRunner(splitting).run(s, count, gq, omega)
 
 
 class ReferenceBackend(KernelBackend):
-    """The default backend: arm nothing, keep the existing loops.
+    """The default backend: arm nothing, probe-gate nothing.
 
-    ``build_runner`` returning None is load-bearing — with no runner on
-    the splitting, :func:`repro.lcp.mmsim.mmsim_solve` and the batched
-    engine run their original per-sweep loops, so the reference backend
-    is bit-identical to the pre-registry solver by construction.
+    ``build_runner`` returns None, so the splitting's ``sweep_runner``
+    stays None and the drives run :class:`ReferenceSweepRunner` — the
+    reference arithmetic is never probe-gated against itself.
     """
 
     name = "reference"

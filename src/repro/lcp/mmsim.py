@@ -19,13 +19,12 @@ paper's block lower-triangular splitting of Eq. (16) (see
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
 
+from repro.kernels.reference import ReferenceSweepRunner
 from repro.lcp.problem import LCP, LCPResult
 
 
@@ -48,9 +47,10 @@ class Splitting(Protocol):
 # Splittings may additionally expose ``apply_rhs(s, s_abs, gq)`` returning
 # ``N s + (Ω − A)|s| − gq`` in one fused pass (possibly into a reused
 # buffer that the solver must consume before the next call).  When the
-# attribute is present and not None the solver prefers it over the
-# separate apply_N / apply_omega_minus_A calls; the two paths compute the
-# same iterate (see tests/test_splitting.py kernel-parity tests).
+# attribute is present and not None the reference runner prefers it over
+# the separate apply_N / apply_omega_minus_A calls; the two paths compute
+# the same iterate (see tests/test_splitting.py kernel-parity tests).  A
+# splitting may also carry an armed ``sweep_runner`` (see repro.kernels).
 
 
 @dataclass
@@ -60,12 +60,8 @@ class MMSIMOptions:
     ``gamma`` is the paper's γ (any positive constant; 2 is customary).
     ``tol`` is ε applied to ``‖z^k − z^{k-1}‖_inf``; ``residual_tol``
     additionally requires the LCP natural residual to be small, which avoids
-    declaring convergence on a slowly-moving but wrong iterate.
-
-    ``check_every`` rate-limits the convergence test: the (residual-
-    computing) check only runs on iterations divisible by it — and on the
-    final iteration, so a run that converges between checkpoints is still
-    detected at ``max_iterations``.  The default of 1 checks every sweep.
+    declaring convergence on a slowly-moving but wrong iterate.  ``tol=0``
+    never converges, so a run does exactly ``max_iterations`` sweeps.
 
     ``damping`` relaxes the update to ``s ← ω·ŝ + (1−ω)·s`` (ω = 1 is the
     paper's plain iteration; the fixed points are identical for any
@@ -84,56 +80,41 @@ class MMSIMOptions:
     ``telemetry`` is an optional event sink (anything with an
     ``emit(solver, type, **fields)`` method, normally a
     :class:`repro.telemetry.EventSink`): when set, the solver emits one
-    ``iteration`` event per sweep (z-step norm, damping ω, residual when
-    computed), a ``stall_rescue`` event if the rescue fires, and a final
-    ``done`` event.  When None (the default) the loop pays a single
-    pointer comparison per sweep.
-
-    ``record_history`` is *deprecated* — it grew an unbounded Python list
-    inside the solver loop on long runs.  It still works (now backed by a
-    bounded deque of the most recent ``history_limit`` steps) but warns;
-    use ``telemetry`` instead.
+    ``iteration`` event per convergence check (z-step norm, damping ω,
+    residual when computed) — one per sweep on the reference path — a
+    ``stall_rescue`` event if the rescue fires, and a final ``done``
+    event.  When None (the default) the loop pays a single pointer
+    comparison per step.
     """
 
     gamma: float = 2.0
     tol: float = 1e-8
     residual_tol: Optional[float] = 1e-6
     max_iterations: int = 20000
-    record_history: bool = False
-    check_every: int = 1
     damping: float = 1.0
     auto_damping: bool = True
     stall_window: int = 500
     rescue_damping: float = 0.7
     min_damping: float = 0.2
     telemetry: Optional[object] = None
-    history_limit: int = 50000
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if not self.tol >= 0.0:
+            raise ValueError("tol must be >= 0")
+        if self.residual_tol is not None and not self.residual_tol >= 0.0:
+            raise ValueError("residual_tol must be None or >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
-        if self.check_every < 1:
-            raise ValueError("check_every must be >= 1")
+        if self.stall_window < 1:
+            raise ValueError("stall_window must be >= 1")
         if not 0.0 < self.rescue_damping < 1.0:
             raise ValueError("rescue_damping must be in (0, 1)")
         if not 0.0 < self.min_damping <= 1.0:
             raise ValueError("min_damping must be in (0, 1]")
-        if self.history_limit < 1:
-            raise ValueError("history_limit must be >= 1")
-        if self.record_history:
-            warnings.warn(
-                "MMSIMOptions.record_history is deprecated (it buffered an "
-                "unbounded list inside the solver loop); pass a telemetry "
-                "event sink instead, e.g. MMSIMOptions(telemetry="
-                "repro.telemetry.EventSink()). The flag still works but "
-                "keeps only the most recent history_limit steps.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
 
 def warm_start_from_z(lcp: LCP, z0: np.ndarray, gamma: float) -> np.ndarray:
@@ -165,6 +146,22 @@ def mmsim_solve(
     from a previous *solution* via :func:`warm_start_from_z` (ignored when
     ``s0`` is given).  Returns an :class:`LCPResult` whose ``z`` satisfies
     the LCP to the requested tolerance when ``converged`` is True.
+
+    Sweeps run through the splitting's armed sweep-kernel runner
+    (``splitting.sweep_runner``, see :mod:`repro.kernels`) or, without
+    one, through the one-sweep
+    :class:`~repro.kernels.reference.ReferenceSweepRunner`.  Each
+    Python-level step runs ``span`` sweeps: ``span − 1`` blind ones, a
+    recomputation of ``z`` at the penultimate iterate, then one measured
+    sweep, so the convergence test at every step boundary sees a *true*
+    single-iteration z-step.  ``span`` ramps geometrically (1, 2, 4, ...
+    up to ``runner.block``), is clamped to the remaining budget, and —
+    while the stall rescue is eligible — to the next ``stall_window``
+    multiple, so rescue checkpoints sample the same iterates at any block
+    length.  With ``block = 1`` every sweep is measured: that is the plain
+    per-sweep iteration.  Runners with larger blocks stop at a later
+    iterate of the same contraction, hence their "reordered" tolerance
+    class.
     """
     opts = options or MMSIMOptions()
     n = lcp.n
@@ -178,160 +175,19 @@ def mmsim_solve(
     if s.shape != (n,):
         raise ValueError(f"s0 has shape {s.shape}, expected ({n},)")
 
-    # A splitting armed with a sweep-kernel runner (repro.kernels) takes
-    # the blocked drive: K sweeps per Python-level step, convergence
-    # checked only at block boundaries.  Per-step history recording is
-    # incompatible with blocking, so record_history keeps the per-sweep
-    # loop below.
-    runner = getattr(splitting, "sweep_runner", None)
-    if runner is not None and not opts.record_history:
-        return _mmsim_solve_blocked(lcp, splitting, opts, s, runner)
-
-    z_prev = (np.abs(s) + s) / gamma
-    history = deque(maxlen=opts.history_limit) if opts.record_history else None
-    emit = opts.telemetry.emit if opts.telemetry is not None else None
-    fused = getattr(splitting, "apply_rhs", None)
-    gq = gamma * lcp.q
-    iterations = 0
-    converged = False
-    omega = opts.damping
-    rescued = False
-    checkpoint_step = None
-    for k in range(1, opts.max_iterations + 1):
-        iterations = k
-        s_abs = np.abs(s)
-        if fused is not None:
-            rhs = fused(s, s_abs, gq)
-        else:
-            rhs = (
-                splitting.apply_N(s)
-                + splitting.apply_omega_minus_A(s_abs)
-                - gq
-            )
-        s_hat = splitting.solve_M_plus_omega(rhs)
-        s = s_hat if omega == 1.0 else omega * s_hat + (1.0 - omega) * s
-        # z = (|s| + s)/γ and the inf-norm z-step, in place: the retired
-        # z_prev buffer absorbs the difference, so the sweep allocates
-        # only z itself.
-        z = np.abs(s)
-        z += s
-        z /= gamma
-        if n:
-            np.subtract(z, z_prev, out=z_prev)
-            np.abs(z_prev, out=z_prev)
-            step = float(z_prev.max())
-        else:
-            step = 0.0
-        if history is not None:
-            history.append(step)
-        z_prev = z
-        # The convergence tail is duplicated so the no-sink path carries
-        # zero event bookkeeping per sweep (not even a residual slot);
-        # both branches apply the identical test.
-        if emit is None:
-            if step < opts.tol and (
-                k % opts.check_every == 0 or k == opts.max_iterations
-            ):
-                if opts.residual_tol is None:
-                    converged = True
-                else:
-                    converged = lcp.natural_residual(z) <= opts.residual_tol
-        else:
-            residual_k: Optional[float] = None
-            if step < opts.tol and (
-                k % opts.check_every == 0 or k == opts.max_iterations
-            ):
-                if opts.residual_tol is None:
-                    converged = True
-                else:
-                    residual_k = lcp.natural_residual(z)
-                    converged = residual_k <= opts.residual_tol
-            emit(
-                "mmsim", "iteration",
-                iteration=k, step=step, omega=omega, residual=residual_k,
-            )
-        if converged:
-            break
-        # Stall rescue: a step that stopped shrinking signals the plain
-        # iteration 2-cycling; damping collapses the cycle (fixed points
-        # are unchanged by ω).  Still stalled a window later, the rescue
-        # escalates ω further, down to min_damping.
-        if (
-            opts.auto_damping
-            and omega > opts.min_damping
-            and k % opts.stall_window == 0
-        ):
-            if checkpoint_step is not None and step >= 0.9 * checkpoint_step:
-                omega = max(omega * opts.rescue_damping, opts.min_damping)
-                rescued = True
-                if emit is not None:
-                    emit("mmsim", "stall_rescue", iteration=k, omega=omega)
-            checkpoint_step = step
-    residual = lcp.natural_residual(z_prev)
-    message = "" if converged else "max iterations reached"
-    if rescued:
-        message = (message + f"; stall rescued with damping {omega:g}").lstrip(
-            "; "
-        )
-    if emit is not None:
-        emit(
-            "mmsim", "done",
-            iterations=iterations, converged=converged, residual=residual,
-            rescued=rescued,
-        )
-    return LCPResult(
-        z=z_prev,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-        residual_history=list(history) if history is not None else [],
-        solver="mmsim",
-        message=message,
+    runner = getattr(splitting, "sweep_runner", None) or ReferenceSweepRunner(
+        splitting
     )
-
-
-def _mmsim_solve_blocked(
-    lcp: LCP,
-    splitting: Splitting,
-    opts: MMSIMOptions,
-    s: np.ndarray,
-    runner,
-) -> LCPResult:
-    """Blocked MMSIM drive over an armed sweep-kernel runner.
-
-    Runs ``L = max(check_every, runner.block)`` modulus sweeps per
-    Python-level step: ``L−1`` blind sweeps through the runner, a
-    recomputation of ``z`` at the penultimate iterate, then one measured
-    sweep — so the convergence test at each block boundary sees a *true*
-    single-iteration z-step of the same contraction, just sampled every L
-    sweeps instead of every sweep.  Per-sweep arithmetic is identical to
-    :func:`mmsim_solve` (the probe gate in :mod:`repro.kernels.registry`
-    verified the runner against it); runs differ only in which iterate
-    they stop at, which is why armed backends carry the "reordered"
-    tolerance class.
-
-    Two schedule refinements keep the blocked drive from wasting sweeps
-    relative to the per-sweep loop:
-
-    * the block length ramps geometrically (1, 2, 4, ... up to the
-      runner's block) so problems that converge in a sweep or two are
-      detected almost as fast as with ``check_every=1``, while long runs
-      still amortize bookkeeping over full blocks;
-    * while the stall rescue is eligible, block boundaries are clamped to
-      land exactly on ``stall_window`` multiples, so the rescue samples
-      its step checkpoints at the *same iterates* as the per-sweep loop
-      and the ω escalation sequence (and hence the iterate trajectory)
-      matches it exactly.
-
-    Telemetry ``iteration`` events are emitted at block granularity.
-    """
-    n = lcp.n
-    gamma = opts.gamma
+    run = runner.run
+    block = runner.block
     emit = opts.telemetry.emit if opts.telemetry is not None else None
     gq = gamma * lcp.q
-    block = max(opts.check_every, runner.block)
+    tol = opts.tol
+    residual_tol = opts.residual_tol
+    max_iterations = opts.max_iterations
+    auto_damping = opts.auto_damping
+    min_damping = opts.min_damping
     z_prev = (np.abs(s) + s) / gamma
-    iterations = 0
     converged = False
     omega = opts.damping
     rescued = False
@@ -339,22 +195,23 @@ def _mmsim_solve_blocked(
     next_rescue = opts.stall_window
     ramp = 1
     k = 0
-    while k < opts.max_iterations and not converged:
-        span = min(
-            max(opts.check_every, min(block, ramp)),
-            opts.max_iterations - k,
-        )
-        ramp = min(ramp * 2, block)
-        if opts.auto_damping and omega > opts.min_damping:
-            # Align boundaries with the rescue schedule so checkpoints
-            # are sampled at the same iterates as the per-sweep loop.
-            span = max(1, min(span, next_rescue - k))
-        if span > 1:
-            s = runner.run(s, span - 1, gq, omega)
-            z_prev = (np.abs(s) + s) / gamma
-        s = runner.run(s, 1, gq, omega)
+    while k < max_iterations:
+        # A one-sweep step always fits the budget and the rescue schedule.
+        span = ramp
+        if ramp > 1:
+            span = min(ramp, max_iterations - k)
+            if auto_damping and omega > min_damping:
+                span = min(span, next_rescue - k)
+            if span > 1:
+                s = run(s, span - 1, gq, omega)
+                z_prev = (np.abs(s) + s) / gamma
+        if ramp < block:
+            ramp = min(2 * ramp, block)
+        s = run(s, 1, gq, omega)
         k += span
-        iterations = k
+        # z = (|s| + s)/γ and the inf-norm z-step, in place: the retired
+        # z_prev buffer absorbs the difference, so a step allocates only
+        # z itself.
         z = np.abs(s)
         z += s
         z /= gamma
@@ -366,12 +223,12 @@ def _mmsim_solve_blocked(
             step = 0.0
         z_prev = z
         residual_k: Optional[float] = None
-        if step < opts.tol:
-            if opts.residual_tol is None:
+        if step < tol:
+            if residual_tol is None:
                 converged = True
             else:
                 residual_k = lcp.natural_residual(z)
-                converged = residual_k <= opts.residual_tol
+                converged = residual_k <= residual_tol
         if emit is not None:
             emit(
                 "mmsim", "iteration",
@@ -379,11 +236,11 @@ def _mmsim_solve_blocked(
             )
         if converged:
             break
-        if (
-            opts.auto_damping
-            and omega > opts.min_damping
-            and k >= next_rescue
-        ):
+        # Stall rescue: a step that stopped shrinking signals the plain
+        # iteration 2-cycling; damping collapses the cycle (fixed points
+        # are unchanged by ω).  Still stalled a window later, the rescue
+        # escalates ω further, down to min_damping.
+        if auto_damping and omega > min_damping and k >= next_rescue:
             if checkpoint_step is not None and step >= 0.9 * checkpoint_step:
                 omega = max(omega * opts.rescue_damping, opts.min_damping)
                 rescued = True
@@ -400,15 +257,14 @@ def _mmsim_solve_blocked(
     if emit is not None:
         emit(
             "mmsim", "done",
-            iterations=iterations, converged=converged, residual=residual,
+            iterations=k, converged=converged, residual=residual,
             rescued=rescued,
         )
     return LCPResult(
         z=z_prev,
         converged=converged,
-        iterations=iterations,
+        iterations=k,
         residual=residual,
-        residual_history=[],
         solver="mmsim",
         message=message,
     )

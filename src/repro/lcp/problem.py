@@ -15,8 +15,8 @@ quantities used as stopping criteria and as test oracles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,7 +77,6 @@ class LCPResult:
     converged: bool
     iterations: int
     residual: float
-    residual_history: List[float] = field(default_factory=list)
     solver: str = ""
     message: str = ""
 

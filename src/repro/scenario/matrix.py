@@ -111,7 +111,6 @@ MATRIX_EXEMPT: Dict[str, str] = {
                   "special checks, not as a matrix column",
     "validate_theorem2": "diagnostics-only flag; adds checks, never "
                          "changes results",
-    "record_history": "deprecated observability flag",
     "balance_rows": "extension that changes the target placement — no "
                     "differential group applies",
     "enforce_right_boundary": "extension that changes the QP itself — no "

@@ -102,11 +102,6 @@ LEGALIZER_SPEC = ScenarioSpec(
             "the assembled splitting (slow; diagnostics only).",
         ),
         ConfigVar(
-            "record_history", (bool,), False,
-            "Deprecated: populate LegalizationResult.residual_history "
-            "(telemetry iteration events supersede it).",
-        ),
-        ConfigVar(
             "balance_rows", (bool,), False,
             "Extension: shift cells out of over-capacity rows before the "
             "MMSIM to reduce right-boundary spill.",

@@ -23,12 +23,10 @@ from repro.scenario.specs import LEGALIZER_SPEC
 PROTOCOL_VERSION = 1
 
 #: LegalizerConfig fields a request may override.  Everything solver- or
-#: flow-visible is allowed; the deprecated history buffer and the
-#: object-valued resilience hook are not expressible over the wire.
+#: flow-visible is allowed; the object-valued resilience hook is not
+#: expressible over the wire.
 _CONFIG_FIELDS = frozenset(
-    f.name
-    for f in fields(LegalizerConfig)
-    if f.name not in ("record_history", "resilience")
+    f.name for f in fields(LegalizerConfig) if f.name != "resilience"
 )
 
 #: Typed shape of a LegalizeResponse payload: ``from_dict`` rejects

@@ -60,8 +60,9 @@ class Span:
     def child_seconds(self) -> Dict[str, float]:
         """Total duration of *direct* children, aggregated by name.
 
-        This is the :class:`~repro.utils.timer.StageTimer` view of a flow
-        span: ``{"row_assign": 0.01, "mmsim": 0.4, ...}``.
+        The per-stage view of a flow's root span, e.g.
+        ``{"row_assign": 0.01, "mmsim": 0.4, ...}`` — what the legalizers
+        report as ``stage_seconds``.
         """
         totals: Dict[str, float] = {}
         for child in self.children:

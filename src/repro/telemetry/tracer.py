@@ -90,9 +90,9 @@ class Tracer:
     def stage_seconds(self) -> Dict[str, float]:
         """Total duration per span name over the whole tree.
 
-        The flat accumulate-by-name view :class:`StageTimer` exposed;
-        nested spans are counted under their own names (so a parent's
-        total includes time also attributed to its children).
+        The flat accumulate-by-name view; nested spans are counted under
+        their own names (so a parent's total includes time also
+        attributed to its children).
         """
         totals: Dict[str, float] = {}
         for span in self.walk():

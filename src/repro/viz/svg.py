@@ -118,8 +118,9 @@ def render_convergence_svg(
 ) -> str:
     """Render an iteration-vs-step curve (log y) as a standalone SVG.
 
-    *history* is the ``residual_history`` of an :class:`LCPResult` run with
-    ``record_history=True`` — the per-sweep ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞ values.
+    *history* is the per-sweep ‖z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾‖∞ sequence, e.g. the
+    ``step`` fields of the solver's telemetry ``iteration`` events
+    (:meth:`repro.telemetry.EventSink.events`).
     """
     import math
 

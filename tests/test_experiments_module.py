@@ -55,11 +55,16 @@ class TestConvergenceSVG:
         from repro.benchgen import make_benchmark
         from repro.core import LegalizerConfig, MMSIMLegalizer
 
+        from repro import telemetry
+
         design = make_benchmark("fft_a", scale=0.005, seed=2, with_nets=False)
-        with pytest.warns(DeprecationWarning, match="record_history"):
-            config = LegalizerConfig(
-                record_history=True, tol=1e-6, residual_tol=1e-5
-            )
-        result = MMSIMLegalizer(config).legalize(design)
-        svg = render_convergence_svg(result.residual_history)
+        config = LegalizerConfig(tol=1e-6, residual_tol=1e-5)
+        with telemetry.session() as tel:
+            MMSIMLegalizer(config).legalize(design)
+        steps = [
+            e["step"]
+            for e in tel.solver_events.events(solver="mmsim", kind="iteration")
+        ]
+        assert steps
+        svg = render_convergence_svg(steps)
         assert svg.count("polyline") == 1

@@ -25,7 +25,16 @@ from repro.lcp import (
     psor_solve,
     split_kkt_solution,
 )
+from repro.benchgen import generate_benchmark
+from repro.core.qp_builder import build_legalization_qp
+from repro.core.row_assign import assign_rows
+from repro.core.splitting import LegalizationSplitting
+from repro.core.subcells import split_cells
+from repro.kernels import ReferenceSweepRunner
 from repro.lcp.fixed_point import estimate_lambda_max
+from repro.lcp.mmsim import warm_start_from_z
+from repro.telemetry import EventSink
+from test_mmsim_stall_rescue import STALL_SEEDS, _stall_instance
 
 
 def random_spd_lcp(n: int, seed: int) -> LCP:
@@ -190,59 +199,187 @@ class TestGenericMMSIM:
             MMSIMOptions(gamma=0.0)
         with pytest.raises(ValueError):
             MMSIMOptions(max_iterations=0)
+        with pytest.raises(ValueError, match="stall_window"):
+            MMSIMOptions(stall_window=0)
+        with pytest.raises(ValueError, match="tol"):
+            MMSIMOptions(tol=-1.0)
+        with pytest.raises(ValueError, match="residual_tol"):
+            MMSIMOptions(residual_tol=-1.0)
+        with pytest.raises(ValueError, match="tol"):
+            MMSIMOptions(tol=float("nan"))
+        # tol=0 stays valid: fixed-sweep runs never converge.
+        assert MMSIMOptions(tol=0.0, residual_tol=None).tol == 0.0
+        assert MMSIMOptions(residual_tol=0.0).residual_tol == 0.0
 
-    def test_check_every_rate_limits_residual_checks(self):
-        """Regression: ``check_every`` used to be short-circuited by an
-        ``or True`` and the residual was computed on *every* sub-tol sweep.
-        It must now only run on iterations divisible by check_every (plus
-        the final iteration)."""
-        lcp = random_spd_lcp(8, 29)
-        calls = []
-        orig = lcp.natural_residual
-
-        def counting(z):
-            calls.append(1)
-            return orig(z)
-
-        lcp.natural_residual = counting
-        res = mmsim_solve(
-            lcp,
-            ExactSplitting(lcp.A),
-            MMSIMOptions(tol=1e-6, residual_tol=1e-4, check_every=1000),
+    def test_block_runner_clamps_last_step_to_budget(self):
+        """A budget that ends mid-block still runs to max_iterations and
+        tests convergence on its final sweep: the block-8 schedule here
+        is 1, 3, 7, then 13 (clamped from 15)."""
+        lcp = random_hplus_lcp(10, 19)
+        splitting = JacobiSplitting(lcp.A)
+        splitting.sweep_runner = _Block8Runner(splitting)
+        sink = EventSink()
+        opts = MMSIMOptions(
+            tol=1e-5, residual_tol=1e-4, max_iterations=13, telemetry=sink
         )
-        # ExactSplitting drops the step below tol almost immediately, so an
-        # unthrottled loop would evaluate the residual on nearly every one
-        # of the sweeps before iteration 1000.  Throttled, the only calls
-        # are the convergence checkpoint plus the final-result residual.
+        res = mmsim_solve(lcp, splitting, opts)
+        checks = [e["iteration"] for e in sink.events("mmsim", "iteration")]
+        assert checks == [1, 3, 7, 13]
         assert res.converged
-        assert res.iterations == 1000
-        assert len(calls) == 2
+        assert res.iterations == 13
+        # The blocked sweeps are the plain iteration's first 13 sweeps.
+        z, _, _ = per_sweep_oracle(
+            lcp, JacobiSplitting(lcp.A),
+            MMSIMOptions(tol=0.0, residual_tol=None, max_iterations=13),
+        )
+        np.testing.assert_array_equal(res.z, z)
 
-    def test_check_every_converges_on_final_iteration(self):
-        """A run whose budget ends between checkpoints must still detect
-        convergence on the last iteration."""
-        lcp = random_spd_lcp(8, 31)
-        res = mmsim_solve(
+
+# ----------------------------------------------------------------------
+# The one MMSIM drive against the plain per-sweep iteration
+# ----------------------------------------------------------------------
+class _Block8Runner(ReferenceSweepRunner):
+    block = 8
+
+
+def per_sweep_oracle(lcp, splitting, opts, s0=None, z0=None):
+    """The plain per-sweep MMSIM (one convergence test and one stall
+    check per sweep) — the arithmetic the shared drive must reproduce on
+    the reference path.  Returns ``(z, iterations, message)``."""
+    gamma = opts.gamma
+    if s0 is None and z0 is not None:
+        s0 = warm_start_from_z(lcp, z0, gamma)
+    s = np.zeros(lcp.n) if s0 is None else np.array(s0, dtype=float)
+    z_prev = (np.abs(s) + s) / gamma
+    fused = getattr(splitting, "apply_rhs", None)
+    gq = gamma * lcp.q
+    omega, checkpoint, rescued, converged = opts.damping, None, False, False
+    for k in range(1, opts.max_iterations + 1):
+        s_abs = np.abs(s)
+        if fused is not None:
+            rhs = fused(s, s_abs, gq)
+        else:
+            rhs = splitting.apply_N(s) + splitting.apply_omega_minus_A(s_abs) - gq
+        s_hat = splitting.solve_M_plus_omega(rhs)
+        s = s_hat if omega == 1.0 else omega * s_hat + (1.0 - omega) * s
+        z = (np.abs(s) + s) / gamma
+        step = float(np.max(np.abs(z - z_prev))) if lcp.n else 0.0
+        z_prev = z
+        if step < opts.tol:
+            converged = (
+                opts.residual_tol is None
+                or lcp.natural_residual(z) <= opts.residual_tol
+            )
+        if converged:
+            break
+        if (
+            opts.auto_damping
+            and omega > opts.min_damping
+            and k % opts.stall_window == 0
+        ):
+            if checkpoint is not None and step >= 0.9 * checkpoint:
+                omega = max(omega * opts.rescue_damping, opts.min_damping)
+                rescued = True
+            checkpoint = step
+    message = "" if converged else "max iterations reached"
+    if rescued:
+        message = (message + f"; stall rescued with damping {omega:g}").lstrip(
+            "; "
+        )
+    return z_prev, k, message
+
+
+def _legalization_lcp(seed=3, scale=0.01):
+    design = generate_benchmark("fft_2", scale=scale, seed=seed)
+    lq = build_legalization_qp(design, split_cells(design, assign_rows(design)))
+    return lq, lq.qp.kkt_lcp()
+
+
+def _assert_matches_oracle(lcp, make_splitting, opts, **seed):
+    res = mmsim_solve(lcp, make_splitting(), opts, **seed)
+    z, iterations, message = per_sweep_oracle(lcp, make_splitting(), opts, **seed)
+    np.testing.assert_array_equal(res.z, z)
+    assert res.iterations == iterations
+    assert res.message == message
+    return res
+
+
+class TestOneDriveMatchesPerSweepIteration:
+    @pytest.mark.parametrize(
+        "splitting_cls", [JacobiSplitting, GaussSeidelSplitting, ExactSplitting]
+    )
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_generic_splittings(self, splitting_cls, seed):
+        lcp = random_hplus_lcp(12, seed)
+        _assert_matches_oracle(
+            lcp, lambda: splitting_cls(lcp.A),
+            MMSIMOptions(tol=1e-12, residual_tol=1e-9),
+        )
+
+    @pytest.mark.parametrize("fast_kernels", [True, False])
+    def test_legalization_splitting(self, fast_kernels):
+        lq, lcp = _legalization_lcp()
+        res = _assert_matches_oracle(
             lcp,
-            ExactSplitting(lcp.A),
+            lambda: LegalizationSplitting(
+                lq.qp.H, lq.qp.B, lq.E, lq.lam, fast_kernels=fast_kernels
+            ),
+            MMSIMOptions(tol=1e-6, residual_tol=1e-4),
+        )
+        assert res.converged and res.iterations > 10
+
+    @pytest.mark.parametrize("seed", STALL_SEEDS)
+    def test_two_cycle_rescue_schedule(self, seed):
+        lq = _stall_instance(seed)
+        res = _assert_matches_oracle(
+            lq.qp.kkt_lcp(),
+            lambda: LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam),
+            MMSIMOptions(tol=1e-8, residual_tol=1e-6),
+        )
+        assert "rescued" in res.message
+
+    def test_explicit_damping(self):
+        lq, lcp = _legalization_lcp()
+        _assert_matches_oracle(
+            lcp,
+            lambda: LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam),
+            MMSIMOptions(tol=1e-6, residual_tol=1e-4, damping=0.6),
+        )
+
+    def test_z0_warm_start(self):
+        lq, lcp = _legalization_lcp()
+
+        def make():
+            return LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam)
+
+        cold = mmsim_solve(lcp, make(), MMSIMOptions(tol=1e-4))
+        z0 = cold.z + 1e-3
+        _assert_matches_oracle(
+            lcp, make, MMSIMOptions(tol=1e-6, residual_tol=1e-4), z0=z0
+        )
+
+    @pytest.mark.parametrize(
+        "budget", ["1", "2", "window", "window+1", "2*window+1"]
+    )
+    def test_budget_edges(self, budget):
+        # A 2-cycling instance with a short window: the budgets land on
+        # and just past the first stall checkpoint, and one sweep past
+        # the second, where the rescue fires.
+        window = 40
+        max_iterations = {
+            "1": 1, "2": 2, "window": window, "window+1": window + 1,
+            "2*window+1": 2 * window + 1,
+        }[budget]
+        lq = _stall_instance(STALL_SEEDS[0])
+        res = _assert_matches_oracle(
+            lq.qp.kkt_lcp(),
+            lambda: LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam),
             MMSIMOptions(
-                tol=1e-6, residual_tol=1e-4, check_every=1000,
-                max_iterations=15,
+                tol=1e-8, residual_tol=1e-6, stall_window=window,
+                max_iterations=max_iterations,
             ),
         )
-        assert res.converged
-        assert res.iterations == 15
-
-    def test_check_every_validation(self):
-        with pytest.raises(ValueError):
-            MMSIMOptions(check_every=0)
-
-    def test_history_recorded(self):
-        lcp = random_spd_lcp(6, 23)
-        res = mmsim_solve(
-            lcp, ExactSplitting(lcp.A), MMSIMOptions(record_history=True)
-        )
-        assert len(res.residual_history) == res.iterations
+        assert res.iterations == max_iterations
 
 
 @given(st.integers(0, 10_000))

@@ -137,22 +137,12 @@ class TestYDisplacementMinimality:
 
 
 class TestDeprecatedRecordHistory:
-    def test_record_history_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="record_history"):
-            LegalizerConfig(record_history=True)
-
     def test_default_config_does_not_warn(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             LegalizerConfig()
-
-    def test_flag_still_populates_residual_history(self, small_mixed_design):
-        with pytest.warns(DeprecationWarning):
-            config = LegalizerConfig(record_history=True)
-        result = MMSIMLegalizer(config).legalize(small_mixed_design)
-        assert result.residual_history
 
 
 class TestMandatoryAudit:

@@ -63,7 +63,7 @@ def test_request_rejects_unknown_config_field(design):
 
 
 def test_request_rejects_wire_unexpressible_config(design):
-    # record_history / resilience are deliberately not wire-settable.
+    # The object-valued resilience hook is deliberately not wire-settable.
     with pytest.raises(ProtocolError, match="unknown config"):
         LegalizeRequest.from_dict(
             {"design": req_design_dict(design), "config": {"resilience": {}}}

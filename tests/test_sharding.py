@@ -146,16 +146,6 @@ class TestShardedSolveParity:
         assert np.array_equal(serial.z, par.z)
         assert serial.iterations == par.iterations
 
-    def test_history_is_max_over_shards(self):
-        lq = _legal_qp(scale=0.01)
-        sk = shard_legalization_qp(lq, min_shard_variables=16)
-        assert sk.num_shards > 1
-        with pytest.warns(DeprecationWarning):
-            opts = MMSIMOptions(tol=1e-9, record_history=True)
-        res = solve_sharded(sk, opts)
-        assert len(res.residual_history) == res.iterations
-        assert all(step >= 0.0 for step in res.residual_history)
-
     def test_single_shard_degenerate(self):
         """min_shard_variables larger than n collapses to one shard that
         still matches the monolithic solve."""

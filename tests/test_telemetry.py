@@ -1,7 +1,8 @@
 """Tests for the repro.telemetry subsystem: span nesting and exception
 safety, metrics aggregation, bounded/streaming solver events, JSONL
 round-trip, Chrome-trace schema validity, no-op-overhead behaviour of the
-disabled path, the StageTimer shim, and a full-legalizer integration run."""
+disabled path, baseline stage tracing, and a full-legalizer integration
+run."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro import telemetry
+from repro.baselines import TetrisLegalizer, WangLegalizer
 from repro.benchgen import make_benchmark
 from repro.core.legalizer import legalize
 from repro.lcp import LCP, MMSIMOptions, mmsim_solve, psor_solve, PSOROptions
@@ -26,7 +28,6 @@ from repro.telemetry import (
     TelemetrySession,
     Tracer,
 )
-from repro.utils import StageTimer
 
 
 def small_lcp(n: int = 12, seed: int = 3) -> LCP:
@@ -242,15 +243,6 @@ class TestSolverTelemetry:
         assert res_off.iterations == res_on.iterations
         np.testing.assert_array_equal(res_off.z, res_on.z)
 
-    def test_record_history_deprecated_and_bounded(self):
-        with pytest.warns(DeprecationWarning, match="record_history"):
-            opts = MMSIMOptions(record_history=True, history_limit=5,
-                                tol=0.0, max_iterations=20)
-        lcp = small_lcp()
-        res = mmsim_solve(lcp, ExactSplitting(lcp.A), opts)
-        assert res.iterations == 20
-        assert len(res.residual_history) == 5  # bounded, most recent kept
-
     def test_psor_emits(self):
         lcp = small_lcp(seed=9)
         sink = EventSink()
@@ -373,32 +365,27 @@ class TestExport:
 
 
 # ----------------------------------------------------------------------
-# StageTimer backwards-compat shim
+# Baselines trace their stages through the same tracer
 # ----------------------------------------------------------------------
-class TestStageTimerShim:
-    def test_legacy_api_preserved(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            time.sleep(0.002)
-        with timer.stage("a"):
-            pass
-        with timer.stage("b"):
-            pass
-        assert timer.seconds("a") >= 0.002
-        assert timer.seconds("missing") == 0.0
-        assert timer.total() == pytest.approx(
-            timer.seconds("a") + timer.seconds("b")
-        )
-        assert set(timer.as_dict()) == {"a", "b"}
-        assert "total=" in str(timer)
-
-    def test_mirrors_into_ambient_session(self):
+class TestBaselineTracing:
+    def test_stages_land_in_ambient_session(self):
+        design = make_benchmark("fft_2", scale=0.008, seed=1, with_nets=False)
         with telemetry.session() as tel:
-            timer = StageTimer()
-            with timer.stage("stage_x"):
-                pass
-        assert [s.name for s in tel.tracer.walk()] == ["stage_x"]
-        assert timer.seconds("stage_x") >= 0.0
+            result = TetrisLegalizer().legalize(design)
+        roots = tel.tracer.roots
+        assert [r.name for r in roots] == ["legalize"]
+        assert roots[0].attributes["algorithm"] == "tetris"
+        assert [c.name for c in roots[0].children] == ["tetris"]
+        assert set(result.stage_seconds) == {"tetris"}
+        assert result.runtime == pytest.approx(roots[0].children[0].duration)
+
+    def test_stage_seconds_without_session(self):
+        design = make_benchmark("fft_2", scale=0.008, seed=1, with_nets=False)
+        result = WangLegalizer().legalize(design)
+        assert set(result.stage_seconds) >= {"wang", "refine"}
+        assert result.runtime == pytest.approx(
+            sum(result.stage_seconds.values())
+        )
 
 
 # ----------------------------------------------------------------------

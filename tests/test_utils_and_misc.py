@@ -1,8 +1,6 @@
-"""Tests for utilities and smaller behaviours not covered elsewhere:
-StageTimer, Bookshelf header handling, SiteMap row pruning, LCP result
-strings, and the Design convenience API."""
-
-import time
+"""Tests for smaller behaviours not covered elsewhere: Bookshelf header
+handling, SiteMap row pruning, LCP result strings, and the Design
+convenience API."""
 
 import pytest
 
@@ -10,33 +8,6 @@ from repro.io.bookshelf.format import drop_header, strip_comments, tokenize
 from repro.lcp import LCP, psor_solve
 from repro.netlist import CellMaster, Design
 from repro.rows import CoreArea, SiteMap
-from repro.utils import StageTimer
-
-
-class TestStageTimer:
-    def test_accumulates_per_stage(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            time.sleep(0.01)
-        with timer.stage("a"):
-            time.sleep(0.01)
-        with timer.stage("b"):
-            pass
-        assert timer.seconds("a") >= 0.02
-        assert timer.seconds("b") >= 0.0
-        assert timer.seconds("missing") == 0.0
-        assert timer.total() == pytest.approx(
-            timer.seconds("a") + timer.seconds("b")
-        )
-        assert set(timer.as_dict()) == {"a", "b"}
-        assert "total=" in str(timer)
-
-    def test_exception_still_recorded(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("x"):
-                raise RuntimeError("boom")
-        assert timer.seconds("x") > 0.0
 
 
 class TestBookshelfFormat:
