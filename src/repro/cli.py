@@ -144,7 +144,12 @@ def cmd_legalize(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _config_error(str(exc))
         legalizer = MMSIMLegalizer(config)
-    design = _load(args.input)
+    try:
+        design = _load(args.input)
+    except ValueError as exc:
+        # A malformed design (NaN/inf coordinates, bad fences) is named
+        # before any stage runs, with the config-error exit status.
+        return _config_error(f"bad design {args.input!r}: {exc}")
 
     warm_start_z = None
     state_path = getattr(args, "state", None)

@@ -338,10 +338,13 @@ class MMSIMLegalizer:
         metrics = current_session().metrics
         tracer = tracer if tracer is not None else active_tracer()
 
-        # Fence specs are inputs: reject unresolvable membership before
-        # any stage consumes them (a bad member name would otherwise
-        # surface as a silent "unfenced" cell deep in the flow).
+        # Fence specs and coordinates are inputs: reject unresolvable
+        # membership and NaN/inf positions before any stage consumes them
+        # (a bad member name would otherwise surface as a silent "unfenced"
+        # cell deep in the flow, a NaN as an anonymous crash after the
+        # full solve).
         design.validate_fences()
+        design.validate_coordinates()
 
         with tracer.span("row_assign"):
             assignment = assign_rows(design)
@@ -675,7 +678,10 @@ class MMSIMLegalizer:
 
         with tracer.span("tetris") as span:
             tetris_stats = tetris_allocate(design)
-            span.set_attribute("num_illegal", tetris_stats.num_illegal)
+            span.set_attributes(
+                num_illegal=tetris_stats.num_illegal,
+                suspects=tetris_stats.num_suspects,
+            )
             metrics.counter("legalizer.illegal_after_qp").inc(
                 tetris_stats.num_illegal
             )
@@ -690,7 +696,10 @@ class MMSIMLegalizer:
         # legalizer's own bookkeeping by design.
         with tracer.span("audit") as span:
             legality = check_legality(design)
-            span.set_attribute("violations", len(legality.violations))
+            span.set_attributes(
+                violations=len(legality.violations),
+                flagged_cells=legality.num_flagged,
+            )
             if not legality.is_legal:
                 metrics.counter("legalizer.audit_violations").inc(
                     len(legality.violations)

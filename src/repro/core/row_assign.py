@@ -17,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.netlist.cell import CellInstance
+import numpy as np
+
+from repro.netlist.cell import CellInstance, CellMaster
 from repro.netlist.design import Design, FenceRegion
 from repro.rows.core_area import InfeasibleAssignment
+from repro.rows.sitemap import footprint_rows
 
 
 @dataclass
@@ -49,49 +52,96 @@ def assign_rows(design: Design) -> RowAssignment:
     and ``cell.flipped`` where rail matching required a vertical flip.
     ``cell.x`` keeps the GP x position — the MMSIM stage optimizes it next.
 
+    Unfenced rows come from the array form of the rail rule
+    (:meth:`~repro.rows.RailScheme.nearest_correct_rows`); fence members
+    and cells without a legal row take the scalar rules in cell order.
+
     Raises :class:`~repro.rows.InfeasibleAssignment` (naming the offending
     cell) when a cell has no legal row at all — the design, not the flow,
     is at fault, and callers get a structured error instead of a crash or
-    a silently wrong row deeper in the pipeline.
+    a silently wrong row deeper in the pipeline.  A NaN or infinite GP
+    coordinate raises ``ValueError`` naming the cell.
     """
     core = design.core
-    assignment = RowAssignment()
+    rails = core.rails
+    movable = design.movable_cells
+    n = len(movable)
+    if not n:
+        return RowAssignment()
+    gp_x = np.fromiter((c.gp_x for c in movable), float, n)
+    gp_y = np.fromiter((c.gp_y for c in movable), float, n)
+    if not (np.isfinite(gp_x).all() and np.isfinite(gp_y).all()):
+        design.validate_coordinates()
+    ids = np.fromiter((c.id for c in movable), np.int64, n)
+    # Per-master properties, looked up once per distinct master.
+    index: Dict[int, int] = {}
+    masters: List[CellMaster] = []
+    kind = []
+    for c in movable:
+        k = index.get(id(c.master))
+        if k is None:
+            k = index[id(c.master)] = len(masters)
+            masters.append(c.master)
+        kind.append(k)
+    height = np.array([m.height_rows for m in masters], dtype=np.int64)[kind]
+    parity = np.array([rails.rail_parity(m) for m in masters], dtype=np.int64)[kind]
+    row = rails.nearest_correct_rows(
+        height, parity, gp_y, core.yl, core.row_height, core.num_rows
+    )
+
     membership = design.fence_index_by_cell_id()
-    for cell in design.movable_cells:
-        fence = (
-            design.fences[membership[cell.id]]
-            if cell.id in membership
-            else None
-        )
+    scalar = row < 0
+    if membership:
+        scalar |= np.fromiter((c.id in membership for c in movable), bool, n)
+    for i in np.flatnonzero(scalar).tolist():
+        cell = movable[i]
+        gi = membership.get(cell.id)
         try:
-            if fence is not None:
-                row = _nearest_fence_row(design, cell, fence)
+            if gi is not None:
+                row[i] = _nearest_fence_row(design, cell, design.fences[gi])
             else:
-                row = core.nearest_correct_row(cell.master, cell.gp_y)
+                row[i] = core.nearest_correct_row(cell.master, cell.gp_y)
         except InfeasibleAssignment as exc:
             raise exc.for_cell(cell.name) from None
-        cell.row_index = row
-        cell.y = core.row_y(row)
-        cell.x = cell.gp_x
-        cell.flipped = (
-            not cell.master.is_even_height
-            and cell.master.bottom_rail is not None
-            and core.rails.needs_flip(cell.master, row)
-        )
-        if cell.flipped:
-            assignment.num_flipped += 1
-        assignment.y_displacement += abs(cell.y - cell.gp_y)
-        assignment.rows.setdefault(row, []).append(cell)
-        for r in range(row, row + cell.height_rows):
-            assignment.occupied.setdefault(r, []).append(cell)
 
+    y = core.yl + row * core.row_height
+    # Odd-height cells with a declared rail flip on the other parity;
+    # even-height cells sit on their own parity and never flip.
+    flipped = ((height % 2) == 1) & (parity >= 0) & ((row % 2) != parity)
+    for cell, r, yv, flip in zip(movable, row.tolist(), y.tolist(), flipped.tolist()):
+        cell.row_index = r
+        cell.y = yv
+        cell.x = cell.gp_x
+        cell.flipped = flip
+
+    assignment = RowAssignment()
+    assignment.num_flipped = int(flipped.sum())
+    # Left to right, as a running ``+=`` would (not a pairwise sum).
+    assignment.y_displacement = float(np.add.accumulate(np.abs(y - gp_y))[-1])
     # The paper's fixed ordering: cells in each row sorted by GP x.
     # Tie-break on cell id for determinism (equal GP x happens in practice).
-    for row_cells in assignment.rows.values():
-        row_cells.sort(key=lambda c: (c.gp_x, c.id))
-    for row_cells in assignment.occupied.values():
-        row_cells.sort(key=lambda c: (c.gp_x, c.id))
+    every = np.arange(n)
+    assignment.rows = _bucket(movable, every, row, gp_x, ids)
+    assignment.occupied = _bucket(
+        movable, *footprint_rows(every, row, height), gp_x, ids
+    )
     return assignment
+
+
+def _bucket(movable, owner, key, gp_x, ids) -> Dict[int, List[CellInstance]]:
+    """``{key: [cells sorted by (GP x, id)]}`` with keys in first-encounter
+    order of the ``(owner, key)`` sequence."""
+    order = np.lexsort((ids[owner], gp_x[owner], key))
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    bounds = np.r_[starts, len(order)].tolist()
+    owners = owner[order].tolist()
+    buckets = {
+        int(sorted_key[lo]): [movable[i] for i in owners[lo:hi]]
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    }
+    uniq, first_seen = np.unique(key, return_index=True)
+    return {k: buckets[k] for k in uniq[np.argsort(first_seen)].tolist()}
 
 
 def _nearest_fence_row(

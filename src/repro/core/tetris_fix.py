@@ -14,7 +14,10 @@ rows.  This stage
 
 Because the MMSIM already resolves essentially all overlaps, illegal cells
 are rare (the paper averages 0.03%); this stage's moves are what make the
-final result "near-optimal" rather than optimal on dense designs.
+final result "near-optimal" rather than optimal on dense designs.  Step 2
+therefore decides in arrays which cells could possibly collide and runs
+the per-cell ``SiteMap`` scan on those *suspects* only (see
+:func:`_commit_snapped`).
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+import numpy as np
+
 from repro.legality.checker import row_tolerance, site_tolerance
 from repro.netlist.cell import CellInstance
 from repro.netlist.design import Design
 from repro.rows.core_area import InfeasibleAssignment
-from repro.rows.sitemap import SiteMap
+from repro.rows.sitemap import SiteMap, footprint_rows
 
 
 @dataclass
@@ -47,6 +52,10 @@ class TetrisFixStats:
     #: directly re-placed illegal cells.
     fix_displacement: float = 0.0
     illegal_cell_ids: List[int] = field(default_factory=list)
+    #: Cells that went through pass 1's per-cell ``SiteMap`` scan (the
+    #: rest were proven collision-free in arrays and committed in bulk) —
+    #: the ``tetris`` span's ``suspects`` attribute.
+    num_suspects: int = 0
 
     @property
     def illegal_fraction(self) -> float:
@@ -64,9 +73,110 @@ def tetris_allocate(design: Design) -> TetrisFixStats:
     no cross-group overlap can arise.
     """
     core = design.core
-    site_map = SiteMap(core)
-    stats = TetrisFixStats(num_cells=len(design.movable_cells))
+    movable = design.movable_cells
+    stats = TetrisFixStats(num_cells=len(movable))
     membership = design.fence_index_by_cell_id() if design.fences else {}
+    maps, blocked_x = _obstacle_maps(design)
+
+    # Pass 1: snap to sites and commit in x order; collect illegal cells.
+    groups = [-1] * len(movable)
+    if membership:
+        groups = [membership.get(c.id, -1) for c in movable]
+    illegal, clean, sites, rows, pre_x, pre_y = _commit_snapped(
+        core, movable, groups, maps
+    )
+    stats.num_suspects = len(movable) - len(clean)
+    stats.num_illegal = len(illegal)
+    stats.illegal_cell_ids = [c.id for c in illegal]
+    x, y, placed = pre_x, pre_y, rows
+    if illegal:
+        # The fixing passes need every committed footprint as a barrier.
+        # Clean footprints are disjoint from each other and from every
+        # suspect's, so the order they are added in does not matter.
+        for i, site in zip(clean, sites):
+            maps[groups[i]].occupy_cell(movable[i], rows[i], site)
+        _fix_illegal(design, illegal, membership, maps, blocked_x, stats)
+        x = np.fromiter((c.x for c in movable), float, len(movable))
+        y = np.fromiter((c.y for c in movable), float, len(movable))
+        placed = [c.row_index for c in movable]
+
+    # fix_displacement must charge *every* move the fixing passes make —
+    # compaction shifts, evictions, and the PlaceRow refinement move
+    # legally-committed cells too, not just the illegal ones that
+    # place_at_nearest_free relocates: total the Manhattan diffs from the
+    # positions pass 1 left (builtin sum, in cell order).
+    x, y = _canonicalize(core, movable, x, y, placed)
+    stats.fix_displacement = sum((np.abs(x - pre_x) + np.abs(y - pre_y)).tolist())
+    return stats
+
+
+def _fix_illegal(design: Design, illegal, membership, maps, blocked_x, stats) -> None:
+    """Pass 2: nearest-free-site re-placement of the illegal cells, in
+    order, into maps holding every committed footprint; when free space is
+    too fragmented, compact a row span to make room.  Cells not yet
+    re-placed must not act as phantom barriers during compaction."""
+    from repro.core.compaction import compact_rows_and_place, evict_and_place
+
+    pending = {c.id for c in illegal}
+    used_compaction = False
+    for cell in illegal:
+        pending.discard(cell.id)
+        cell_map = maps[membership.get(cell.id, -1)]
+        if membership.get(cell.id) is not None:
+            stats.fence_spill_cells += 1
+        if place_at_nearest_free(cell, design, cell_map, stats):
+            continue
+        if design.fences:
+            # Compaction and eviction must stay inside this cell's group:
+            # same-group cells are the only movable neighbours (everything
+            # else lives inside this group's blocked intervals, which act
+            # as immovable barriers), and all moves go through the group's
+            # own map.
+            gi = membership.get(cell.id, -1)
+
+            def group(other, _gi=gi):
+                return membership.get(other.id, -1) == _gi
+            if compact_rows_and_place(
+                design, cell_map, cell, ignore=pending,
+                eligible=group, blocked=blocked_x[gi],
+            ):
+                used_compaction = True
+                continue
+            if evict_and_place(
+                design, cell_map, cell, ignore=pending,
+                eligible=group, blocked=blocked_x[gi],
+            ):
+                used_compaction = True
+                continue
+            stats.num_unplaced += 1
+            continue
+        if compact_rows_and_place(design, maps[-1], cell, ignore=pending):
+            used_compaction = True
+            continue
+        if evict_and_place(design, maps[-1], cell, ignore=pending):
+            used_compaction = True
+            continue
+        stats.num_unplaced += 1
+
+    if used_compaction and stats.num_unplaced == 0 and not design.fences:
+        # Compaction slams whole row spans flush left — legal but far from
+        # the displacement optimum.  A row-local PlaceRow refinement pulls
+        # everything back toward the GP targets at no legality risk.
+        from repro.baselines.refine import placerow_refine
+
+        placerow_refine(design)
+
+
+def _obstacle_maps(design: Design):
+    """Per-group site maps holding fences and fixed obstacles only.
+
+    Returns ``(maps, blocked_x)``: the :class:`SiteMap` of each fence group
+    (``-1`` for unfenced cells) and, per group and row, the forbidden
+    x-intervals mirroring each map's fence blocks, which the group-aware
+    compaction fallback needs as explicit barriers.
+    """
+    core = design.core
+    site_map = SiteMap(core)
     maps = {-1: site_map}
     # Per-group forbidden x-intervals, mirroring each map's blocked sites;
     # the group-aware compaction fallback needs them as explicit barriers.
@@ -157,108 +267,150 @@ def tetris_allocate(design: Design) -> TetrisFixStats:
             # Macros and obstacles block every group's map alike.
             for group_map in maps.values():
                 group_map.block(row, site_lo, site_hi - site_lo)
+    return maps, blocked_x
 
-    # Pass 1: snap to sites and commit in x order; collect illegal cells.
-    order = sorted(design.movable_cells, key=lambda c: (c.x, c.id))
+
+def _canonicalize(core, movable: List[CellInstance], x, y, rows):
+    """Re-derive every committed coordinate from its site/row index.
+
+    Uses the same formulas as the snap path (``CoreArea.snap_x`` and
+    ``CoreArea.row_y``).  Compaction and PlaceRow compute site-aligned
+    positions arithmetically (cursors, cluster sums); at fractional site
+    widths the result can differ from the canonical value by an ulp, which
+    breaks bitwise idempotence of the whole flow (re-legalizing the output
+    moves cells by 1e-15).  Cells without a row keep their y.  Returns the
+    written ``(x, y)`` arrays.
+    """
+    x = core.xl + np.floor((x - core.xl) / core.site_width + 0.5) * core.site_width
+    placed = np.array([r is not None for r in rows], dtype=bool)
+    row = np.array([r if r is not None else 0 for r in rows], dtype=np.int64)
+    out_of_range = placed & ((row < 0) | (row >= core.num_rows))
+    if out_of_range.any():
+        core.row_y(rows[int(np.argmax(out_of_range))])  # raises IndexError
+    y = np.where(placed, core.yl + row * core.row_height, y)
+    for cell, xv, yv, on_row in zip(movable, x.tolist(), y.tolist(), placed.tolist()):
+        cell.x = xv
+        if on_row:
+            cell.y = yv
+    return x, y
+
+
+def _commit_snapped(core, movable: List[CellInstance], groups, maps):
+    """Pass 1: snap every movable cell to its nearest site and commit it
+    into its group's map in ``(x, id)`` order; returns what it committed.
+
+    The outcome is that of the plain per-cell scan — a cell commits at its
+    snapped site iff that footprint is inside the core and still free in
+    its group's map, and is illegal otherwise — but only *suspects* go
+    through the scan.  A cell is *clean* when its snapped footprint is
+    inside the core, touches no blocked site of its group's map (which
+    holds obstacles only at this point), and overlaps no other such cell's
+    snapped footprint in its group.  A clean cell commits whatever the
+    order and never blocks another cell, so clean cells commit in bulk.
+    Out-of-core and blocked footprints never commit, so they cannot make a
+    clean cell a suspect.  Rows missing on entry are assigned in scan
+    order, so an ``InfeasibleAssignment`` names the first such cell.
+
+    Returns ``(illegal, clean, sites, rows, x, y)``: the illegal cells in
+    scan order, the indices and site indices of the bulk-committed cells
+    (their footprints are *not* yet in the maps), every cell's bottom row,
+    and every cell's position after the pass.
+    """
+    n = len(movable)
+    x = np.fromiter((c.x for c in movable), float, n)
+    ids = np.fromiter((c.id for c in movable), np.int64, n)
+    order = np.lexsort((ids, x)).tolist()
+    rows = [c.row_index for c in movable]
+    if None in rows:
+        for i in order:
+            if rows[i] is None:
+                cell = movable[i]
+                try:
+                    cell.row_index = core.nearest_correct_row(cell.master, cell.y)
+                except InfeasibleAssignment as exc:
+                    raise exc.for_cell(cell.name) from None
+                cell.y = core.row_y(cell.row_index)
+                rows[i] = cell.row_index
+    y = np.fromiter((c.y for c in movable), float, n)
+    row = np.array(rows, dtype=np.int64)
+    height = np.fromiter((c.master.height_rows for c in movable), np.int64, n)
+    width = np.fromiter((c.master.width for c in movable), float, n)
+    group = np.array(groups, dtype=np.int64)
+
+    # The scan's arithmetic: CoreArea.snap_x, round() (half to even, like
+    # np.rint) and SiteMap.sites_of_width.
+    xl, sw = core.xl, core.site_width
+    snapped = xl + np.floor((x - xl) / sw + 0.5) * sw
+    site = np.rint((snapped - xl) / sw)
+    span = np.maximum(np.ceil(width / sw - 1e-9), 1.0)
+    free = (
+        (site >= 0) & (site + span <= core.num_sites)
+        & (row >= 0) & (row + height <= core.num_rows)
+    )
+    for g in np.unique(group[free]).tolist():
+        members = np.flatnonzero(free & (group == g))
+        free[members] = maps[g].footprints_free(
+            row[members], site[members], span[members], height[members]
+        )
+    clean = free & ~_overlapping(core, free, group, row, height, site, span)
+
     illegal: List[CellInstance] = []
-    for cell in order:
-        cell_map = maps[membership.get(cell.id, -1)]
-        if cell.row_index is None:
-            try:
-                cell.row_index = core.nearest_correct_row(cell.master, cell.y)
-            except InfeasibleAssignment as exc:
-                raise exc.for_cell(cell.name) from None
-            cell.y = core.row_y(cell.row_index)
-        snapped = core.snap_x(cell.x)
-        site = int(round((snapped - core.xl) / core.site_width))
+    suspect = (~clean).tolist()
+    for i in order:
+        if not suspect[i]:
+            continue
+        cell = movable[i]
+        cell_map = maps[groups[i]]
+        snapped_x = core.snap_x(cell.x)
+        site_i = int(round((snapped_x - core.xl) / core.site_width))
         n_sites = cell_map.sites_of_width(cell.width)
-        if cell_map.footprint_free(cell.row_index, site, n_sites, cell.height_rows):
-            cell.x = snapped
-            cell_map.occupy_cell(cell, cell.row_index, site)
+        if cell_map.footprint_free(cell.row_index, site_i, n_sites, cell.height_rows):
+            cell.x = snapped_x
+            cell_map.occupy_cell(cell, cell.row_index, site_i)
+            x[i] = snapped_x
         else:
             illegal.append(cell)
 
-    stats.num_illegal = len(illegal)
-    stats.illegal_cell_ids = [c.id for c in illegal]
-
-    # fix_displacement must charge *every* move the fixing passes make —
-    # compaction shifts, evictions, and the PlaceRow refinement move
-    # legally-committed cells too, not just the illegal ones that
-    # place_at_nearest_free relocates.  Snapshot all movable positions
-    # here and total the Manhattan diffs on exit.
-    pre_fix = {c.id: (c.x, c.y) for c in design.movable_cells}
-
-    # Pass 2: nearest-free-site re-placement of illegal cells; when free
-    # space is too fragmented, compact a row span to make room.  Cells not
-    # yet re-placed must not act as phantom barriers during compaction.
-    from repro.core.compaction import compact_rows_and_place, evict_and_place
-
-    pending = {c.id for c in illegal}
-    used_compaction = False
-    for cell in illegal:
-        pending.discard(cell.id)
-        cell_map = maps[membership.get(cell.id, -1)]
-        if membership.get(cell.id) is not None:
-            stats.fence_spill_cells += 1
-        if place_at_nearest_free(cell, design, cell_map, stats):
-            continue
-        if design.fences:
-            # Compaction and eviction must stay inside this cell's group:
-            # same-group cells are the only movable neighbours (everything
-            # else lives inside this group's blocked intervals, which act
-            # as immovable barriers), and all moves go through the group's
-            # own map.
-            gi = membership.get(cell.id, -1)
-
-            def group(other, _gi=gi):
-                return membership.get(other.id, -1) == _gi
-            if compact_rows_and_place(
-                design, cell_map, cell, ignore=pending,
-                eligible=group, blocked=blocked_x[gi],
-            ):
-                used_compaction = True
-                continue
-            if evict_and_place(
-                design, cell_map, cell, ignore=pending,
-                eligible=group, blocked=blocked_x[gi],
-            ):
-                used_compaction = True
-                continue
-            stats.num_unplaced += 1
-            continue
-        if compact_rows_and_place(design, site_map, cell, ignore=pending):
-            used_compaction = True
-            continue
-        if evict_and_place(design, site_map, cell, ignore=pending):
-            used_compaction = True
-            continue
-        stats.num_unplaced += 1
-
-    if used_compaction and stats.num_unplaced == 0 and not design.fences:
-        # Compaction slams whole row spans flush left — legal but far from
-        # the displacement optimum.  A row-local PlaceRow refinement pulls
-        # everything back toward the GP targets at no legality risk.
-        from repro.baselines.refine import placerow_refine
-
-        placerow_refine(design)
-
-    # Canonicalize: re-derive every committed coordinate from its
-    # site/row index with the same formulas the snap path uses
-    # (xl + k*site_width, row_y).  Compaction and PlaceRow compute
-    # site-aligned positions arithmetically (cursors, cluster sums);
-    # at fractional site widths the result can differ from the
-    # canonical value by an ulp, which breaks bitwise idempotence of
-    # the whole flow (re-legalizing the output moves cells by 1e-15).
-    for cell in design.movable_cells:
-        cell.x = core.snap_x(cell.x)
-        if cell.row_index is not None:
-            cell.y = core.row_y(cell.row_index)
-
-    stats.fix_displacement = sum(
-        abs(c.x - pre_fix[c.id][0]) + abs(c.y - pre_fix[c.id][1])
-        for c in design.movable_cells
+    clean_idx = np.flatnonzero(clean)
+    x[clean_idx] = snapped[clean_idx]
+    for i, xv in zip(clean_idx.tolist(), snapped[clean_idx].tolist()):
+        movable[i].x = xv
+    return (
+        illegal, clean_idx.tolist(), site[clean_idx].astype(np.int64).tolist(),
+        rows, x, y,
     )
-    return stats
+
+
+def _overlapping(core, candidate, group, row, height, site, span):
+    """Cells whose footprint overlaps another candidate's in their group.
+
+    Expands each candidate into one ``[site, site + span)`` span per row
+    it occupies, lexsorts the spans by ``(group, row, site)``, and flags a
+    span when it starts before the running maximum of the earlier spans'
+    ends in its (group, row), or ends after the next span starts.
+    Together the two tests find both members of every overlapping pair.
+    """
+    flagged = np.zeros(len(candidate), dtype=bool)
+    cells = np.flatnonzero(candidate)
+    if len(cells) < 2:
+        return flagged
+    owner, span_row = footprint_rows(cells, row, height)
+    order = np.lexsort((site[owner], span_row, group[owner]))
+    owner, span_row = owner[order], span_row[order]
+    g = group[owner]
+    lo = site[owner]
+    hi = lo + span[owner]
+    new_segment = np.ones(len(owner), dtype=bool)
+    new_segment[1:] = (g[1:] != g[:-1]) | (span_row[1:] != span_row[:-1])
+    # Offsetting each (group, row) segment by a multiple of the row width
+    # lets one running maximum stand in for a per-segment one.
+    base = np.cumsum(new_segment) * float(core.num_sites + 1)
+    reach = np.maximum.accumulate(hi + base)
+    hit = np.zeros(len(owner), dtype=bool)
+    hit[1:] = lo[1:] + base[1:] < reach[:-1]
+    hit[:-1] |= ~new_segment[1:] & (lo[1:] < hi[:-1])
+    flagged[owner[hit]] = True
+    return flagged
 
 
 def place_at_nearest_free(

@@ -66,6 +66,7 @@ def read_design(aux_path: str, name: Optional[str] = None) -> Design:
     if fences_path and os.path.exists(fences_path):
         _parse_fences(fences_path, design)
         design.validate_fences()
+    design.validate_coordinates()
     return design
 
 

@@ -143,6 +143,7 @@ def design_from_dict(data: Dict[str, Any]) -> Design:
             fdata["members"],
         )
     design.validate_fences()
+    design.validate_coordinates()
     return design
 
 

@@ -61,30 +61,77 @@ def check_legality(design: Design, check_sites: bool = True) -> LegalityReport:
     Set ``check_sites=False`` to validate an intermediate (pre-Tetris)
     placement where cells are row-aligned but not yet site-aligned — useful
     for asserting MMSIM-stage invariants.
+
+    The per-cell checks (containment, alignment, rails) run on *flagged*
+    cells only: one array pass over every cell's position computes the
+    same comparisons, negated so that NaN and inf are flagged too, and the
+    exact scalar checks then run on the flagged cells in cell order.  The
+    report is the one the scalar checks would give for every cell.
     """
-    report = LegalityReport(num_cells_checked=design.num_cells)
     core = design.core
-    for cell in design.cells:
-        _check_core_containment(cell, design, report)
-        _check_alignment(cell, design, report, check_sites)
-        _check_rails(cell, design, report)
-    _check_overlaps(design, report)
+    cells = design.cells
+    n = len(cells)
+    report = LegalityReport(num_cells_checked=n)
+    tol_x = site_tolerance(core)
+    tol_y = row_tolerance(core)
+    x = np.fromiter((c.x for c in cells), float, n)
+    y = np.fromiter((c.y for c in cells), float, n)
+    w = np.fromiter((c.master.width for c in cells), float, n)
+    rows = np.fromiter((c.master.height_rows for c in cells), np.int64, n)
+    h = rows * core.row_height
+    flagged = _flag_cells(core, cells, x, y, w, h, rows, tol_x, tol_y, check_sites)
+    report.num_flagged = len(flagged)
+    for i in flagged:
+        cell = cells[i]
+        _check_core_containment(cell, core, report, tol_x, tol_y)
+        _check_alignment(cell, core, report, check_sites, tol_x, tol_y)
+        _check_rails(cell, core, report, tol_y)
+    _check_overlaps(design, report, x, y, w, h, tol_x, tol_y)
     _check_fences(design, report)
     return report
+
+
+def _flag_cells(core, cells, x, y, w, h, rows, tol_x, tol_y, check_sites):
+    """Indices of the cells whose per-cell checks could report, ascending.
+
+    Mirrors the scalar checks' arithmetic; every test is written as the
+    negation of its pass condition, so a NaN or inf anywhere flags the
+    cell and leaves the verdict (or the exception) to the scalar code.
+    """
+    excess_x = np.maximum(np.maximum(core.xl - x, (x + w) - core.xh), 0.0)
+    excess_y = np.maximum(np.maximum(core.yl - y, (y + h) - core.yh), 0.0)
+    flag = ~(excess_x <= tol_x) | ~(excess_y <= tol_y)
+    k_y = (y - core.yl) / core.row_height
+    flag |= ~(np.abs(k_y - np.rint(k_y)) <= tol_y / core.row_height)
+    if check_sites:
+        k_x = (x - core.xl) / core.site_width
+        flag |= ~(np.abs(k_x - np.rint(k_x)) <= tol_x / core.site_width)
+    even = np.flatnonzero((rows % 2) == 0)
+    if len(even):
+        # Even-height cells need a row whose bottom rail is theirs: rows of
+        # row 0's rail have even indices.  The row is CoreArea.row_of_y.
+        row0 = core.rails.bottom_rail_of_row_0
+        needs_even = np.fromiter(
+            (cells[i].master.bottom_rail == row0 for i in even.tolist()),
+            bool, len(even),
+        )
+        row = np.clip(np.rint(k_y[even]), 0, core.num_rows - 1)
+        flag[even] |= ((row % 2) == 0) != needs_even
+    return np.flatnonzero(flag).tolist()
 
 
 # ----------------------------------------------------------------------
 # Individual constraint checks
 # ----------------------------------------------------------------------
 def _check_core_containment(
-    cell: CellInstance, design: Design, report: LegalityReport
+    cell: CellInstance, core: CoreArea, report: LegalityReport,
+    tol_x: float, tol_y: float,
 ) -> None:
-    core = design.core
     rect = cell.rect(core.row_height)
     excess_x = max(core.xl - rect.xl, rect.xh - core.xh, 0.0)
     excess_y = max(core.yl - rect.yl, rect.yh - core.yh, 0.0)
     excess = max(excess_x, excess_y)
-    if excess_x > site_tolerance(core) or excess_y > row_tolerance(core):
+    if excess_x > tol_x or excess_y > tol_y:
         report.add(
             Violation(
                 kind=ViolationKind.OUT_OF_CORE,
@@ -96,14 +143,14 @@ def _check_core_containment(
 
 
 def _check_alignment(
-    cell: CellInstance, design: Design, report: LegalityReport, check_sites: bool
+    cell: CellInstance, core: CoreArea, report: LegalityReport,
+    check_sites: bool, tol_x: float, tol_y: float,
 ) -> None:
-    core = design.core
     # is_on_grid takes its tolerance in pitch units; derive it from the
     # scale-aware absolute tolerance so huge-origin cores don't flag the
     # float rounding of origin + k*pitch as an off-grid placement.
-    tol_sites = site_tolerance(core) / core.site_width
-    tol_rows = row_tolerance(core) / core.row_height
+    tol_sites = tol_x / core.site_width
+    tol_rows = tol_y / core.row_height
     if check_sites and not is_on_grid(cell.x, core.xl, core.site_width, tol_sites):
         off = abs(cell.x - core.snap_x(cell.x))
         report.add(
@@ -125,9 +172,10 @@ def _check_alignment(
         )
 
 
-def _check_rails(cell: CellInstance, design: Design, report: LegalityReport) -> None:
-    core = design.core
-    tol_rows = row_tolerance(core) / core.row_height
+def _check_rails(
+    cell: CellInstance, core: CoreArea, report: LegalityReport, tol_y: float
+) -> None:
+    tol_rows = tol_y / core.row_height
     if not is_on_grid(cell.y, core.yl, core.row_height, tol_rows):
         return  # off-row already reported; rail check needs a row index
     row = core.row_of_y(cell.y)
@@ -196,7 +244,9 @@ def _check_fences(design: Design, report: LegalityReport) -> None:
                 break
 
 
-def _check_overlaps(design: Design, report: LegalityReport) -> None:
+def _check_overlaps(
+    design: Design, report: LegalityReport, x, y, w, h, tol: float, tol_y: float
+) -> None:
     """Row-bucketed interval sweep, vectorized over all (cell, row) pairs.
 
     The detection pass is pure numpy: expand every cell to the rows its
@@ -222,22 +272,11 @@ def _check_overlaps(design: Design, report: LegalityReport) -> None:
     reference scan.
     """
     core = design.core
-    cells = design.cells
-    ncells = len(cells)
+    ncells = len(x)
     if ncells < 2:
         return
     rh = core.row_height
-    tol_rows = row_tolerance(core) / rh
-    tol = site_tolerance(core)
-    x = np.empty(ncells)
-    w = np.empty(ncells)
-    y = np.empty(ncells)
-    h = np.empty(ncells)
-    for i, cell in enumerate(cells):
-        x[i] = cell.x
-        w[i] = cell.width
-        y[i] = cell.y
-        h[i] = cell.height(rh)
+    tol_rows = tol_y / rh
     # floor, not int(): int() truncates toward zero, so a cell entirely
     # below core.yl would collapse to row_hi = 0 and collide with every
     # legitimate row-0 occupant.  With floor the range is empty instead.

@@ -47,6 +47,10 @@ class LegalityReport:
 
     violations: List[Violation] = field(default_factory=list)
     num_cells_checked: int = 0
+    #: Cells whose per-cell checks (containment, alignment, rails) ran;
+    #: the array pre-pass cleared the rest — the ``audit`` span's
+    #: ``flagged_cells`` attribute.
+    num_flagged: int = 0
 
     @property
     def is_legal(self) -> bool:

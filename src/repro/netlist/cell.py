@@ -13,6 +13,7 @@ the paper's problem statement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -58,8 +59,11 @@ class CellMaster:
     bottom_rail: Optional[RailType] = None
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"master {self.name!r}: width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError(
+                f"master {self.name!r}: width must be positive and finite, "
+                f"got {self.width!r}"
+            )
         if self.height_rows < 1:
             raise ValueError(f"master {self.name!r}: height_rows must be >= 1")
         if self.height_rows % 2 == 0 and self.bottom_rail is None:

@@ -11,8 +11,11 @@ Table 2 comparison needs.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.netlist.cell import CellInstance, CellMaster, RailType
 from repro.netlist.net import Net, Pin
@@ -249,6 +252,32 @@ class Design:
                         f"{owner[member]!r} and fence {fence.name!r}"
                     )
                 owner[member] = fence.name
+
+    def validate_coordinates(self) -> None:
+        """Raise ``ValueError`` naming the first cell, and the field, whose
+        coordinate is NaN or infinite.
+
+        Checked are the coordinates the flow reads: ``gp_x``/``gp_y`` of
+        every cell and ``x``/``y`` of fixed cells (obstacles stay put).  A
+        non-finite value would otherwise run the whole solve and fail far
+        downstream without naming anything.
+        """
+        cells = self.cells
+        n = len(cells)
+        fixed = [c for c in cells if c.fixed]
+        if (
+            np.isfinite(np.fromiter((c.gp_x for c in cells), float, n)).all()
+            and np.isfinite(np.fromiter((c.gp_y for c in cells), float, n)).all()
+            and all(math.isfinite(c.x) and math.isfinite(c.y) for c in fixed)
+        ):
+            return
+        for cell in cells:
+            for name in ("gp_x", "gp_y", "x", "y") if cell.fixed else ("gp_x", "gp_y"):
+                value = getattr(cell, name)
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"cell {cell.name!r}: {name} is not finite ({value!r})"
+                    )
 
     def fence_index_by_cell_id(self) -> Dict[int, int]:
         """Map cell id -> index into :attr:`fences` (members only).

@@ -8,6 +8,7 @@ the row/site grid — the paper's ``x >= 0`` constraint is the left core edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -96,6 +97,10 @@ class CoreArea:
             raise ValueError("core needs at least one row")
         if self.num_sites < 1:
             raise ValueError("core needs at least one site per row")
+        for name in ("xl", "yl", "row_height", "site_width"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"core {name} must be finite, got {value!r}")
         if self.row_height <= 0 or self.site_width <= 0:
             raise ValueError("row_height and site_width must be positive")
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.netlist.cell import CellMaster, RailType
 
 
@@ -112,3 +114,48 @@ class RailScheme:
                             return other
                     return cand
         return None
+
+    def rail_parity(self, master: CellMaster) -> int:
+        """Parity of the rows whose bottom rail is *master*'s bottom rail.
+
+        ``row % 2 == rail_parity(master)`` exactly when the row's bottom
+        rail matches — the legal rows of an even-height master, and the
+        rows an odd-height master sits on unflipped.  ``-1`` for a master
+        with no declared bottom rail.
+        """
+        if master.bottom_rail is None:
+            return -1
+        return 0 if master.bottom_rail == self.bottom_rail_of_row_0 else 1
+
+    def nearest_correct_rows(
+        self,
+        height_rows: np.ndarray,
+        parity: np.ndarray,
+        y: np.ndarray,
+        row_y0: float,
+        row_height: float,
+        num_rows: int,
+    ) -> np.ndarray:
+        """Array form of :meth:`nearest_correct_row`; ``-1`` where it
+        returns None.
+
+        ``parity`` holds each cell's :meth:`rail_parity`.  Same arithmetic
+        as the scalar rule: the ideal row rounds half to even and is
+        clamped into the fit range.  An even-height cell on a wrong-rail
+        ideal row moves one row down or up, whichever is nearer in real
+        y, ties going down; when neither exists (a one-row fit range) it
+        has no legal row.  Expects finite *y*.
+        """
+        max_bottom = num_rows - height_rows
+        ideal = np.rint((y - row_y0) / row_height)
+        row = np.clip(ideal, 0, np.maximum(max_bottom, 0)).astype(np.int64)
+        wrong = ((height_rows % 2) == 0) & ((row % 2) != parity)
+        down, up = row - 1, row + 1
+        has_down, has_up = down >= 0, up <= max_bottom
+        up_nearer = np.abs((row_y0 + up * row_height) - y) < np.abs(
+            (row_y0 + down * row_height) - y
+        )
+        step = np.where(has_down & ~(has_up & up_nearer), down, up)
+        row = np.where(wrong, step, row)
+        row[(max_bottom < 0) | (wrong & ~has_down & ~has_up)] = -1
+        return row

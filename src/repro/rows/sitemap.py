@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.geometry import Interval, IntervalSet
 from repro.netlist.cell import CellInstance
 from repro.rows.core_area import CoreArea
@@ -91,6 +93,48 @@ class SiteMap:
         return all(
             self.is_free(r, site_lo, num_sites) for r in range(row, row + height_rows)
         )
+
+    def footprints_free(
+        self,
+        rows: np.ndarray,
+        sites: np.ndarray,
+        num_sites: np.ndarray,
+        height_rows: np.ndarray,
+    ) -> np.ndarray:
+        """Array form of :meth:`footprint_free`: one answer per footprint.
+
+        The free intervals of all rows are flattened into one sorted key
+        array (``row * (num_sites + 1) + lo``), so each (footprint, row)
+        pair is a single ``searchsorted`` for the last interval starting at
+        or before its site — the same interval :meth:`IntervalSet.covers`
+        bisects for.
+        """
+        core = self.core
+        stride = float(core.num_sites + 1)
+        keys: List[float] = []
+        ends: List[float] = []
+        for r, free in enumerate(self._rows):
+            for iv in free:
+                keys.append(r * stride + iv.lo)
+                ends.append(iv.hi)
+        if not keys:
+            return np.zeros(len(rows), dtype=bool)
+        key = np.array(keys)
+        end = np.array(ends)
+        ok = (
+            (rows >= 0) & (rows + height_rows <= core.num_rows)
+            & (sites >= 0) & (sites + num_sites <= core.num_sites)
+        )
+        owner, row = footprint_rows(np.flatnonzero(ok), rows, height_rows)
+        row_base = row * stride
+        at = np.searchsorted(key, row_base + sites[owner], side="right") - 1
+        hit = np.maximum(at, 0)
+        covered = (
+            (at >= 0) & (key[hit] >= row_base)
+            & (end[hit] >= sites[owner] + num_sites[owner])
+        )
+        ok[owner[~covered]] = False
+        return ok
 
     # ------------------------------------------------------------------
     # Queries
@@ -183,6 +227,19 @@ class SiteMap:
             if best is None or cost < best[2]:
                 best = (row, site, cost)
         return best
+
+
+def footprint_rows(cells: np.ndarray, bottom: np.ndarray, height_rows: np.ndarray):
+    """One ``(owner, row)`` pair per row each footprint spans.
+
+    ``cells`` indexes into the per-cell ``bottom`` and ``height_rows``
+    arrays; the result lists each cell's rows bottom-up, cells in the
+    order given.
+    """
+    counts = height_rows[cells]
+    owner = np.repeat(cells, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, bottom[owner] + (np.arange(len(owner)) - first)
 
 
 def _intersect_interval_lists(a: List[Interval], b: List[Interval]) -> List[Interval]:
