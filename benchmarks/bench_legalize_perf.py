@@ -1,19 +1,17 @@
-"""End-to-end legalization perf trajectory: sharded/fast vs pre-PR solver.
+"""End-to-end legalization perf trajectory: sharded vs one-shard solve.
 
 Two kinds of profile:
 
 * ``smoke`` / ``full`` — the :mod:`bench_scaling` suite (fft_2 at several
-  scales) twice per size: once with the legacy monolithic SuperLU solver
-  (``LegalizerConfig(shard=False, fast_kernels=False)``, a faithful
-  reproduction of the pre-optimization per-sweep work) and once with the
-  default sharded + specialized-kernel configuration.
+  scales) twice per size: once as one monolithic shard
+  (``LegalizerConfig(shard=False)``) and once with the default sharded
+  configuration.
 
 * ``micro`` — the micro-shard-heavy regime (fft_2 with 15% row blockages,
   which shatters the KKT LCP into hundreds-to-thousands of tiny coupling
   components; the largest scale gives the default sharded config itself
-  >100 shards).  The monolithic solver is far too slow here, so the
-  comparison is the default sharded configuration (the previous fastest
-  path) against the batched micro-shard engine
+  >100 shards).  The comparison is the default sharded configuration
+  against the batched micro-shard engine
   (``LegalizerConfig(batch_micro_shards=True)``,
   :mod:`repro.core.batched`).  A per-shard reference run at the same
   single-component granularity (``min_shard_variables=1``, batch off)
@@ -90,7 +88,7 @@ PROFILES = {
         "perturb": 0.05,
     },
     # Fence regions + fixed macros: group-partitioned constraint graph.
-    # Same legacy-vs-sharded comparison as smoke/full; additionally every
+    # Same monolithic-vs-sharded comparison as smoke/full; additionally every
     # run must come out fully legal (zero FENCE violations) or the bench
     # exits nonzero.
     "fences": {
@@ -444,29 +442,32 @@ def run_profile(
         sharded_cfg = LegalizerConfig(
             parallel=parallel, kernel_backend=backend
         )
-        legacy_cfg = LegalizerConfig(shard=False, fast_kernels=False)
+        monolithic_cfg = LegalizerConfig(shard=False)
         for scale in spec["scales"]:
-            legacy = _run_config(
-                legacy_cfg, scale, spec["reps"], blockage, fences, macro_frac
+            monolithic = _run_config(
+                monolithic_cfg, scale, spec["reps"], blockage, fences,
+                macro_frac,
             )
             sharded = _run_config(
                 sharded_cfg, scale, spec["reps"], blockage, fences, macro_frac
             )
-            parity = _parity(sharded, legacy, parity_tol)
+            parity = _parity(sharded, monolithic, parity_tol)
             diverged = diverged or not parity["ok"]
             if fences:
                 # The fences profile doubles as a legality gate: a fenced
                 # design that ends illegal is a regression, not a perf
                 # data point.
-                diverged = diverged or not sharded["legal"] or not legacy["legal"]
-            speedup = legacy["wall_s"] / sharded["wall_s"]
+                diverged = (
+                    diverged or not sharded["legal"] or not monolithic["legal"]
+                )
+            speedup = monolithic["wall_s"] / sharded["wall_s"]
             runs.append(
                 {
                     "scale": scale,
                     "num_cells": sharded["num_cells"],
                     "num_variables": sharded["num_variables"],
                     "num_constraints": sharded["num_constraints"],
-                    "legacy": _strip(legacy),
+                    "monolithic": _strip(monolithic),
                     "sharded": _strip(sharded),
                     "speedup": round(speedup, 3),
                     "parity": parity,
@@ -474,7 +475,7 @@ def run_profile(
             )
             print(
                 f"scale {scale:<5} cells {sharded['num_cells']:>5}  "
-                f"legacy {legacy['wall_s']:.3f}s  "
+                f"monolithic {monolithic['wall_s']:.3f}s  "
                 f"sharded {sharded['wall_s']:.3f}s  "
                 f"speedup {speedup:.2f}x  "
                 f"parity {'ok' if parity['ok'] else 'FAIL'}"
@@ -510,10 +511,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--backend", choices=["reference", "fused", "numba"],
         default="reference",
-        help="sweep-kernel backend for the optimized configs (the legacy "
-             "/ per-shard reference configs always run 'reference'); the "
-             "report records it so the regression gate only compares "
-             "like-for-like backends",
+        help="sweep-kernel backend for the optimized configs (the "
+             "monolithic / per-shard reference configs always run "
+             "'reference'); the report records it so the regression "
+             "gate only compares like-for-like backends",
     )
     parser.add_argument(
         "--parity-tol", type=float, default=1e-6,
@@ -568,7 +569,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         print(
             f"largest profile: {largest['speedup']:.2f}x speedup "
-            f"({largest['legacy']['wall_s']:.3f}s -> "
+            f"({largest['monolithic']['wall_s']:.3f}s -> "
             f"{largest['sharded']['wall_s']:.3f}s)"
         )
     return 0

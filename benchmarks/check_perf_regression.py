@@ -36,7 +36,7 @@ import sys
 from typing import Dict, List, Optional
 
 CONFIG_KEYS = (
-    "legacy",
+    "monolithic",
     "sharded",
     "batched",
     "cold",

@@ -21,7 +21,6 @@ from repro.core.resilience import (
     ResilienceConfig,
     RungAttempt,
     ShardEscalation,
-    solve_monolithic_resilient,
     solve_shard_resilient,
     solve_sharded_resilient,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "ResilienceConfig",
     "RungAttempt",
     "ShardEscalation",
-    "solve_monolithic_resilient",
     "solve_shard_resilient",
     "solve_sharded_resilient",
 ]

@@ -210,7 +210,7 @@ class _GroupPack:
             Hg, Bg, Eg = self.source.slice_blocks(vi, bi, ei)
             splitting = LegalizationSplitting(
                 Hg, Bg, Eg, self.source.lam,
-                params=self.source.params, fast_kernels=True,
+                params=self.source.params,
                 kernel_backend=getattr(
                     self.source, "kernel_backend", "reference"
                 ),
@@ -579,7 +579,7 @@ def solve_shards_batched(
     cfg = batch or BatchOptions()
     source = getattr(sharded, "source", None)
     results: Dict[int, LCPResult] = {}
-    if source is None or not source.fast_kernels:
+    if source is None:
         return results
     groups = group_shards(sharded.shards, cfg)
     tel = current_session()

@@ -30,21 +30,16 @@ from repro.core.qp_builder import LegalizationQP, build_legalization_qp
 from repro.core.resilience import (
     ResilienceConfig,
     ShardEscalation,
-    solve_monolithic_resilient,
     solve_sharded_resilient,
 )
 from repro.core.row_assign import assign_rows
-from repro.core.setup_cache import (
-    MONOLITHIC_KEY,
-    ReuseCache,
-    scalar_setup_key,
-)
+from repro.core.setup_cache import ReuseCache
 from repro.core.sharding import shard_legalization_qp, solve_sharded
-from repro.core.splitting import LegalizationSplitting, SplittingParameters
+from repro.core.splitting import SplittingParameters
 from repro.core.state import SolverState, StaleWarmStart
 from repro.core.subcells import restore_cells, split_cells
 from repro.core.tetris_fix import TetrisFixStats, tetris_allocate
-from repro.lcp.mmsim import MMSIMOptions, mmsim_solve
+from repro.lcp.mmsim import MMSIMOptions
 from repro.lcp.problem import split_kkt_solution
 from repro.legality.checker import check_legality
 from repro.legality.violations import LegalityReport
@@ -88,11 +83,12 @@ class LegalizerConfig:
     #: Shard the KKT LCP into independent coupling-graph components and
     #: solve them separately (exact; see repro.core.sharding).  Each shard
     #: stops as soon as it converges, so sharding wins even serially.
+    #: ``False`` solves the whole LCP as one shard.
     shard: bool = True
     #: Solve shards concurrently on a thread pool (the NumPy/SciPy kernels
-    #: release the GIL).  Requires ``shard=True``: a monolithic solve has
-    #: no shards to run concurrently, so ``parallel=True, shard=False``
-    #: raises ``ValueError`` instead of silently running serially.
+    #: release the GIL).  Requires ``shard=True``: one shard has nothing
+    #: to run concurrently, so ``parallel=True, shard=False`` raises
+    #: ``ValueError`` instead of silently running serially.
     parallel: bool = False
     #: Thread-pool size for ``parallel``; None lets the executor pick.
     max_workers: Optional[int] = None
@@ -107,15 +103,11 @@ class LegalizerConfig:
     #: per-shard path; shards the engine declines fall back to it.
     #: Requires ``shard=True`` (there are no micro-shards to batch
     #: otherwise): ``batch_micro_shards=True, shard=False`` raises
-    #: ``ValueError`` instead of silently running the monolithic path.
+    #: ``ValueError`` instead of silently running one unbatched shard.
     batch_micro_shards: bool = False
     #: log₂ size-bucket cap of the batching signature (see
     #: :class:`repro.core.batched.BatchOptions`).
     batch_signature_buckets: int = 8
-    #: Closed-form Woodbury top-block solve + LAPACK banded bottom-block
-    #: solve + fused sweep (see repro.core.splitting).  ``False`` restores
-    #: the pre-optimization SuperLU kernels for A/B benchmarking.
-    fast_kernels: bool = True
     #: Per-shard solver fallback chain (see repro.core.resilience): a
     #: shard whose MMSIM fails to converge — or whose kernels raise — is
     #: re-solved down safe-kernel MMSIM → PSOR → Lemke → clamp instead of
@@ -157,7 +149,7 @@ class PreparedLegalization:
     multi-row split model, and assembled QP, plus the resolved warm-start
     decision (``z0`` from an accepted persisted state, else the GP-based
     ``s0``).  :meth:`MMSIMLegalizer.build_systems` then attaches the
-    sharded / monolithic splitting and :meth:`MMSIMLegalizer.finish`
+    sharded KKT system and :meth:`MMSIMLegalizer.finish`
     consumes the solver's ``z`` to produce a :class:`LegalizationResult`.
 
     The point of the split: the multi-design engine
@@ -182,7 +174,6 @@ class PreparedLegalization:
     #: Why an offered persisted state was rejected, else None.
     warm_start_rejected: Optional[str] = None
     sharded: Optional[object] = None
-    splitting: Optional[LegalizationSplitting] = None
     theorem2_ok: Optional[bool] = None
 
     @property
@@ -432,7 +423,8 @@ class MMSIMLegalizer:
         tracer=None,
         reuse: Optional[ReuseCache] = None,
     ) -> PreparedLegalization:
-        """Attach the sharded (or monolithic) splitting to *prepared*.
+        """Attach the sharded KKT system (one shard when ``shard=False``)
+        to *prepared*.
 
         ``reuse`` carries the previous run's memoized setups (see
         :mod:`repro.core.setup_cache`): trusted splittings are reused
@@ -443,119 +435,53 @@ class MMSIMLegalizer:
         metrics = current_session().metrics
         tracer = tracer if tracer is not None else active_tracer()
         legal_qp = prepared.legal_qp
-        batching = cfg.batch_micro_shards and cfg.shard
+        batching = cfg.batch_micro_shards
         with tracer.span("splitting") as span:
-            if cfg.shard:
-                prepared.sharded = shard_legalization_qp(
-                    legal_qp,
-                    params=prepared.params,
-                    min_shard_variables=(
-                        1 if batching else cfg.min_shard_variables
-                    ),
-                    fast_kernels=cfg.fast_kernels,
-                    lazy=batching,
-                    reuse=reuse,
-                    kernel_backend=cfg.kernel_backend,
+            prepared.sharded = shard_legalization_qp(
+                legal_qp,
+                params=prepared.params,
+                min_shard_variables=(
+                    1 if batching else cfg.min_shard_variables
+                ),
+                lazy=batching,
+                reuse=reuse,
+                kernel_backend=cfg.kernel_backend,
+                single_shard=not cfg.shard,
+            )
+            span.set_attributes(
+                components=prepared.sharded.num_components,
+                shards=prepared.sharded.num_shards,
+                batched=batching,
+                **{"kernel.backend": cfg.kernel_backend},
+            )
+            metrics.gauge(f"kernel.backend.{cfg.kernel_backend}").set(1.0)
+            metrics.gauge("shard.components").set(
+                prepared.sharded.num_components
+            )
+            metrics.gauge("shard.shards").set(prepared.sharded.num_shards)
+            if (
+                legal_qp.var_groups is not None
+                and prepared.sharded.labels is not None
+            ):
+                # Components made up of fence members (group-aware
+                # batching guarantees a component never mixes groups).
+                fence_components = int(
+                    np.unique(
+                        prepared.sharded.labels[legal_qp.var_groups >= 0]
+                    ).size
                 )
-                span.set_attributes(
-                    components=prepared.sharded.num_components,
-                    shards=prepared.sharded.num_shards,
-                    fast_kernels=cfg.fast_kernels,
-                    batched=batching,
-                    **{"kernel.backend": cfg.kernel_backend},
-                )
-                metrics.gauge(
-                    f"kernel.backend.{cfg.kernel_backend}"
-                ).set(1.0)
-                metrics.gauge("shard.components").set(
-                    prepared.sharded.num_components
-                )
-                metrics.gauge("shard.shards").set(prepared.sharded.num_shards)
-                if (
-                    legal_qp.var_groups is not None
-                    and prepared.sharded.labels is not None
-                ):
-                    # Components made up of fence members (group-aware
-                    # batching guarantees a component never mixes groups).
-                    fence_components = int(
-                        np.unique(
-                            prepared.sharded.labels[legal_qp.var_groups >= 0]
-                        ).size
-                    )
-                    span.set_attribute("fence_components", fence_components)
-                    metrics.gauge("fence.components").set(fence_components)
-            else:
-                prepared.splitting = self._monolithic_splitting(
-                    legal_qp, reuse, tracer
-                )
-                span.set_attribute("fast_kernels", cfg.fast_kernels)
-                span.set_attribute("kernel.backend", cfg.kernel_backend)
-                metrics.gauge(
-                    f"kernel.backend.{cfg.kernel_backend}"
-                ).set(1.0)
+                span.set_attribute("fence_components", fence_components)
+                metrics.gauge("fence.components").set(fence_components)
 
         if cfg.validate_theorem2:
             with tracer.span("theorem2"):
                 # μ_max of a block-diagonal Γ is the max over blocks,
-                # so the sharded check is equivalent to the monolithic
-                # one: every shard must sit inside the window.
-                if prepared.sharded is not None:
-                    prepared.theorem2_ok = all(
-                        shard.splitting.parameters_satisfy_theorem2()
-                        for shard in prepared.sharded.shards
-                    )
-                else:
-                    prepared.theorem2_ok = (
-                        prepared.splitting.parameters_satisfy_theorem2()
-                    )
-        return prepared
-
-    def _monolithic_splitting(
-        self,
-        legal_qp: LegalizationQP,
-        reuse: Optional[ReuseCache],
-        tracer,
-    ) -> LegalizationSplitting:
-        """The unsharded splitting, reused wholesale when the reuse
-        cache's previous generation is bitwise identical (all-or-nothing:
-        there is no finer granularity without component sharding)."""
-        cfg = self.config
-        params = SplittingParameters(beta=cfg.beta, theta=cfg.theta)
-        entry = None
-        if reuse is not None:
-            with tracer.span("setup_reuse") as span:
-                trust = reuse.begin_run(
-                    legal_qp.qp.H,
-                    legal_qp.qp.B,
-                    legal_qp.E,
-                    scalar_key=scalar_setup_key(
-                        cfg.lam, params, cfg.fast_kernels,
-                        cfg.kernel_backend,
-                    ),
-                    labels=None,
+                # so every shard must sit inside the window.
+                prepared.theorem2_ok = all(
+                    shard.splitting.parameters_satisfy_theorem2()
+                    for shard in prepared.sharded.shards
                 )
-                entry = reuse.setups.get(MONOLITHIC_KEY)
-                span.set_attribute("all_trusted", trust.all_trusted)
-                if (
-                    trust.all_trusted
-                    and entry is not None
-                    and entry.splitting is not None
-                ):
-                    reuse.setups.record("hit")
-                    return entry.splitting
-        splitting = LegalizationSplitting(
-            H=legal_qp.qp.H,
-            B=legal_qp.qp.B,
-            E=legal_qp.E,
-            lam=cfg.lam,
-            params=params,
-            fast_kernels=cfg.fast_kernels,
-            kernel_backend=cfg.kernel_backend,
-        )
-        if reuse is not None:
-            reuse.setups.record("miss" if entry is None else "stale")
-            reuse.setups.store(MONOLITHIC_KEY, splitting=splitting)
-        return splitting
+        return prepared
 
     def solver_options(self, tel=None) -> MMSIMOptions:
         """The MMSIM options this config implies, wired to *tel*'s sink."""
@@ -576,66 +502,40 @@ class MMSIMLegalizer:
         tel = current_session()
         metrics = tel.metrics
         tracer = tracer if tracer is not None else active_tracer()
-        legal_qp = prepared.legal_qp
-        s0 = prepared.s0
-        z0 = prepared.z0
         with tracer.span("mmsim") as span:
             options = self.solver_options(tel)
-            rcfg = (
-                (cfg.resilience or ResilienceConfig())
-                if cfg.fallback
+            max_workers = (
+                (cfg.max_workers or os.cpu_count() or 1)
+                if cfg.parallel
+                else None
+            )
+            batch = (
+                BatchOptions(signature_buckets=cfg.batch_signature_buckets)
+                if cfg.batch_micro_shards
                 else None
             )
             escalations: List[ShardEscalation] = []
-            if prepared.sharded is not None:
-                max_workers = (
-                    (cfg.max_workers or os.cpu_count() or 1)
-                    if cfg.parallel
-                    else None
+            if cfg.fallback:
+                mmsim_result, escalations = solve_sharded_resilient(
+                    prepared.sharded,
+                    options,
+                    s0=prepared.s0,
+                    max_workers=max_workers,
+                    config=cfg.resilience or ResilienceConfig(),
+                    z0=prepared.z0,
+                    parallel=cfg.parallel,
+                    batch=batch,
                 )
-                batch = (
-                    BatchOptions(
-                        signature_buckets=cfg.batch_signature_buckets
-                    )
-                    if cfg.batch_micro_shards and cfg.shard
-                    else None
-                )
-                if rcfg is not None:
-                    mmsim_result, escalations = solve_sharded_resilient(
-                        prepared.sharded,
-                        options,
-                        s0=s0,
-                        max_workers=max_workers,
-                        config=rcfg,
-                        z0=z0,
-                        parallel=cfg.parallel,
-                        batch=batch,
-                    )
-                else:
-                    mmsim_result = solve_sharded(
-                        prepared.sharded,
-                        options,
-                        s0=s0,
-                        max_workers=max_workers,
-                        z0=z0,
-                        parallel=cfg.parallel,
-                        batch=batch,
-                    )
             else:
-                lcp = legal_qp.qp.kkt_lcp()
-                if rcfg is not None:
-                    mmsim_result, escalations = solve_monolithic_resilient(
-                        lcp,
-                        prepared.splitting,
-                        options,
-                        s0=s0,
-                        config=rcfg,
-                        z0=z0,
-                    )
-                else:
-                    mmsim_result = mmsim_solve(
-                        lcp, prepared.splitting, options, s0=s0, z0=z0
-                    )
+                mmsim_result = solve_sharded(
+                    prepared.sharded,
+                    options,
+                    s0=prepared.s0,
+                    max_workers=max_workers,
+                    z0=prepared.z0,
+                    parallel=cfg.parallel,
+                    batch=batch,
+                )
             span.set_attributes(
                 iterations=mmsim_result.iterations,
                 converged=mmsim_result.converged,
@@ -742,11 +642,7 @@ class MMSIMLegalizer:
             legality=legality,
             warm_start=prepared.warm_start,
             warm_start_rejected=prepared.warm_start_rejected,
-            component_labels=(
-                getattr(prepared.sharded, "labels", None)
-                if prepared.sharded is not None
-                else None
-            ),
+            component_labels=getattr(prepared.sharded, "labels", None),
         )
 
     # ------------------------------------------------------------------

@@ -80,11 +80,11 @@ def _mergeable(cfg: LegalizerConfig) -> bool:
     Excluded: theorem-2 validation (needs per-design splittings
     materialized), custom resilience configs
     (fault-injection hooks are keyed by per-design shard indices), and
-    the explicitly monolithic / slow-kernel paths.
+    ``shard=False`` (one shard per design, which a stacked partition
+    would split).
     """
     return (
         cfg.shard
-        and cfg.fast_kernels
         and not cfg.validate_theorem2
         and cfg.resilience is None
     )
@@ -106,6 +106,7 @@ def _solver_key(cfg: LegalizerConfig, prepared: PreparedLegalization) -> Tuple:
         cfg.parallel,
         cfg.max_workers,
         cfg.batch_signature_buckets,
+        cfg.kernel_backend,
         prepared.z0 is not None,
         prepared.s0 is not None,
     )
@@ -172,7 +173,6 @@ def _solve_group(
             lam=cfg.lam,
             params=preps[0].params,
             min_shard_variables=1,
-            fast_kernels=True,
             lazy=True,
             kernel_backend=cfg.kernel_backend,
             reuse=(

@@ -13,10 +13,11 @@ This module re-solves *only the failing shard* down an escalation ladder:
 
 1. ``mmsim``       — the primary solve (the paper's Eq. (16) splitting
                      with the fast Woodbury/LAPACK kernels);
-2. ``mmsim_safe``  — the same iteration on the reference SuperLU kernels
-                     with a fixed conservative damping (ω = 0.5): rules
-                     out fast-kernel numerics and collapses the 2-cycles
-                     the plain iteration can enter;
+2. ``mmsim_safe``  — the same iteration on SuperLU factorizations of
+                     both block solves, with no sweep backend and a fixed
+                     conservative damping (ω = 0.5): rules out
+                     fast-kernel numerics and collapses the 2-cycles the
+                     plain iteration can enter;
 3. ``psor``        — projected SOR on the *dual* Schur-complement LCP
                      (``repro.qp.dual``): a completely different
                      iteration on a positive-diagonal system, immune to
@@ -93,7 +94,6 @@ class ResilienceConfig:
     exercise every rung of the ladder on healthy designs.
     """
 
-    enabled: bool = True
     accept_tol: Optional[float] = None
     #: Fixed damping for the safe-kernel MMSIM retry (collapses the
     #: 2-cycles that survive the in-solver auto rescue).
@@ -292,7 +292,11 @@ def solve_shard_resilient(
             ),
         )
         return mmsim_solve(
-            lcp, splitting.rebuilt(fast_kernels=False), safe_opts, s0=s0, z0=z0
+            lcp,
+            LegalizationSplitting._superlu(splitting),
+            safe_opts,
+            s0=s0,
+            z0=z0,
         )
 
     result = try_rung("mmsim_safe", run_safe)
@@ -407,7 +411,7 @@ def _psor_rung(
 
 
 # ----------------------------------------------------------------------
-# Sharded / monolithic entry points
+# Sharded entry point
 # ----------------------------------------------------------------------
 def solve_sharded_resilient(
     sharded: ShardedKKT,
@@ -482,27 +486,6 @@ def solve_sharded_resilient(
         )
         message = f"{result.message}; {note}" if result.message else note
         result = replace(result, message=message)
-    return result, escalations
-
-
-def solve_monolithic_resilient(
-    lcp: LCP,
-    splitting: LegalizationSplitting,
-    options: Optional[MMSIMOptions] = None,
-    s0: Optional[np.ndarray] = None,
-    config: Optional[ResilienceConfig] = None,
-    z0: Optional[np.ndarray] = None,
-) -> Tuple[LCPResult, List[ShardEscalation]]:
-    """The fallback ladder for the unsharded (single-LCP) solve path.
-
-    The monolithic KKT LCP is treated as shard 0; ``inject`` keys of 0
-    or ``"*"`` apply to it.
-    """
-    result, escalation = solve_shard_resilient(
-        lcp, splitting, options, s0=s0, config=config, shard_index=0, z0=z0
-    )
-    escalations = [escalation] if escalation is not None else []
-    _record_escalations(escalations)
     return result, escalations
 
 

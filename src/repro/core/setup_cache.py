@@ -4,8 +4,9 @@ With the batched MMSIM the sweeps themselves are cheap; what now dominates
 an ECO re-run is *setup*: slicing the per-shard blocks out of the global
 matrices, the Woodbury/``pttrf`` factorizations of every splitting, and
 assembling the stacked KKT matrices.  All of that depends only on the
-matrices ``(H, B, E)``, the scalars ``(λ, β*, θ*)``, and the kernel mode —
-not on the right-hand sides ``(p, b)`` that a position-only ECO perturbs.
+matrices ``(H, B, E)``, the scalars ``(λ, β*, θ*)``, and the kernel
+backend — not on the right-hand sides ``(p, b)`` that a position-only ECO
+perturbs.
 
 This module makes that setup incremental:
 
@@ -58,10 +59,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.telemetry import current_session
-
-#: Reserved index key of the monolithic (unsharded) splitting.
-MONOLITHIC_KEY = b"monolithic"
-
 
 def index_key(
     variables: np.ndarray, b_rows: np.ndarray, e_rows: np.ndarray
@@ -319,8 +316,9 @@ class ReuseCache:
         decide which cached entries may be trusted; then adopt this run's
         inputs as the new baseline.
 
-        ``labels`` is the coupling-component labelling (None on the
-        monolithic path, where trust is all-or-nothing).
+        ``labels`` is the coupling-component labelling (None for the
+        one-shard partition of ``shard=False``, where trust is
+        all-or-nothing).
         """
         prev = self.prev
         self.prev = _Globals(
@@ -364,7 +362,7 @@ class ReuseCache:
                 all_trusted=True, clean_components=num_components
             )
         if labels is None:
-            # Monolithic: no finer granularity than the whole system.
+            # One shard: no finer granularity than the whole system.
             return TrustInfo()
         n = H.shape[0]
         dirty_vars = np.zeros(n, dtype=bool)
@@ -437,7 +435,7 @@ class ReuseCache:
 
 
 def scalar_setup_key(
-    lam: float, params, fast_kernels: bool, kernel_backend: str = "reference"
+    lam: float, params, kernel_backend: str = "reference"
 ) -> tuple:
     """The scalar inputs a splitting's setup depends on.
 
@@ -447,7 +445,4 @@ def scalar_setup_key(
     """
     beta = params.beta if params is not None else 0.5
     theta = params.theta if params is not None else 0.5
-    return (
-        float(lam), float(beta), float(theta), bool(fast_kernels),
-        str(kernel_backend),
-    )
+    return (float(lam), float(beta), float(theta), str(kernel_backend))

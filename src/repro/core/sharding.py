@@ -73,7 +73,6 @@ class ShardSource:
     E: sp.csr_matrix
     lam: float
     params: Optional[SplittingParameters]
-    fast_kernels: bool
     #: Memoized setups for incremental (ECO) re-runs; None disables reuse.
     cache: Optional[SetupCache] = None
     #: Sweep-kernel backend every materialized splitting arms (see
@@ -188,8 +187,7 @@ class Shard:
                 )
                 self._splitting = LegalizationSplitting(
                     Hs, Bs, Es, src.lam,
-                    params=src.params, fast_kernels=src.fast_kernels,
-                    kernel_backend=src.kernel_backend,
+                    params=src.params, kernel_backend=src.kernel_backend,
                 )
                 if cache is not None:
                     cache.record(
@@ -209,11 +207,14 @@ class ShardedKKT:
 
     n: int                    # total primal variables
     m: int                    # total constraints
-    num_components: int       # coupling-graph components before batching
+    #: Coupling-graph components before batching (1 for the one-shard
+    #: partition, which runs no component pass).
+    num_components: int
     source: Optional[ShardSource] = None
     shards: List[Shard] = field(default_factory=list)
     #: Per-variable coupling-component labels (the dirty-diff baseline,
-    #: persisted alongside warm-start state; see repro.core.state).
+    #: persisted alongside warm-start state; see repro.core.state).  None
+    #: for the one-shard partition.
     labels: Optional[np.ndarray] = None
 
     @property
@@ -297,11 +298,11 @@ def build_shards(
     lam: float,
     params: Optional[SplittingParameters] = None,
     min_shard_variables: int = 256,
-    fast_kernels: bool = True,
     lazy: bool = False,
     reuse: Optional[ReuseCache] = None,
     var_groups: Optional[np.ndarray] = None,
     kernel_backend: str = "reference",
+    single_shard: bool = False,
 ) -> ShardedKKT:
     """Partition the legalization KKT LCP into independent shards.
 
@@ -327,6 +328,10 @@ def build_shards(
     clean is marked *trusted*: its cached splitting and KKT matrix are
     reused bit-identically instead of being sliced and refactorized.
     Dirty shards rebuild (and refresh the cache for the next run).
+
+    ``single_shard=True`` (``LegalizerConfig(shard=False)``) puts every
+    variable in one shard in global order: no coupling-component pass, no
+    split at fence groups, and reuse trust is all-or-nothing.
     """
     H = sp.csr_matrix(H)
     B = sp.csr_matrix(B)
@@ -336,26 +341,32 @@ def build_shards(
     n = H.shape[0]
     m = B.shape[0]
 
-    num_comp, labels = coupling_components(B, E, n)
-    comp_group = None
-    if var_groups is not None:
-        comp_group = np.zeros(num_comp, dtype=np.intp)
-        comp_group[labels] = np.asarray(var_groups, dtype=np.intp)
-    shard_of_comp, num_shards = _batch_components(
-        labels, num_comp, min_shard_variables, comp_group=comp_group
-    )
-    var_shard = shard_of_comp[labels]
-    b_shard = shard_of_comp[_rows_to_components(B, labels)]
-    e_shard = shard_of_comp[_rows_to_components(E, labels)]
+    if single_shard:
+        num_comp, labels, num_shards = 1, None, 1
+        comp_counts = np.ones(1, dtype=np.intp)
+        var_shard = np.zeros(n, dtype=np.intp)
+        b_shard = np.zeros(m, dtype=np.intp)
+        e_shard = np.zeros(E.shape[0], dtype=np.intp)
+    else:
+        num_comp, labels = coupling_components(B, E, n)
+        comp_group = None
+        if var_groups is not None:
+            comp_group = np.zeros(num_comp, dtype=np.intp)
+            comp_group[labels] = np.asarray(var_groups, dtype=np.intp)
+        shard_of_comp, num_shards = _batch_components(
+            labels, num_comp, min_shard_variables, comp_group=comp_group
+        )
+        comp_counts = np.bincount(shard_of_comp, minlength=num_shards)
+        var_shard = shard_of_comp[labels]
+        b_shard = shard_of_comp[_rows_to_components(B, labels)]
+        e_shard = shard_of_comp[_rows_to_components(E, labels)]
 
     trust = None
     if reuse is not None:
         with active_tracer().span("setup_reuse") as span:
             trust = reuse.begin_run(
                 H, B, E,
-                scalar_key=scalar_setup_key(
-                    lam, params, fast_kernels, kernel_backend
-                ),
+                scalar_key=scalar_setup_key(lam, params, kernel_backend),
                 labels=labels,
                 num_components=num_comp,
             )
@@ -366,15 +377,13 @@ def build_shards(
             )
 
     source = ShardSource(
-        H=H, p=p, B=B, b=b, E=E,
-        lam=lam, params=params, fast_kernels=fast_kernels,
+        H=H, p=p, B=B, b=b, E=E, lam=lam, params=params,
         cache=reuse.setups if reuse is not None else None,
         kernel_backend=kernel_backend,
     )
     sharded = ShardedKKT(
         n=n, m=m, num_components=num_comp, source=source, labels=labels
     )
-    comp_counts = np.bincount(shard_of_comp, minlength=num_shards)
     var_order = np.argsort(var_shard, kind="stable")
     var_starts = np.searchsorted(var_shard[var_order], np.arange(num_shards + 1))
     b_order = np.argsort(b_shard, kind="stable")
@@ -407,11 +416,11 @@ def shard_legalization_qp(
     legal_qp,
     params: Optional[SplittingParameters] = None,
     min_shard_variables: int = 256,
-    fast_kernels: bool = True,
     lazy: bool = False,
     reuse: Optional[ReuseCache] = None,
     var_groups: Optional[np.ndarray] = None,
     kernel_backend: str = "reference",
+    single_shard: bool = False,
 ) -> ShardedKKT:
     """Shard a :class:`repro.core.qp_builder.LegalizationQP`.
 
@@ -431,11 +440,11 @@ def shard_legalization_qp(
         legal_qp.lam,
         params=params,
         min_shard_variables=min_shard_variables,
-        fast_kernels=fast_kernels,
         lazy=lazy,
         reuse=reuse,
         var_groups=var_groups,
         kernel_backend=kernel_backend,
+        single_shard=single_shard,
     )
 
 

@@ -20,8 +20,8 @@ inverted exactly blockwise.  For designs whose multi-row cells are all
 double height each block is 1×1 and the formula collapses to the paper's
 closed form ``H⁻¹ = I − λ/(2λ+1) EᵀE``.
 
-Per-sweep kernels (``fast_kernels=True``, the default) exploit the same
-structure instead of general SuperLU factorizations:
+The per-sweep kernels exploit the same structure instead of general
+SuperLU factorizations:
 
 * the *top* block ``H/β* + I = ((1+β*)/β*)·(I + λ/(1+β*)·EᵀE)`` is again
   diagonal-plus-blockwise-low-rank, so its inverse comes from the same
@@ -174,12 +174,6 @@ class LegalizationSplitting:
         Equality structure and penalty, used for the Woodbury H⁻¹.
     params:
         β*, θ* constants.
-    fast_kernels:
-        Use the closed-form Woodbury inverse for the top-block solve, the
-        LAPACK banded factorization for the bottom block, and the fused
-        :meth:`apply_rhs` sweep.  ``False`` restores the pre-optimization
-        SuperLU path (kept for A/B benchmarking; results are identical to
-        floating-point noise).
     kernel_backend:
         Sweep-kernel backend name from the :mod:`repro.kernels` registry.
         Non-reference backends are probe-gated at setup and arm
@@ -196,11 +190,9 @@ class LegalizationSplitting:
         E: sp.spmatrix,
         lam: float,
         params: Optional[SplittingParameters] = None,
-        fast_kernels: bool = True,
         kernel_backend: str = "reference",
     ) -> None:
         self.params = params or SplittingParameters()
-        self._requested_backend = kernel_backend
         self.H = sp.csr_matrix(H)
         self.B = sp.csr_matrix(B)
         self.E = sp.csr_matrix(E)
@@ -212,37 +204,46 @@ class LegalizationSplitting:
             self.H_inv = woodbury_h_inverse(E, lam)
         with tracer.span("splitting.schur", m=self.m):
             self.D = schur_tridiagonal(self.B, self.H_inv)
-        self._setup_solvers(fast_kernels)
+        self._setup_solvers(kernel_backend)
 
-    def rebuilt(self, fast_kernels: bool = False) -> "LegalizationSplitting":
-        """A fresh splitting over the same blocks with different kernels.
+    @classmethod
+    def _superlu(
+        cls, splitting: "LegalizationSplitting"
+    ) -> "LegalizationSplitting":
+        """*splitting*'s blocks with SuperLU factorizations of ``H/β* + I``
+        and ``D/θ* + I`` and no armed sweep backend.
 
-        The solver fallback ladder (:mod:`repro.core.resilience`) uses
-        this to retry a failed shard on the reference SuperLU path,
-        ruling the specialized Woodbury/LAPACK kernels out as the cause —
-        which is also why the rebuild never re-arms a sweep backend.
+        Only the solver fallback ladder (:mod:`repro.core.resilience`)
+        builds one, for its safe-kernel MMSIM rung: a retry on general
+        factorizations rules the Woodbury/LAPACK kernels and any backend
+        runner out as the cause of the primary solve's failure.
         """
-        return LegalizationSplitting(
-            self.H,
-            self.B,
-            self.E,
-            self.lam,
-            params=self.params,
-            fast_kernels=fast_kernels,
-            kernel_backend="reference",
+        safe = cls.__new__(cls)
+        for name in ("params", "H", "B", "E", "lam", "n", "m", "H_inv", "D"):
+            setattr(safe, name, getattr(splitting, name))
+        safe._H_inv_top = None
+        safe.top_kernel = "superlu"
+        safe._solve_top = spla.factorized(safe._top_block())
+        safe.bottom_kernel = "superlu" if safe.m else "none"
+        safe._solve_bottom = (
+            spla.factorized(safe._bottom_block().tocsc()) if safe.m else None
         )
+        safe._allocate_sweep_state()
+        safe.sweep_runner = None
+        safe.kernel_backend = "reference"
+        return safe
 
     # ------------------------------------------------------------------
     # Solver setup (shared with GeneralSplitting)
     # ------------------------------------------------------------------
-    def _setup_solvers(self, fast_kernels: bool) -> None:
-        """Prefactorize the block solves and allocate sweep buffers.
+    def _setup_solvers(self, kernel_backend: str = "reference") -> None:
+        """Prefactorize the block solves, allocate sweep buffers and arm
+        the sweep-kernel backend.
 
         Expects ``self.H``, ``self.B``, ``self.D``, ``self.params`` (and,
         for the Woodbury top-block shortcut, ``self.E``/``self.lam``) to
         be set.
         """
-        self.fast_kernels = fast_kernels
         #: Which kernel won each block solve — "woodbury"/"superlu" for
         #: the top, "scalar"/"pttrs"/"gttrs"/"superlu"/"none" for the
         #: bottom.  The batched micro-shard engine
@@ -250,41 +251,41 @@ class LegalizationSplitting:
         #: and reads these to decide group eligibility.
         self.top_kernel = "superlu"
         self.bottom_kernel = "none"
-        self.BT = self.B.T.tocsr()
         tracer = current_tracer()
-        with tracer.span(
-            "splitting.factorize", nnz=int(self.H.nnz), fast=fast_kernels
-        ):
-            self._solve_top = self._build_top_solver(fast_kernels)
+        with tracer.span("splitting.factorize", nnz=int(self.H.nnz)):
+            self._solve_top = self._build_top_solver()
             self._solve_bottom = (
-                self._build_bottom_solver(fast_kernels) if self.m else None
+                self._build_bottom_solver() if self.m else None
             )
-        if fast_kernels:
-            # Preallocated sweep state: prescaled matrices plus buffers,
-            # so one fused rhs application allocates nothing.
-            self._D_theta = (self.D / self.params.theta).tocsr()
-            self._B_neg = (-self.B).tocsr()
-            self._rhs_buf = np.empty(self.n + self.m)
-            self._u_buf = np.empty(self.n)
-            self._w_buf = np.empty(self.m)
-        # The fused sweep is part of the fast path so `fast_kernels=False`
-        # reproduces the pre-optimization per-sweep work exactly.
-        self.apply_rhs: Optional[Callable] = (
-            self._apply_rhs_fused if fast_kernels else None
-        )
+        self._allocate_sweep_state()
         # Sweep-kernel backend (repro.kernels): probe-gated at setup;
         # anything but a verified non-reference backend leaves
         # sweep_runner None and the solver drives on the reference runner.
         # GeneralSplitting (which shares this setup) never requests one.
-        requested = getattr(self, "_requested_backend", "reference")
         self.sweep_runner = None
         self.kernel_backend = "reference"
-        if fast_kernels and requested not in (None, "reference"):
+        if kernel_backend not in (None, "reference"):
             self.sweep_runner, self.kernel_backend = arm_backend(
-                self, requested
+                self, kernel_backend
             )
 
-    def _build_top_solver(self, fast_kernels: bool) -> Callable:
+    def _allocate_sweep_state(self) -> None:
+        """Prescaled matrices plus buffers, so one :meth:`apply_rhs`
+        allocates nothing."""
+        self.BT = self.B.T.tocsr()
+        self._D_theta = (self.D / self.params.theta).tocsr()
+        self._B_neg = (-self.B).tocsr()
+        self._rhs_buf = np.empty(self.n + self.m)
+        self._u_buf = np.empty(self.n)
+        self._w_buf = np.empty(self.m)
+
+    def _top_block(self) -> sp.csc_matrix:
+        return (self.H / self.params.beta + sp.identity(self.n)).tocsc()
+
+    def _bottom_block(self) -> sp.csr_matrix:
+        return (self.D / self.params.theta + sp.identity(self.m)).tocsr()
+
+    def _build_top_solver(self) -> Callable:
         """Solver for ``H/β* + I``.
 
         With ``H = I + λEᵀE``,
@@ -294,40 +295,38 @@ class LegalizationSplitting:
         the same diagonal-plus-blockwise structure as H itself, so its
         exact inverse comes from :func:`woodbury_h_inverse` and one solve
         is a single sparse matvec.  Verified on a probe vector; any
-        mismatch (caller passed a different H) falls back to SuperLU.
+        mismatch (caller passed a different H) falls back to SuperLU, as
+        does a splitting without ``(E, λ)`` (GeneralSplitting).
         """
         beta = self.params.beta
-        E = getattr(self, "E", None)
-        lam = getattr(self, "lam", None)
+        E = self.E
         self._H_inv_top: Optional[sp.csr_matrix] = None
         self.top_kernel = "superlu"
-        if fast_kernels and E is not None and lam is not None:
-            alpha = (1.0 + beta) / beta
-            inv_top = (
-                woodbury_h_inverse(E, lam / (1.0 + beta)) / alpha
-            ).tocsr()
-            # Pure-chain shards (E empty) have H = I exactly; the Woodbury
-            # inverse is the identity and needs no probe verification, so
-            # the common micro-shard case skips assembling H/β* + I
-            # entirely.
-            if E.nnz == 0 and self.H.nnz == self.n and np.array_equal(
-                self.H.diagonal(), np.ones(self.n)
-            ):
-                self._H_inv_top = inv_top
-                self.top_kernel = "woodbury"
-                return lambda r, _M=inv_top: _M @ r
-            top = (self.H / beta + sp.identity(self.n)).tocsc()
-            probe = self._probe_vector(self.n)
-            err = np.max(np.abs(top @ (inv_top @ probe) - probe))
-            if err <= _KERNEL_VERIFY_TOL * max(1.0, float(np.max(np.abs(probe)))):
-                self._H_inv_top = inv_top
-                self.top_kernel = "woodbury"
-                return lambda r, _M=inv_top: _M @ r
-            return spla.factorized(top)
-        top = (self.H / beta + sp.identity(self.n)).tocsc()
+        if E is None:
+            return spla.factorized(self._top_block())
+        alpha = (1.0 + beta) / beta
+        inv_top = (
+            woodbury_h_inverse(E, self.lam / (1.0 + beta)) / alpha
+        ).tocsr()
+        # Pure-chain shards (E empty) have H = I exactly; the Woodbury
+        # inverse is the identity and needs no probe verification, so the
+        # common micro-shard case skips assembling H/β* + I entirely.
+        if E.nnz == 0 and self.H.nnz == self.n and np.array_equal(
+            self.H.diagonal(), np.ones(self.n)
+        ):
+            self._H_inv_top = inv_top
+            self.top_kernel = "woodbury"
+            return lambda r, _M=inv_top: _M @ r
+        top = self._top_block()
+        probe = self._probe_vector(self.n)
+        err = np.max(np.abs(top @ (inv_top @ probe) - probe))
+        if err <= _KERNEL_VERIFY_TOL * max(1.0, float(np.max(np.abs(probe)))):
+            self._H_inv_top = inv_top
+            self.top_kernel = "woodbury"
+            return lambda r, _M=inv_top: _M @ r
         return spla.factorized(top)
 
-    def _build_bottom_solver(self, fast_kernels: bool) -> Callable:
+    def _build_bottom_solver(self) -> Callable:
         """Prefactorized solver for the tridiagonal ``D/θ* + I``.
 
         LAPACK ``pttrf``/``pttrs`` (symmetric positive definite
@@ -335,51 +334,49 @@ class LegalizationSplitting:
         SPD Schur complement, so it virtually always does — else
         ``gttrf``/``gttrs`` (general tridiagonal), else SuperLU.
         """
-        theta = self.params.theta
-        bottom = (self.D / theta + sp.identity(self.m)).tocsr()
+        bottom = self._bottom_block()
         self._pttrf_factors = None
         self._bottom_pivot = None
-        if fast_kernels:
-            d = bottom.diagonal()
-            if self.m == 1:
-                pivot = float(d[0])
-                if pivot != 0.0:
-                    self.bottom_kernel = "scalar"
-                    self._bottom_pivot = pivot
-                    return lambda r, _p=pivot: r / _p
-            else:
-                dl = bottom.diagonal(-1)
-                du = bottom.diagonal(1)
-                probe = self._probe_vector(self.m)
-                scale = max(1.0, float(np.max(np.abs(probe))))
-                if np.allclose(dl, du, rtol=1e-12, atol=1e-14):
-                    df, ef, info = lapack.dpttrf(d, dl)
-                    if info == 0:
-                        x, _ = lapack.dpttrs(df, ef, probe)
-                        if (
-                            np.max(np.abs(bottom @ x - probe))
-                            <= _KERNEL_VERIFY_TOL * scale
-                        ):
-                            self.bottom_kernel = "pttrs"
-                            # Raw factors for JIT backends that re-run the
-                            # pttrs recurrences themselves.
-                            self._pttrf_factors = (df, ef)
-                            return (
-                                lambda r, _d=df, _e=ef:
-                                lapack.dpttrs(_d, _e, r)[0]
-                            )
-                dlf, df, duf, du2, ipiv, info = lapack.dgttrf(dl, d, du)
+        d = bottom.diagonal()
+        if self.m == 1:
+            pivot = float(d[0])
+            if pivot != 0.0:
+                self.bottom_kernel = "scalar"
+                self._bottom_pivot = pivot
+                return lambda r, _p=pivot: r / _p
+        else:
+            dl = bottom.diagonal(-1)
+            du = bottom.diagonal(1)
+            probe = self._probe_vector(self.m)
+            scale = max(1.0, float(np.max(np.abs(probe))))
+            if np.allclose(dl, du, rtol=1e-12, atol=1e-14):
+                df, ef, info = lapack.dpttrf(d, dl)
                 if info == 0:
-                    x, _ = lapack.dgttrs(dlf, df, duf, du2, ipiv, probe)
+                    x, _ = lapack.dpttrs(df, ef, probe)
                     if (
                         np.max(np.abs(bottom @ x - probe))
                         <= _KERNEL_VERIFY_TOL * scale
                     ):
-                        self.bottom_kernel = "gttrs"
+                        self.bottom_kernel = "pttrs"
+                        # Raw factors for JIT backends that re-run the
+                        # pttrs recurrences themselves.
+                        self._pttrf_factors = (df, ef)
                         return (
-                            lambda r, _a=dlf, _b=df, _c=duf, _d2=du2, _p=ipiv:
-                            lapack.dgttrs(_a, _b, _c, _d2, _p, r)[0]
+                            lambda r, _d=df, _e=ef:
+                            lapack.dpttrs(_d, _e, r)[0]
                         )
+            dlf, df, duf, du2, ipiv, info = lapack.dgttrf(dl, d, du)
+            if info == 0:
+                x, _ = lapack.dgttrs(dlf, df, duf, du2, ipiv, probe)
+                if (
+                    np.max(np.abs(bottom @ x - probe))
+                    <= _KERNEL_VERIFY_TOL * scale
+                ):
+                    self.bottom_kernel = "gttrs"
+                    return (
+                        lambda r, _a=dlf, _b=df, _c=duf, _d2=du2, _p=ipiv:
+                        lapack.dgttrs(_a, _b, _c, _d2, _p, r)[0]
+                    )
         self.bottom_kernel = "superlu"
         return spla.factorized(bottom.tocsc())
 
@@ -394,9 +391,8 @@ class LegalizationSplitting:
     # Splitting protocol
     # ------------------------------------------------------------------
     def apply_N(self, s: np.ndarray) -> np.ndarray:
-        # Reference implementation (and the pre-optimization sweep, kept
-        # verbatim for honest `fast_kernels=False` A/B benchmarks); the
-        # solver uses the fused apply_rhs on the fast path instead.
+        # The protocol's separate products: the reference the fused
+        # apply_rhs is tested against (the solver drives use apply_rhs).
         s1, s2 = s[: self.n], s[self.n :]
         beta, theta = self.params.beta, self.params.theta
         top = (1.0 / beta - 1.0) * (self.H @ s1)
@@ -415,7 +411,7 @@ class LegalizationSplitting:
             return np.concatenate([top, bottom])
         return top
 
-    def _apply_rhs_fused(
+    def apply_rhs(
         self, s: np.ndarray, s_abs: np.ndarray, gq: np.ndarray
     ) -> np.ndarray:
         """One-pass ``N s + (Ω − A)|s| − γq`` into a reused buffer.
@@ -453,13 +449,6 @@ class LegalizationSplitting:
         return out
 
     def solve_M_plus_omega(self, rhs: np.ndarray) -> np.ndarray:
-        if not self.fast_kernels:
-            s1 = self._solve_top(rhs[: self.n])
-            if not self.m:
-                return np.asarray(s1)
-            return np.concatenate(
-                [s1, self._solve_bottom(rhs[self.n :] - self.B @ s1)]
-            )
         n = self.n
         out = np.zeros(n + self.m)
         s1 = out[:n]

@@ -2,14 +2,14 @@
 
 For each case the oracle legalizes fresh builds of the same design under
 the full solver-configuration matrix (sharded / monolithic / batched /
-parallel / no-fallback / slow kernels / fault-injected ladder rungs /
-warm-started / setup-reuse rerun) and checks:
+parallel / no-fallback / fault-injected ladder rungs / warm-started /
+setup-reuse rerun) and checks:
 
 * **bit-identity** where the repo promises it (batched, parallel,
   healthy no-fallback, and cached-setup rerun configurations reproduce
   the baseline's KKT vector and final placement bit-for-bit),
-* **tolerance equivalence** elsewhere (monolithic, slow kernels, injected
-  rungs, warm starts: same QP optimum within solver tolerance),
+* **tolerance equivalence** elsewhere (monolithic, injected rungs, warm
+  starts: same QP optimum within solver tolerance),
 * the **KKT natural-residual certificate** on every converged solution,
 * **post-flow legality** (movable cells only: adversarial fixed obstacles
   are allowed to be illegal *inputs*),

@@ -19,16 +19,13 @@ boundaries — a run that would have stopped at iteration k now stops at the
 next multiple of K, a strictly-later iterate of the same contraction (the
 documented "reordered" tolerance class).
 
-The runner requires ``fast_kernels`` (it reuses the splitting's prescaled
-``D/θ*`` and ``−B`` blocks, Woodbury top inverse and prefactorized bottom
-solve) and works on both per-shard and stacked batched splittings — the
-stacked layout is just a bigger block-diagonal instance of the same
-structure.
+The runner reuses the splitting's prescaled ``D/θ*`` and ``−B`` blocks,
+Woodbury top inverse and prefactorized bottom solve, and works on both
+per-shard and stacked batched splittings — the stacked layout is just a
+bigger block-diagonal instance of the same structure.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -61,7 +58,7 @@ class FusedSweepRunner(SweepRunner):
         n = self._n
         s_abs = self._abs
         np.abs(s, out=s_abs)
-        # Fused rhs — the same pass as LegalizationSplitting._apply_rhs_fused,
+        # Fused rhs — the same pass as LegalizationSplitting.apply_rhs,
         # into runner-owned buffers.
         s1 = s[:n]
         t1 = s_abs[:n]
@@ -126,11 +123,5 @@ class FusedBackend(KernelBackend):
     name = "fused"
     tolerance_class = "reordered"
 
-    def build_runner(self, splitting) -> Optional[FusedSweepRunner]:
-        # Needs the fast-path state (prescaled blocks + fused buffers);
-        # the safe-kernel SuperLU splitting keeps the reference loop.
-        if not getattr(splitting, "fast_kernels", False):
-            return None
-        if getattr(splitting, "apply_rhs", None) is None:
-            return None
+    def build_runner(self, splitting) -> FusedSweepRunner:
         return FusedSweepRunner(splitting)

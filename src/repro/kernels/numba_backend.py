@@ -238,8 +238,6 @@ class NumbaBackend(KernelBackend):
         return "numba is not installed (pip install 'repro[kernels-numba]')"
 
     def build_runner(self, splitting) -> Optional[NumbaSweepRunner]:
-        if not getattr(splitting, "fast_kernels", False):
-            return None
         if splitting.top_kernel != "woodbury" or splitting._H_inv_top is None:
             return None
         if splitting.m and splitting.bottom_kernel not in ("pttrs", "scalar"):

@@ -50,7 +50,6 @@ class GeneralSplitting(LegalizationSplitting):
         H: sp.spmatrix,
         B: sp.spmatrix,
         params: Optional[SplittingParameters] = None,
-        fast_kernels: bool = True,
     ) -> None:
         self.params = params or SplittingParameters()
         self.H = sp.csr_matrix(H)
@@ -68,7 +67,7 @@ class GeneralSplitting(LegalizationSplitting):
         self.H_inv = None  # not formed explicitly
         with tracer.span("splitting.schur", m=self.m):
             self.D = self._schur_tridiagonal_via_solves()
-        self._setup_solvers(fast_kernels)
+        self._setup_solvers()
 
     def _schur_tridiagonal_via_solves(self) -> sp.csr_matrix:
         """tridiag(B H⁻¹ Bᵀ) using one H-solve per B row.

@@ -74,7 +74,6 @@ _ONE_FACTOR: Tuple[Tuple[str, Dict[str, Tuple[Any, ...]], str], ...] = (
     ("merged_shards", {"min_shard_variables": (256,)}, "tolerance"),
     ("no_fallback", {"fallback": (False,)}, "identity_healthy"),
     ("monolithic", {"shard": (False,)}, "tolerance"),
-    ("slow_kernels", {"fast_kernels": (False,)}, "tolerance"),
 )
 
 #: Escalation-ladder rungs forced by fault injection; each run must

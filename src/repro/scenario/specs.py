@@ -114,7 +114,8 @@ LEGALIZER_SPEC = ScenarioSpec(
         ConfigVar(
             "shard", (bool,), True,
             "Shard the KKT LCP into independent coupling-graph "
-            "components and solve them separately (exact).",
+            "components and solve them separately (exact); False solves "
+            "the whole LCP as one shard.",
         ),
         ConfigVar(
             "parallel", (bool,), False,
@@ -144,11 +145,6 @@ LEGALIZER_SPEC = ScenarioSpec(
             "batch_signature_buckets", (int,), 8,
             "log2 size-bucket cap of the batching signature.",
             Range(1),
-        ),
-        ConfigVar(
-            "fast_kernels", (bool,), True,
-            "Closed-form Woodbury + LAPACK banded + fused-sweep kernels; "
-            "False restores the pre-optimization SuperLU path.",
         ),
         ConfigVar(
             "fallback", (bool,), True,

@@ -286,15 +286,15 @@ class TestPlumbing:
 
     def test_setup_key_separates_backends(self):
         params = SplittingParameters()
-        k_ref = scalar_setup_key(1000.0, params, True, "reference")
-        k_fused = scalar_setup_key(1000.0, params, True, "fused")
+        k_ref = scalar_setup_key(1000.0, params, "reference")
+        k_fused = scalar_setup_key(1000.0, params, "fused")
         assert k_ref != k_fused
-        assert k_ref == scalar_setup_key(1000.0, params, True, "reference")
+        assert k_ref == scalar_setup_key(1000.0, params, "reference")
 
     def test_setup_key_default_is_reference(self):
         params = SplittingParameters()
-        assert scalar_setup_key(1000.0, params, True) == scalar_setup_key(
-            1000.0, params, True, "reference"
+        assert scalar_setup_key(1000.0, params) == scalar_setup_key(
+            1000.0, params, "reference"
         )
 
 

@@ -316,15 +316,17 @@ class TestOneDriveMatchesPerSweepIteration:
             MMSIMOptions(tol=1e-12, residual_tol=1e-9),
         )
 
-    @pytest.mark.parametrize("fast_kernels", [True, False])
-    def test_legalization_splitting(self, fast_kernels):
+    @pytest.mark.parametrize("superlu", [False, True])
+    def test_legalization_splitting(self, superlu):
         lq, lcp = _legalization_lcp()
+
+        def make():
+            spl = LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam)
+            # The resilience ladder's safe-rung splitting (SuperLU blocks).
+            return LegalizationSplitting._superlu(spl) if superlu else spl
+
         res = _assert_matches_oracle(
-            lcp,
-            lambda: LegalizationSplitting(
-                lq.qp.H, lq.qp.B, lq.E, lq.lam, fast_kernels=fast_kernels
-            ),
-            MMSIMOptions(tol=1e-6, residual_tol=1e-4),
+            lcp, make, MMSIMOptions(tol=1e-6, residual_tol=1e-4)
         )
         assert res.converged and res.iterations > 10
 

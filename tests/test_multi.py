@@ -150,3 +150,38 @@ def test_merged_run_emits_batch_metrics():
     assert snap["mmsim.solves"]["value"] >= 1
     assert any(name.startswith("batch.") for name in snap)
     assert snap["legalizer.cells_moved"]["value"] > 0
+
+
+def _blocked(seed):
+    return generate_benchmark(
+        "fft_2", scale=0.05, seed=seed, blockage_fraction=0.15
+    )
+
+
+@pytest.mark.parametrize("first", ["fused", "reference"])
+def test_jobs_on_different_backends_never_share_a_solve(first):
+    """The kernel backend is part of the solver key: a job queued behind
+    a job on another backend gets bitwise the ``kkt_solution`` it gets in
+    a group on its own backend (a shared stacked solve would run both on
+    the first job's backend)."""
+    second = "reference" if first == "fused" else "fused"
+    plan = ((1, first), (2, second))
+    mixed = legalize_many(
+        [
+            DesignJob(
+                design=_blocked(seed),
+                config=LegalizerConfig(kernel_backend=backend),
+            )
+            for seed, backend in plan
+        ]
+    )
+    for (seed, backend), got in zip(plan, mixed):
+        (alone,) = legalize_many(
+            [
+                DesignJob(
+                    design=_blocked(seed),
+                    config=LegalizerConfig(kernel_backend=backend),
+                )
+            ]
+        )
+        assert got.kkt_solution.tobytes() == alone.kkt_solution.tobytes()

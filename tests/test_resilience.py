@@ -27,13 +27,11 @@ from repro.core.resilience import (
     ResilienceConfig,
     ShardEscalation,
     RungAttempt,
-    solve_monolithic_resilient,
     solve_shard_resilient,
     solve_sharded_resilient,
 )
 from repro.core.row_assign import assign_rows
 from repro.core.sharding import shard_legalization_qp, solve_sharded
-from repro.core.splitting import LegalizationSplitting
 from repro.core.subcells import split_cells
 from repro.io import save_design
 from repro.lcp import MMSIMOptions, mmsim_solve
@@ -218,9 +216,50 @@ class TestShardLadder:
         assert escalation.winner == "mmsim_safe"
         assert result.converged
 
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    def test_safe_rung_runs_superlu_without_runner(self, backend, monkeypatch):
+        """Rung 2 retries on SuperLU factorizations of both block solves
+        with no sweep backend, whatever the primary splitting armed."""
+        import repro.core.resilience as resilience
+
+        seen = []
+        real = resilience.mmsim_solve
+
+        def spy(lcp, splitting, opts, s0=None, z0=None):
+            seen.append(splitting)
+            return real(lcp, splitting, opts, s0=s0, z0=z0)
+
+        monkeypatch.setattr(resilience, "mmsim_solve", spy)
+        design = _design()
+        model = split_cells(design, assign_rows(design))
+        lq = build_legalization_qp(design, model)
+        sk = shard_legalization_qp(
+            lq, min_shard_variables=32, kernel_backend=backend
+        )
+        shard = max(sk.shards, key=lambda sh: sh.num_constraints)
+        primary = shard.splitting
+        assert (primary.top_kernel, primary.bottom_kernel) == (
+            "woodbury", "pttrs"
+        )
+        assert primary.kernel_backend == backend
+        assert (primary.sweep_runner is not None) == (backend == "fused")
+        result, escalation = solve_shard_resilient(
+            shard.lcp,
+            primary,
+            config=ResilienceConfig(inject={0: ("mmsim",)}),
+        )
+        assert escalation.winner == "mmsim_safe"
+        assert result.converged
+        (safe,) = seen
+        assert safe is not primary
+        assert safe.top_kernel == safe.bottom_kernel == "superlu"
+        assert safe._H_inv_top is None
+        assert safe.sweep_runner is None
+        assert safe.kernel_backend == "reference"
+
 
 # ----------------------------------------------------------------------
-# Sharded / monolithic entry points + telemetry
+# Sharded entry point (shard=False is its one-shard case) + telemetry
 # ----------------------------------------------------------------------
 class TestShardedResilient:
     def test_healthy_matches_plain_sharded(self):
@@ -253,15 +292,14 @@ class TestShardedResilient:
         )
 
     def test_monolithic_path(self):
-        design = _design()
-        model = split_cells(design, assign_rows(design))
-        lq = build_legalization_qp(design, model)
-        splitting = LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam)
-        result, escalations = solve_monolithic_resilient(
-            lq.qp.kkt_lcp(),
-            splitting,
-            config=ResilienceConfig(inject={0: ("mmsim",)}),
-        )
+        """``shard=False`` walks the ladder on its one shard, index 0."""
+        result = MMSIMLegalizer(
+            LegalizerConfig(
+                shard=False,
+                resilience=ResilienceConfig(inject={0: ("mmsim",)}),
+            )
+        ).legalize(_design())
+        escalations = result.solver_escalations
         assert len(escalations) == 1
         assert escalations[0].shard_index == 0
         assert escalations[0].winner == "mmsim_safe"

@@ -416,7 +416,7 @@ class TestOracleMatrix:
         names = [p.name for p in matrix]
         for expected in (
             "merged_shards", "batch", "parallel", "batch_parallel",
-            "no_fallback", "monolithic", "slow_kernels", "inject_safe",
+            "no_fallback", "monolithic", "inject_safe",
             "inject_psor", "inject_lemke", "fused_kernel", "reuse",
             "fence_slices",
         ):
@@ -431,8 +431,8 @@ class TestOracleMatrix:
         assert [(p.name, p.group) for p in matrix] == [
             (n, g) for n, _, g in live
         ]
-        # ~16-config matrix: 14 stock points (+1 when numba is present).
-        assert len(live) >= 14
+        # 13 stock points (+1 when numba is present).
+        assert len(live) >= 13
 
     def test_every_point_is_spec_valid(self):
         for point in oracle_matrix():

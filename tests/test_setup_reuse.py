@@ -18,7 +18,6 @@ from repro import telemetry
 from repro.benchgen import generate_benchmark
 from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
 from repro.core.setup_cache import (
-    MONOLITHIC_KEY,
     ReuseCache,
     SetupCache,
     changed_rows,
@@ -78,11 +77,11 @@ class TestKeys:
 
     def test_scalar_key_covers_all_knobs(self):
         p = SplittingParameters(beta=0.5, theta=0.5)
-        base = scalar_setup_key(1000.0, p, True)
-        assert scalar_setup_key(999.0, p, True) != base
-        assert scalar_setup_key(1000.0, p, False) != base
+        base = scalar_setup_key(1000.0, p)
+        assert scalar_setup_key(999.0, p) != base
+        assert scalar_setup_key(1000.0, p, "fused") != base
         q = SplittingParameters(beta=0.4, theta=0.5)
-        assert scalar_setup_key(1000.0, q, True) != base
+        assert scalar_setup_key(1000.0, q) != base
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +286,7 @@ class TestLegalizeWithReuse:
         d1 = _design(scale=0.02)
         _run(cfg, d1, reuse=reuse)
         assert reuse.stats == {"hit": 0, "miss": 1, "stale": 0}
-        assert reuse.setups.get(MONOLITHIC_KEY) is not None
+        assert len(reuse.setups) == 1  # the one shard's entry
         d2 = _design(scale=0.02)
         _run(cfg, d2, reuse=reuse)
         assert reuse.stats == {"hit": 1, "miss": 1, "stale": 0}

@@ -133,19 +133,18 @@ class TestLegalizationSplitting:
         (no SuperLU in the sweep)."""
         lq = _mixed_qp(scale=0.01)
         spl = LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam)
-        assert spl.fast_kernels
+        assert spl.top_kernel == "woodbury"
         assert spl._H_inv_top is not None
 
     def test_fast_solve_matches_superlu(self):
-        """Kernel parity: Woodbury + banded solves vs the factorized
-        reference, to 1e-10 on random right-hand sides."""
+        """Kernel parity: Woodbury + banded solves vs the SuperLU
+        factorizations of the resilience ladder's safe rung, to 1e-10 on
+        random right-hand sides."""
         lq = _mixed_qp(scale=0.01)
-        fast = LegalizationSplitting(
-            lq.qp.H, lq.qp.B, lq.E, lq.lam, fast_kernels=True
-        )
-        slow = LegalizationSplitting(
-            lq.qp.H, lq.qp.B, lq.E, lq.lam, fast_kernels=False
-        )
+        fast = LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam)
+        slow = LegalizationSplitting._superlu(fast)
+        assert (fast.top_kernel, fast.bottom_kernel) == ("woodbury", "pttrs")
+        assert (slow.top_kernel, slow.bottom_kernel) == ("superlu", "superlu")
         rng = np.random.default_rng(42)
         for _ in range(5):
             rhs = rng.standard_normal(fast.n + fast.m)
