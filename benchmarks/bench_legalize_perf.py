@@ -305,7 +305,6 @@ def _strip(record: Dict) -> Dict:
 
 def run_profile(
     profile: str,
-    parallel: bool,
     parity_tol: float,
     backend: str = "reference",
 ) -> Dict:
@@ -314,10 +313,9 @@ def run_profile(
     runs: List[Dict] = []
     diverged = False
     if spec.get("batched"):
-        sharded_cfg = LegalizerConfig(parallel=parallel)
+        sharded_cfg = LegalizerConfig()
         batched_cfg = LegalizerConfig(
-            parallel=parallel, batch_micro_shards=True,
-            kernel_backend=backend,
+            batch_micro_shards=True, kernel_backend=backend
         )
         # Same single-component granularity as the batched engine, batch
         # off: the bit-identity reference.
@@ -394,7 +392,7 @@ def run_profile(
                 f"parity {'ok' if parity['ok'] else 'FAIL'}"
             )
     elif spec.get("eco"):
-        cfg = LegalizerConfig(parallel=parallel)
+        cfg = LegalizerConfig()
         for scale in spec["scales"]:
             rec = _run_eco_scale(
                 cfg, scale, spec["reps"], blockage, spec["perturb"]
@@ -439,9 +437,7 @@ def run_profile(
     else:
         fences = spec.get("fences", 0)
         macro_frac = spec.get("macro_frac", 0.0)
-        sharded_cfg = LegalizerConfig(
-            parallel=parallel, kernel_backend=backend
-        )
+        sharded_cfg = LegalizerConfig(kernel_backend=backend)
         monolithic_cfg = LegalizerConfig(shard=False)
         for scale in spec["scales"]:
             monolithic = _run_config(
@@ -485,7 +481,6 @@ def run_profile(
         "seed": SEED,
         "profile": profile,
         "kernel_backend": backend,
-        "parallel": parallel,
         "reps": spec["reps"],
         "blockage_fraction": blockage,
         "fences": spec.get("fences", 0),
@@ -503,11 +498,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--profile", choices=sorted(PROFILES), default="micro")
-    parser.add_argument(
-        "--parallel", action="store_true",
-        help="solve shards on a thread pool (the serial default is what "
-             "the headline speedup is measured with)",
-    )
     parser.add_argument(
         "--backend", choices=["reference", "fused", "numba"],
         default="reference",
@@ -536,9 +526,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         args.output = os.path.join(repo_root, name)
 
-    report = run_profile(
-        args.profile, args.parallel, args.parity_tol, backend=args.backend
-    )
+    report = run_profile(args.profile, args.parity_tol, backend=args.backend)
     with open(args.output, "w") as fh:
         # np.bool_/np.float64 leak into the record via numpy reductions.
         json.dump(

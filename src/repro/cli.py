@@ -25,8 +25,8 @@ Subcommands
              drift, constraint consistency, fuzz-oracle matrix),
              ``spec knobs`` prints a spec's knob/constraint tables
 
-Invalid configurations (``--parallel`` without sharding, ``--workers
-0``, ``serve --queue-limit 0``, ...) exit with status 2 and the same
+Invalid configurations (``--batch`` without sharding, ``--lam 0``,
+``serve --queue-limit 0``, ...) exit with status 2 and the same
 violation message the Python constructor and the service's HTTP 400
 report (see docs/CONFIGURATION.md).
 
@@ -126,13 +126,11 @@ def cmd_legalize(args: argparse.Namespace) -> int:
     legalizer = factory()
     if args.algorithm == "mmsim":
         # Validate the flag combination (spec-backed, inside the
-        # constructor) before touching the input file, so `--parallel`
-        # without sharding or `--workers 0` exits 2 with the violation
+        # constructor) before touching the input file, so `--batch`
+        # without sharding or `--lam 0` exits 2 with the violation
         # message instead of no-opping or failing deep in the flow.
         overrides = dict(
             shard=not args.no_shard,
-            parallel=args.parallel,
-            max_workers=args.workers,
             fallback=args.fallback,
             batch_micro_shards=args.batch,
             kernel_backend=args.kernel_backend,
@@ -519,11 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solve one monolithic KKT LCP instead of sharding "
                         "it into independent coupling-graph components "
                         "(mmsim only; sharding is exact and on by default)")
-    p.add_argument("--parallel", action="store_true",
-                   help="solve shards concurrently on a thread pool "
-                        "(mmsim only)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="thread-pool size for --parallel (default: cpu count)")
     p.add_argument("--batch", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="batch micro-shards through the stacked vectorized "

@@ -18,14 +18,12 @@ Section 5.3).
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.batched import BatchOptions
 from repro.core.qp_builder import LegalizationQP, build_legalization_qp
 from repro.core.resilience import (
     ResilienceConfig,
@@ -85,13 +83,6 @@ class LegalizerConfig:
     #: stops as soon as it converges, so sharding wins even serially.
     #: ``False`` solves the whole LCP as one shard.
     shard: bool = True
-    #: Solve shards concurrently on a thread pool (the NumPy/SciPy kernels
-    #: release the GIL).  Requires ``shard=True``: one shard has nothing
-    #: to run concurrently, so ``parallel=True, shard=False`` raises
-    #: ``ValueError`` instead of silently running serially.
-    parallel: bool = False
-    #: Thread-pool size for ``parallel``; None lets the executor pick.
-    max_workers: Optional[int] = None
     #: Batch tiny coupling components into shards of at least this many
     #: variables so Python sweep overhead stays amortized.
     min_shard_variables: int = 256
@@ -105,9 +96,6 @@ class LegalizerConfig:
     #: otherwise): ``batch_micro_shards=True, shard=False`` raises
     #: ``ValueError`` instead of silently running one unbatched shard.
     batch_micro_shards: bool = False
-    #: log₂ size-bucket cap of the batching signature (see
-    #: :class:`repro.core.batched.BatchOptions`).
-    batch_signature_buckets: int = 8
     #: Per-shard solver fallback chain (see repro.core.resilience): a
     #: shard whose MMSIM fails to converge — or whose kernels raise — is
     #: re-solved down safe-kernel MMSIM → PSOR → Lemke → clamp instead of
@@ -504,37 +492,23 @@ class MMSIMLegalizer:
         tracer = tracer if tracer is not None else active_tracer()
         with tracer.span("mmsim") as span:
             options = self.solver_options(tel)
-            max_workers = (
-                (cfg.max_workers or os.cpu_count() or 1)
-                if cfg.parallel
-                else None
-            )
-            batch = (
-                BatchOptions(signature_buckets=cfg.batch_signature_buckets)
-                if cfg.batch_micro_shards
-                else None
-            )
             escalations: List[ShardEscalation] = []
             if cfg.fallback:
                 mmsim_result, escalations = solve_sharded_resilient(
                     prepared.sharded,
                     options,
                     s0=prepared.s0,
-                    max_workers=max_workers,
                     config=cfg.resilience or ResilienceConfig(),
                     z0=prepared.z0,
-                    parallel=cfg.parallel,
-                    batch=batch,
+                    batch=cfg.batch_micro_shards,
                 )
             else:
                 mmsim_result = solve_sharded(
                     prepared.sharded,
                     options,
                     s0=prepared.s0,
-                    max_workers=max_workers,
                     z0=prepared.z0,
-                    parallel=cfg.parallel,
-                    batch=batch,
+                    batch=cfg.batch_micro_shards,
                 )
             span.set_attributes(
                 iterations=mmsim_result.iterations,

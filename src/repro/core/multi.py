@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.batched import BatchOptions
 from repro.core.legalizer import (
     LegalizationResult,
     LegalizerConfig,
@@ -103,9 +102,6 @@ def _solver_key(cfg: LegalizerConfig, prepared: PreparedLegalization) -> Tuple:
         cfg.residual_tol,
         cfg.max_iterations,
         cfg.fallback,
-        cfg.parallel,
-        cfg.max_workers,
-        cfg.batch_signature_buckets,
         cfg.kernel_backend,
         prepared.z0 is not None,
         prepared.s0 is not None,
@@ -201,32 +197,18 @@ def _solve_group(
 
     options = legalizers[members[0]].solver_options(tel)
     rcfg = ResilienceConfig() if cfg.fallback else None
-    batch = BatchOptions(signature_buckets=cfg.batch_signature_buckets)
     start = time.perf_counter()
     with tracer.span(
         "mmsim_batch", designs=len(preps), variables=N, constraints=M
     ) as span:
         if rcfg is not None:
             group_result, escalations = solve_sharded_resilient(
-                sharded,
-                options,
-                s0=s0c,
-                max_workers=cfg.max_workers if cfg.parallel else None,
-                config=rcfg,
-                z0=z0c,
-                parallel=cfg.parallel,
-                batch=batch,
+                sharded, options, s0=s0c, config=rcfg, z0=z0c, batch=True
             )
         else:
             escalations = []
             group_result = solve_sharded(
-                sharded,
-                options,
-                s0=s0c,
-                max_workers=cfg.max_workers if cfg.parallel else None,
-                z0=z0c,
-                parallel=cfg.parallel,
-                batch=batch,
+                sharded, options, s0=s0c, z0=z0c, batch=True
             )
         span.set_attributes(
             iterations=group_result.iterations,

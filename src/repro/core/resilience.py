@@ -21,7 +21,8 @@ This module re-solves *only the failing shard* down an escalation ladder:
 3. ``psor``        — projected SOR on the *dual* Schur-complement LCP
                      (``repro.qp.dual``): a completely different
                      iteration on a positive-diagonal system, immune to
-                     the KKT splitting's failure modes;
+                     the KKT splitting's failure modes, with its sweeps
+                     bounded by :data:`PSOR_WORK_BUDGET`;
 4. ``lemke``       — exact complementary pivoting on the KKT LCP
                      (finite, no spectral conditions), for shards small
                      enough for the dense tableau;
@@ -73,6 +74,12 @@ RUNGS = ("mmsim", "mmsim_safe", "psor", "lemke", "clamp")
 
 #: ``inject`` key selecting every shard.
 ALL_SHARDS = "*"
+
+#: Row updates one PSOR attempt may spend: rung 3 sweeps at most
+#: ``min(psor_max_iterations, PSOR_WORK_BUDGET // m)`` times.  Each sweep
+#: is a pure-Python pass over the m dual rows (~5–6 µs a row on a 2-vCPU
+#: x86 container), so the budget holds one attempt to under ~10 s.
+PSOR_WORK_BUDGET = 1_500_000
 
 
 class FaultInjected(RuntimeError):
@@ -245,12 +252,13 @@ def solve_shard_resilient(
     except Exception as exc:  # noqa: BLE001 - any kernel failure escalates
         attempts.append(RungAttempt("mmsim", "raised", detail=repr(exc)))
 
-    def try_rung(rung: str, runner) -> Optional[LCPResult]:
+    def try_rung(rung: str, runner, note: str = "") -> Optional[LCPResult]:
         """Run one fallback rung; audit, record, and return a win or None.
 
         The candidate is accepted only when the rung converged *and* its
         assembled z clears ``accept_tol`` on this shard's own KKT LCP —
-        the audit that makes the no-worse contract hold.
+        the audit that makes the no-worse contract hold.  ``note`` leads
+        the attempt's ``detail`` whenever the rung ran.
         """
         try:
             if cfg.should_fail(shard_index, rung):
@@ -266,7 +274,11 @@ def solve_shard_resilient(
         if result.converged and residual <= accept_tol:
             attempts.append(
                 RungAttempt(
-                    rung, "won", iterations=result.iterations, residual=residual
+                    rung,
+                    "won",
+                    iterations=result.iterations,
+                    residual=residual,
+                    detail=note,
                 )
             )
             return result
@@ -276,7 +288,7 @@ def solve_shard_resilient(
                 "rejected" if result.converged else "failed",
                 iterations=result.iterations,
                 residual=residual,
-                detail=result.message,
+                detail="; ".join(filter(None, (note, result.message))),
             )
         )
         return None
@@ -315,7 +327,17 @@ def solve_shard_resilient(
             )
         )
     else:
-        result = try_rung("psor", lambda: _psor_rung(lcp, splitting, n, cfg))
+        sweeps = min(cfg.psor_max_iterations, PSOR_WORK_BUDGET // max(m, 1))
+        result = try_rung(
+            "psor",
+            lambda: _psor_rung(
+                lcp, splitting, n, replace(cfg, psor_max_iterations=sweeps)
+            ),
+            note=(
+                f"sweep cap {sweeps} = min(psor_max_iterations="
+                f"{cfg.psor_max_iterations}, {PSOR_WORK_BUDGET} // m={m})"
+            ),
+        )
         if result is not None:
             return _won(result, escalation), escalation
 
@@ -417,10 +439,8 @@ def solve_sharded_resilient(
     sharded: ShardedKKT,
     options: Optional[MMSIMOptions] = None,
     s0: Optional[np.ndarray] = None,
-    max_workers: Optional[int] = None,
     config: Optional[ResilienceConfig] = None,
     z0: Optional[np.ndarray] = None,
-    parallel: Optional[bool] = None,
     batch=None,
 ) -> Tuple[LCPResult, List[ShardEscalation]]:
     """:func:`repro.core.sharding.solve_sharded` with the fallback ladder.
@@ -463,20 +483,12 @@ def solve_sharded_resilient(
             primary_result=primary,
         )
         if escalation is not None:
-            escalations.append(escalation)  # list.append is thread-safe
+            escalations.append(escalation)
         return result
 
     result = solve_sharded(
-        sharded,
-        options,
-        s0=s0,
-        max_workers=max_workers,
-        shard_solver=ladder,
-        z0=z0,
-        parallel=parallel,
-        batch=batch,
+        sharded, options, s0=s0, shard_solver=ladder, z0=z0, batch=batch
     )
-    escalations.sort(key=lambda e: e.shard_index)
     _record_escalations(escalations)
     if escalations:
         solved = sum(1 for e in escalations if e.solved)
@@ -490,11 +502,7 @@ def solve_sharded_resilient(
 
 
 def _record_escalations(escalations: List[ShardEscalation]) -> None:
-    """Emit telemetry for completed ladder walks (one event per shard).
-
-    Called once after all shards finish — the event sink is not meant for
-    concurrent emitters, so nothing is emitted from worker threads.
-    """
+    """Emit telemetry for completed ladder walks (one event per shard)."""
     if not escalations:
         return
     tel = current_session()

@@ -17,10 +17,11 @@ Why shard:
 * **independent stopping** — each shard's MMSIM stops the moment *that
   shard* converges, instead of every variable sweeping until the globally
   slowest cluster finishes (iteration counts across components routinely
-  differ by an order of magnitude);
-* **concurrency** — shards are embarrassingly parallel, and the
-  NumPy/SciPy/LAPACK kernels doing the heavy lifting release the GIL, so
-  a ``ThreadPoolExecutor`` gives real speedup without process overhead.
+  differ by an order of magnitude).
+
+Shards run one after another in the caller's thread: each sweep is a few
+small sparse solves and matvecs, too little work for a thread pool to
+pay for itself.
 
 Tiny components (single cells in otherwise-empty rows) are batched
 together into shards of at least ``min_shard_variables`` variables so the
@@ -40,9 +41,6 @@ the resilience ladder ever materialize individually.
 
 from __future__ import annotations
 
-import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -59,7 +57,7 @@ from repro.core.setup_cache import (
 from repro.core.splitting import LegalizationSplitting, SplittingParameters
 from repro.lcp.mmsim import MMSIMOptions, mmsim_solve
 from repro.lcp.problem import LCP, LCPResult, make_kkt_lcp
-from repro.telemetry import active_tracer, current_session
+from repro.telemetry import active_tracer
 
 
 @dataclass
@@ -110,7 +108,6 @@ class Shard:
     variables: np.ndarray     # global variable ids (ascending)
     b_rows: np.ndarray        # global B-row ids (ascending)
     e_rows: np.ndarray        # global E-row ids (ascending)
-    num_components: int
     source: Optional[ShardSource] = None
     _lcp: Optional[LCP] = None
     _splitting: Optional[LegalizationSplitting] = None
@@ -343,7 +340,6 @@ def build_shards(
 
     if single_shard:
         num_comp, labels, num_shards = 1, None, 1
-        comp_counts = np.ones(1, dtype=np.intp)
         var_shard = np.zeros(n, dtype=np.intp)
         b_shard = np.zeros(m, dtype=np.intp)
         e_shard = np.zeros(E.shape[0], dtype=np.intp)
@@ -356,7 +352,6 @@ def build_shards(
         shard_of_comp, num_shards = _batch_components(
             labels, num_comp, min_shard_variables, comp_group=comp_group
         )
-        comp_counts = np.bincount(shard_of_comp, minlength=num_shards)
         var_shard = shard_of_comp[labels]
         b_shard = shard_of_comp[_rows_to_components(B, labels)]
         e_shard = shard_of_comp[_rows_to_components(E, labels)]
@@ -399,7 +394,6 @@ def build_shards(
             variables=vi,
             b_rows=bi,
             e_rows=ei,
-            num_components=int(comp_counts[si]),
             source=source,
         )
         if reuse is not None:
@@ -479,19 +473,6 @@ def _default_shard_solver(
     return mmsim_solve(shard.lcp, shard.splitting, opts, s0=s0, z0=z0)
 
 
-def select_workers(
-    num_shards: int, max_workers: Optional[int] = None
-) -> int:
-    """Explicit thread-pool sizing for a parallel sharded solve.
-
-    ``os.cpu_count()`` when the caller did not pin a count, always capped
-    at ``num_shards`` — a pool wider than the shard list only buys idle
-    threads.  Returns at least 1.
-    """
-    workers = max_workers if max_workers is not None else os.cpu_count() or 1
-    return max(1, min(workers, num_shards))
-
-
 def slice_shard_vector(
     vec: Optional[np.ndarray], shard: Shard, n: int
 ) -> Optional[np.ndarray]:
@@ -505,26 +486,17 @@ def solve_sharded(
     sharded: ShardedKKT,
     options: Optional[MMSIMOptions] = None,
     s0: Optional[np.ndarray] = None,
-    max_workers: Optional[int] = None,
     shard_solver: Optional[ShardSolver] = None,
     z0: Optional[np.ndarray] = None,
-    parallel: Optional[bool] = None,
     batch: Union[None, bool, "object"] = None,
 ) -> LCPResult:
-    """Run the MMSIM on every shard and scatter back one global solution.
+    """Run the MMSIM on every shard, in shard order, and scatter back one
+    global solution.
 
     ``s0`` is the *global* warm start (length n + m), sliced per shard;
     ``z0`` is a global previous *solution* instead (see
     :func:`repro.lcp.mmsim.warm_start_from_z`; ``s0`` wins when both are
-    given).  ``parallel`` runs shards on a thread pool (the sparse
-    matvec / LAPACK kernels release the GIL) sized by
-    :func:`select_workers` — ``os.cpu_count()`` capped at the shard
-    count unless ``max_workers`` pins it; the chosen width is recorded in
-    the telemetry trace (``shard.workers`` gauge + current-span
-    attribute).  Passing ``max_workers`` alone still implies
-    ``parallel=True`` for backward compatibility.  Per-iteration
-    telemetry events are suppressed in parallel mode since the sinks are
-    not meant for concurrent emitters.
+    given).
 
     ``batch`` enables the stacked micro-shard engine
     (:mod:`repro.core.batched`): ``True`` (or a
@@ -537,9 +509,8 @@ def solve_sharded(
 
     ``shard_solver`` replaces the per-shard solve (default: the plain
     MMSIM); :func:`repro.core.resilience.solve_sharded_resilient` uses it
-    to run each shard down the solver fallback ladder.  The hook must be
-    thread-safe when running parallel; it receives the batched engine's
-    result for the shard (if any) as its fifth argument.
+    to run each shard down the solver fallback ladder.  It receives the
+    batched engine's result for the shard (if any) as its fifth argument.
 
     The aggregate :class:`LCPResult` reports ``iterations`` as the
     maximum over shards (the serial-equivalent sweep count),
@@ -550,27 +521,12 @@ def solve_sharded(
     opts = options or MMSIMOptions()
     solver = shard_solver or _default_shard_solver
     n = sharded.n
-    if parallel is None:
-        parallel = max_workers is not None
-    use_pool = parallel and sharded.num_shards > 1
-    workers = select_workers(sharded.num_shards, max_workers) if use_pool else 0
-    tel = current_session()
-    if tel.enabled:
-        tel.metrics.gauge("shard.workers").set(workers)
-        span = tel.tracer.current_span
-        if span is not None:
-            span.set_attribute("shard_workers", workers)
-    shard_opts = (
-        dataclasses.replace(opts, telemetry=None) if use_pool else opts
-    )
 
     primary: Dict[int, LCPResult] = {}
     if batch and sharded.num_shards:
         from repro.core.batched import BatchOptions, solve_shards_batched
 
         batch_opts = batch if isinstance(batch, BatchOptions) else None
-        # The batched pass runs serially in the caller's thread, so it
-        # keeps the telemetry-carrying options even in parallel mode.
         primary = solve_shards_batched(
             sharded, opts, s0=s0, z0=z0, batch=batch_opts
         )
@@ -581,17 +537,9 @@ def solve_sharded(
             return pre
         s0_s = slice_shard_vector(s0, shard, n)
         z0_s = slice_shard_vector(z0, shard, n) if s0 is None else None
-        return solver(shard, shard_opts, s0_s, z0_s, pre)
+        return solver(shard, opts, s0_s, z0_s, pre)
 
-    all_prebatched = (
-        solver is _default_shard_solver
-        and len(primary) == sharded.num_shards
-    )
-    if use_pool and not all_prebatched:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, sharded.shards))
-    else:
-        results = [run(shard) for shard in sharded.shards]
+    results = [run(shard) for shard in sharded.shards]
 
     z = np.zeros(n + sharded.m)
     for shard, res in zip(sharded.shards, results):

@@ -2,11 +2,11 @@
 
 For each case the oracle legalizes fresh builds of the same design under
 the full solver-configuration matrix (sharded / monolithic / batched /
-parallel / no-fallback / fault-injected ladder rungs / warm-started /
-setup-reuse rerun) and checks:
+no-fallback / fault-injected ladder rungs / warm-started / setup-reuse
+rerun) and checks:
 
-* **bit-identity** where the repo promises it (batched, parallel,
-  healthy no-fallback, and cached-setup rerun configurations reproduce
+* **bit-identity** where the repo promises it (batched, healthy
+  no-fallback, and cached-setup rerun configurations reproduce
   the baseline's KKT vector and final placement bit-for-bit),
 * **tolerance equivalence** elsewhere (monolithic, injected rungs, warm
   starts: same QP optimum within solver tolerance),
@@ -133,8 +133,8 @@ def _base_config(opts: OracleOptions, overrides: dict) -> LegalizerConfig:
     """One matrix point's config: oracle base + the point's overrides.
 
     The base pins min_shard_variables=1 — single-component granularity,
-    the granularity whose bit-identity the batched and parallel engines
-    promise (the production default, merged micro-shards, is a separate
+    the granularity whose bit-identity the batched engine promises (the
+    production default, merged micro-shards, is a separate
     tolerance-group point: merging changes sweep stopping points, so it
     is tolerance-equivalent, not bitwise) — and a 1x safe-kernel
     iteration cap, so a hard shard fails over to the fast exact
@@ -165,7 +165,7 @@ def oracle_configs(opts: OracleOptions) -> List[Tuple[str, LegalizerConfig, str]
 
     The matrix itself is *generated* from the declarative legalizer
     spec — :func:`repro.scenario.matrix.oracle_matrix` expands the
-    batched/parallel identity square, the one-factor tolerance axes,
+    batched identity point, the one-factor tolerance axes,
     and the injection-ladder rungs through
     ``ScenarioSpec.enumerate_valid`` — so an invalid combination can
     never enter the campaign, and a new ``LegalizerConfig`` knob

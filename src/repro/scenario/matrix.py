@@ -55,23 +55,12 @@ def _one(axes: Mapping[str, Sequence[Any]]) -> Dict[str, Any]:
     return points[0]
 
 
-#: The identity square: the batched and parallel engines promise
-#: bit-identity against the plain sharded baseline, alone and combined.
-_SQUARE_AXES: Dict[str, Tuple[Any, ...]] = {
-    "batch_micro_shards": (False, True),
-    "parallel": (False, True),
-}
-
-_SQUARE_NAMES = {
-    (False, False): "baseline",
-    (True, False): "batch",
-    (False, True): "parallel",
-    (True, True): "batch_parallel",
-}
-
-#: (name, axes, group) rows expanded one-factor-at-a-time.
+#: (name, axes, group) rows expanded one-factor-at-a-time.  ``batch``
+#: is the identity point: the batched engine promises bit-identity
+#: against the plain sharded baseline.
 _ONE_FACTOR: Tuple[Tuple[str, Dict[str, Tuple[Any, ...]], str], ...] = (
     ("merged_shards", {"min_shard_variables": (256,)}, "tolerance"),
+    ("batch", {"batch_micro_shards": (True,)}, "identity"),
     ("no_fallback", {"fallback": (False,)}, "identity_healthy"),
     ("monolithic", {"shard": (False,)}, "tolerance"),
 )
@@ -114,31 +103,7 @@ MATRIX_EXEMPT: Dict[str, str] = {
                     "differential group applies",
     "enforce_right_boundary": "extension that changes the QP itself — no "
                               "differential group applies",
-    "batch_signature_buckets": "batching granularity; bit-identity over "
-                               "bucket sizes is covered by the batched-"
-                               "engine unit tests",
 }
-
-
-def _square_points() -> List[OraclePoint]:
-    points = LEGALIZER_SPEC.enumerate_valid(_SQUARE_AXES)
-    by_name: Dict[str, OraclePoint] = {}
-    for point in points:
-        key = (point["batch_micro_shards"], point["parallel"])
-        name = _SQUARE_NAMES[key]
-        overrides = {k: v for k, v in point.items() if v}
-        if point["parallel"]:
-            overrides["max_workers"] = 4
-        group = "baseline" if name == "baseline" else "identity"
-        by_name[name] = OraclePoint(name, group, overrides)
-    ordered = ["baseline", "batch", "parallel", "batch_parallel"]
-    missing = [n for n in ordered if n not in by_name]
-    if missing:
-        raise AssertionError(
-            f"identity square lost points {missing}: a spec constraint "
-            "now rejects part of the batched/parallel lattice"
-        )
-    return [by_name[n] for n in ordered]
 
 
 def oracle_matrix() -> List[OraclePoint]:
@@ -148,14 +113,11 @@ def oracle_matrix() -> List[OraclePoint]:
     reports itself available, mirroring what the oracle can actually
     run.
     """
-    square = _square_points()
-    one_factor = [
+    matrix: List[OraclePoint] = [OraclePoint("baseline", "baseline")]
+    matrix.extend(
         OraclePoint(name, group, _one(axes))
         for name, axes, group in _ONE_FACTOR
-    ]
-    matrix: List[OraclePoint] = [square[0], one_factor[0]]
-    matrix.extend(square[1:])
-    matrix.extend(one_factor[1:])
+    )
     for name, rungs in _LADDER:
         point = _one({"resilience": (_inject(*rungs),)})
         matrix.append(OraclePoint(name, "tolerance", point))

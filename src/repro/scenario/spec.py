@@ -3,10 +3,11 @@
 The flow's configuration surface (``LegalizerConfig``, the service
 knobs, the benchmark generator) is described *declaratively*: every knob
 is a :class:`ConfigVar` carrying its accepted types, value domain,
-default and documentation, and every cross-field rule (``parallel``
-requires ``shard``, fault injection requires the fallback ladder, ...)
-is a :class:`Constraint`.  A :class:`ScenarioSpec` bundles them and is
-the single source of truth that every entry boundary consults:
+default and documentation, and every cross-field rule
+(``batch_micro_shards`` requires ``shard``, fault injection requires the
+fallback ladder, ...) is a :class:`Constraint`.  A :class:`ScenarioSpec`
+bundles them and is the single source of truth that every entry
+boundary consults:
 
 * ``LegalizerConfig.__post_init__`` raises ``ValueError`` with the
   violation list,

@@ -118,17 +118,6 @@ LEGALIZER_SPEC = ScenarioSpec(
             "the whole LCP as one shard.",
         ),
         ConfigVar(
-            "parallel", (bool,), False,
-            "Solve shards concurrently on a thread pool; requires "
-            "shard=True (rejected otherwise — a monolithic solve has "
-            "nothing to parallelize).",
-        ),
-        ConfigVar(
-            "max_workers", (int,), None,
-            "Thread-pool size for parallel; None lets the executor pick.",
-            Range(1), nullable=True,
-        ),
-        ConfigVar(
             "min_shard_variables", (int,), 256,
             "Batch tiny coupling components into shards of at least this "
             "many variables (ignored when batch_micro_shards routes "
@@ -140,11 +129,6 @@ LEGALIZER_SPEC = ScenarioSpec(
             "Route micro-shards through the batched group engine; "
             "requires shard=True (there are no shards to batch "
             "otherwise).",
-        ),
-        ConfigVar(
-            "batch_signature_buckets", (int,), 8,
-            "log2 size-bucket cap of the batching signature.",
-            Range(1),
         ),
         ConfigVar(
             "fallback", (bool,), True,
@@ -165,11 +149,6 @@ LEGALIZER_SPEC = ScenarioSpec(
         ),
     ],
     [
-        requires(
-            "parallel", "shard",
-            "parallel=True requires shard=True (a monolithic solve has "
-            "no shards to run concurrently; it would silently no-op)",
-        ),
         requires(
             "batch_micro_shards", "shard",
             "batch_micro_shards=True requires shard=True (there are no "

@@ -5,19 +5,20 @@ file* mapping knob names to candidate value lists, e.g.::
 
     {
         "shard": [true, false],
-        "parallel": [false, true],
+        "batch_micro_shards": [false, true],
         "gen.scale": [0.01, 0.02]
     }
 
 :func:`run_sweep` expands it through
 :meth:`~repro.scenario.spec.ScenarioSpec.enumerate_valid` on
 :data:`~repro.scenario.specs.SWEEP_SPEC` — invalid combinations
-(``parallel=True`` with ``shard=False`` above) are pruned, not run and
-not errored — then legalizes a fresh benchmark build per surviving
-point under its own telemetry session, and writes a JSONL report: one
-``campaign`` header record plus one ``point`` record per point carrying
-the result metrics and the telemetry counters.  ``dry_run`` writes the
-plan (the valid lattice) without solving anything.
+(``batch_micro_shards=True`` with ``shard=False`` above) are pruned, not
+run and not errored — then legalizes a fresh benchmark build per
+surviving point under its own telemetry session, and writes a JSONL
+report: one ``campaign`` header record plus one ``point`` record per
+point carrying the result metrics and the telemetry counters.
+``dry_run`` writes the plan (the valid lattice) without solving
+anything.
 
 Knobs with a ``gen.`` prefix parameterize the benchmark build
 (:func:`repro.benchgen.make_benchmark`); everything else overrides

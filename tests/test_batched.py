@@ -8,8 +8,6 @@ iteration counts, same messages, same final placements.  Everything else
 out of its batch) must preserve that.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -25,11 +23,7 @@ from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
 from repro.core.qp_builder import build_legalization_qp
 from repro.core.resilience import ResilienceConfig
 from repro.core.row_assign import assign_rows
-from repro.core.sharding import (
-    select_workers,
-    shard_legalization_qp,
-    solve_sharded,
-)
+from repro.core.sharding import shard_legalization_qp, solve_sharded
 from repro.core.subcells import split_cells
 from repro.lcp import MMSIMOptions, mmsim_solve
 
@@ -132,15 +126,6 @@ class TestBitIdentity:
         assert batched.iterations == serial.iterations
         assert batched.converged == serial.converged
 
-    def test_parallel_batched_matches_serial(self):
-        opts = MMSIMOptions()
-        serial = solve_sharded(_sharded(blockage_fraction=0.2), opts)
-        parallel = solve_sharded(
-            _sharded(blockage_fraction=0.2), opts, parallel=True, batch=True
-        )
-        assert np.array_equal(parallel.z, serial.z)
-        assert parallel.iterations == serial.iterations
-
     @pytest.mark.parametrize("genkw", PROFILES)
     def test_end_to_end_positions_identical(self, genkw):
         def placements(cfg):
@@ -163,20 +148,6 @@ class TestBitIdentity:
             batched_result.displacement.total_manhattan_sites
             == micro_result.displacement.total_manhattan_sites
         )
-
-    def test_parallel_end_to_end_identical(self):
-        def placements(cfg):
-            design = generate_benchmark(
-                "fft_2", scale=0.05, seed=1, blockage_fraction=0.2
-            )
-            MMSIMLegalizer(cfg).legalize(design)
-            return np.array([(c.x, c.y) for c in design.movable_cells])
-
-        serial = placements(LegalizerConfig(batch_micro_shards=True))
-        parallel = placements(
-            LegalizerConfig(batch_micro_shards=True, parallel=True)
-        )
-        assert np.array_equal(parallel, serial)
 
     def test_escalations_peel_shards_out_of_batches(self):
         # Every shard's primary MMSIM is injected to fail: the batched
@@ -264,24 +235,3 @@ class TestTelemetry:
         assert all(e["group"] for e in iterations)
         done = tel.events.events(solver="mmsim_batch", kind="done")
         assert done
-
-
-class TestWorkerSelection:
-    def test_defaults_to_cpu_count_capped_at_shards(self):
-        cpus = os.cpu_count() or 1
-        assert select_workers(10_000) == cpus
-        assert select_workers(2) == min(cpus, 2)
-
-    def test_explicit_count_capped_and_floored(self):
-        assert select_workers(100, max_workers=8) == 8
-        assert select_workers(3, max_workers=8) == 3
-        assert select_workers(5, max_workers=0) == 1
-
-    def test_worker_count_recorded_in_trace(self):
-        sharded = _sharded(blockage_fraction=0.2)
-        with telemetry.session() as tel:
-            solve_sharded(sharded, MMSIMOptions(), parallel=True)
-        snap = tel.metrics.snapshot()
-        assert snap["shard.workers"]["value"] == select_workers(
-            sharded.num_shards
-        )

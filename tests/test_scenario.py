@@ -105,7 +105,7 @@ class TestScenarioSpec:
 
     def test_constraint_skipped_when_field_ill_typed(self):
         # The type error must not be duplicated by a constraint crash.
-        violations = LEGALIZER_SPEC.validate({"parallel": "yes"})
+        violations = LEGALIZER_SPEC.validate({"batch_micro_shards": "yes"})
         assert [v.code for v in violations] == ["type"]
 
     def test_self_checks_are_clean(self):
@@ -139,10 +139,10 @@ class TestScenarioSpec:
 
     def test_enumerate_valid_prunes_invalid_combos(self):
         points = LEGALIZER_SPEC.enumerate_valid(
-            {"shard": [True, False], "parallel": [False, True]}
+            {"shard": [True, False], "batch_micro_shards": [False, True]}
         )
-        assert {"shard": False, "parallel": True} not in points
-        assert {"shard": True, "parallel": True} in points
+        assert {"shard": False, "batch_micro_shards": True} not in points
+        assert {"shard": True, "batch_micro_shards": True} in points
         assert len(points) == 3
 
     def test_enumerate_valid_unknown_axis(self):
@@ -158,7 +158,7 @@ class TestScenarioSpec:
         assert "shard" in SWEEP_SPEC.variables
         # Cross-field constraints survive the merge.
         assert SWEEP_SPEC.validate(
-            {"parallel": True, "shard": False}
+            {"batch_micro_shards": True, "shard": False}
         ) != []
 
 
@@ -166,13 +166,11 @@ class TestScenarioSpec:
 # the property tests below.
 _VALUE_POOL = {
     "shard": [True, False, "yes"],
-    "parallel": [True, False],
     "batch_micro_shards": [True, False],
     "fallback": [True, False],
     "lam": [1000.0, 1.0, 0.0, -5.0, "1000"],
     "beta": [0.5, 0.0, 1.0],
     "tol": [1e-6, 0.0],
-    "max_workers": [None, 1, 4, 0, -2],
     "min_shard_variables": [1, 256, 0],
     "max_iterations": [100, 0],
     "kernel_backend": ["reference", "fused", "bogus"],
@@ -231,14 +229,30 @@ class TestProperties:
 # ----------------------------------------------------------------------
 # The shared three-boundary rejection table
 # ----------------------------------------------------------------------
+#: Knobs deleted from LegalizerConfig.  A row sending one names the knob
+#: as its core: the constructor raises TypeError for the unexpected
+#: keyword, the service answers 400 "unknown config fields", and the CLI
+#: (whose flag went with the knob) exits 2 with a usage error.
+REMOVED_KNOBS = frozenset(
+    {"parallel", "max_workers", "batch_signature_buckets"}
+)
+
 # (config overrides, expected message core, CLI argv producing the same
 # config — None when the combination is not expressible as flags).
 INVALID_CONFIGS = [
     pytest.param(
-        {"parallel": True, "shard": False},
-        "parallel=True requires shard=True",
-        ["legalize", "missing.json", "--no-shard", "--parallel"],
-        id="parallel-without-shard",
+        {"parallel": True}, "parallel",
+        ["legalize", "missing.json", "--parallel"],
+        id="parallel-removed",
+    ),
+    pytest.param(
+        {"max_workers": 4}, "max_workers",
+        ["legalize", "missing.json", "--workers", "4"],
+        id="max-workers-removed",
+    ),
+    pytest.param(
+        {"batch_signature_buckets": 8}, "batch_signature_buckets", None,
+        id="signature-buckets-removed",
     ),
     pytest.param(
         {"batch_micro_shards": True, "shard": False},
@@ -259,16 +273,6 @@ INVALID_CONFIGS = [
     pytest.param({"beta": 1.0}, "beta: must be < 1", None, id="beta-one"),
     pytest.param({"theta": 1.5}, "theta: must be < 1", None, id="theta-big"),
     pytest.param({"tol": 0.0}, "tol: must be > 0", None, id="tol-zero"),
-    pytest.param(
-        {"max_workers": 0}, "max_workers: must be >= 1",
-        ["legalize", "missing.json", "--workers", "0"],
-        id="workers-zero",
-    ),
-    pytest.param(
-        {"max_workers": -2}, "max_workers: must be >= 1",
-        ["legalize", "missing.json", "--workers", "-2"],
-        id="workers-negative",
-    ),
     pytest.param(
         {"max_iterations": 0}, "max_iterations: must be >= 1", None,
         id="iterations-zero",
@@ -292,6 +296,10 @@ class TestThreeBoundaries:
 
     @pytest.mark.parametrize("config,core,cli", INVALID_CONFIGS)
     def test_dataclass_rejects(self, config, core, cli):
+        if core in REMOVED_KNOBS:
+            with pytest.raises(TypeError, match=f"keyword argument '{core}'"):
+                LegalizerConfig(**config)
+            return
         with pytest.raises(ValueError) as exc:
             LegalizerConfig(**config)
         assert core in str(exc.value)
@@ -305,12 +313,25 @@ class TestThreeBoundaries:
         with pytest.raises(ProtocolError) as exc:
             LegalizeRequest.from_dict({"design": {}, "config": config})
         assert core in str(exc.value)
-        assert "invalid config" in str(exc.value)
+        kind = (
+            "unknown config fields" if core in REMOVED_KNOBS
+            else "invalid config"
+        )
+        assert kind in str(exc.value)
 
     @pytest.mark.parametrize("config,core,cli", INVALID_CONFIGS)
     def test_cli_exits_2(self, config, core, cli, capsys):
         if cli is None:
             pytest.skip("combination not expressible as CLI flags")
+        if core in REMOVED_KNOBS:
+            with pytest.raises(SystemExit) as exc:
+                main(cli)
+            assert exc.value.code == 2
+            unrecognized = " ".join(cli[2:])
+            assert f"unrecognized arguments: {unrecognized}" in (
+                capsys.readouterr().err
+            )
+            return
         assert main(cli) == 2
         err = capsys.readouterr().err
         assert core in err
@@ -319,10 +340,8 @@ class TestThreeBoundaries:
 
     def test_valid_configs_still_construct(self):
         LegalizerConfig()
-        LegalizerConfig(parallel=True)  # shard defaults True
-        LegalizerConfig(batch_micro_shards=True, parallel=True)
+        LegalizerConfig(batch_micro_shards=True)  # shard defaults True
         LegalizerConfig(shard=False)
-        LegalizerConfig(max_workers=None)
         LegalizerConfig(residual_tol=None)
 
     def test_inject_requires_fallback(self):
@@ -415,7 +434,7 @@ class TestOracleMatrix:
         assert matrix[0].overrides == {}
         names = [p.name for p in matrix]
         for expected in (
-            "merged_shards", "batch", "parallel", "batch_parallel",
+            "merged_shards", "batch",
             "no_fallback", "monolithic", "inject_safe",
             "inject_psor", "inject_lemke", "fused_kernel", "reuse",
             "fence_slices",
@@ -431,8 +450,8 @@ class TestOracleMatrix:
         assert [(p.name, p.group) for p in matrix] == [
             (n, g) for n, _, g in live
         ]
-        # 13 stock points (+1 when numba is present).
-        assert len(live) >= 13
+        # 11 stock points (+1 when numba is present).
+        assert len(live) >= 11
 
     def test_every_point_is_spec_valid(self):
         for point in oracle_matrix():
@@ -460,9 +479,11 @@ class TestSweep:
         yaml = pytest.importorskip("yaml")
         del yaml
         path = tmp_path / "axes.yaml"
-        path.write_text("shard: [true, false]\nparallel: [false]\n")
+        path.write_text(
+            "shard: [true, false]\nbatch_micro_shards: [false]\n"
+        )
         assert load_axes(str(path)) == {
-            "shard": [True, False], "parallel": [False]
+            "shard": [True, False], "batch_micro_shards": [False]
         }
 
     def test_load_axes_rejects_non_mapping(self, tmp_path):
@@ -474,7 +495,7 @@ class TestSweep:
     def test_dry_run_plans_only_valid_points(self, tmp_path):
         out = tmp_path / "report.jsonl"
         summary = run_sweep(
-            {"shard": [True, False], "parallel": [False, True]},
+            {"shard": [True, False], "batch_micro_shards": [False, True]},
             SweepOptions(dry_run=True, out=str(out)),
         )
         assert summary.lattice_size == 4
@@ -486,7 +507,7 @@ class TestSweep:
         points = [r for r in records if r["record"] == "point"]
         assert len(points) == 3
         assert all(r["status"] == "planned" for r in points)
-        assert {"shard": False, "parallel": True} not in [
+        assert {"shard": False, "batch_micro_shards": True} not in [
             r["overrides"] for r in points
         ]
 
@@ -499,7 +520,7 @@ class TestSweep:
         valid point (the ISSUE's acceptance criterion)."""
         axes_path = tmp_path / "axes.json"
         axes_path.write_text(
-            '{"parallel": [false, true], '
+            '{"fallback": [true, false], '
             '"batch_micro_shards": [false, true]}'
         )
         out = tmp_path / "report.jsonl"
@@ -528,7 +549,9 @@ class TestSweep:
 
     def test_cli_sweep_all_invalid_exits_2(self, tmp_path, capsys):
         axes_path = tmp_path / "axes.json"
-        axes_path.write_text('{"shard": [false], "parallel": [true]}')
+        axes_path.write_text(
+            '{"shard": [false], "batch_micro_shards": [true]}'
+        )
         assert main(["sweep", str(axes_path), "--dry-run"]) == 2
         assert "no valid points" in capsys.readouterr().err
 

@@ -137,15 +137,6 @@ class TestShardedSolveParity:
         n = lq.num_variables
         assert np.allclose(shard.z[:n], mono.z[:n], atol=1e-7)
 
-    def test_parallel_matches_serial(self):
-        lq = _legal_qp(scale=0.02)
-        sk = shard_legalization_qp(lq, min_shard_variables=32)
-        opts = MMSIMOptions(tol=1e-10, residual_tol=1e-8)
-        serial = solve_sharded(sk, opts)
-        par = solve_sharded(sk, opts, max_workers=4)
-        assert np.array_equal(serial.z, par.z)
-        assert serial.iterations == par.iterations
-
     def test_single_shard_degenerate(self):
         """min_shard_variables larger than n collapses to one shard that
         still matches the monolithic solve."""
@@ -188,15 +179,6 @@ class TestLegalizerParity:
             res_mono.displacement.total_manhattan_sites, abs=1e-9
         )
         assert res_shard.converged == res_mono.converged
-
-    def test_parallel_end_to_end(self):
-        genkw = {"scale": 0.02, "seed": 2}
-        pos_serial, _, _ = self._placements(genkw, LegalizerConfig())
-        pos_par, _, legal = self._placements(
-            genkw, LegalizerConfig(parallel=True, max_workers=4)
-        )
-        assert legal
-        assert np.array_equal(pos_par, pos_serial)
 
 
 @given(st.integers(0, 10_000))
