@@ -50,12 +50,14 @@ print(f"  y displacement (provably minimal): {assignment.y_displacement:.2f}")
 
 print("\n=== stage 2: multi-row splitting " + "=" * 41)
 model = split_cells(design, assignment)
-for cell_id, variables in sorted(model.by_cell.items()):
-    name = design.cells[cell_id].name
-    print(f"  {name}: variables {variables}"
+for i, cell_id in enumerate(model.cell_id.tolist()):
+    variables = list(range(model.cell_start[i], model.cell_start[i + 1]))
+    print(f"  {design.cells[cell_id].name}: variables {variables}"
           + ("  (subcells, tied by E)" if len(variables) > 1 else ""))
-for row in sorted(model.row_sequence):
-    print(f"  row {row} sequence (GP-x order): {model.row_sequence[row]}")
+for row in range(core.num_rows):
+    sequence = model.row_vars[model.row_start[row]:model.row_start[row + 1]]
+    if sequence.size:
+        print(f"  row {row} sequence (GP-x order): {sequence.tolist()}")
 
 print("\n=== stage 3: the relaxed QP (paper Problem 13) " + "=" * 27)
 lq = build_legalization_qp(design, model, lam=1000.0)

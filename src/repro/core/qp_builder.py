@@ -108,7 +108,6 @@ def build_constraints(
     """
     anchors = anchors or {}
     n = model.num_variables
-    lower = np.zeros(n)
     widths = model.width_array()
     targets = model.target_array(x_origin)
     # Multi-row cells are routed *jointly*: a segment decision made per row
@@ -117,133 +116,213 @@ def build_constraints(
     # clusters toward the conflict.  The joint lower (computed against the
     # union of the spanned rows' obstacles) steers every subcell into a
     # consistent position via its effective target.
-    joint_lower = _joint_lowers(
+    jl = _joint_lowers(
         model, anchors, x_origin,
         var_groups=var_groups, group_anchors=group_anchors,
     )
-    jl = np.zeros(n)
-    for var, bound in joint_lower.items():
-        jl[var] = bound
-    group_order: List[int] = (
-        sorted(group_anchors) if group_anchors is not None else []
-    )
 
-    # First pass: route every row into segments and record emission-
-    # ordered chunks — ("pairs", seg) emits one adjacency row per
-    # neighbouring pair, ("bound", var, rhs) one explicit boundary row.
-    # The second pass assembles lower/B/b with array ops spanning *all*
-    # segments at once (per-segment numpy calls dominate on designs
-    # whose blockages shatter rows into thousands of short segments).
-    chunks: List[tuple] = []
-    seg_list: List[np.ndarray] = []
-    seg_lo_list: List[float] = []
-    k = 0
-    for row in sorted(model.row_sequence):
-        seq = model.row_sequence[row]
-        if not seq:
-            continue
-        if var_groups is None:
-            parts = [(seq, anchors.get(row, ()))]
-        else:
-            parts = []
-            for g in group_order:
-                sub = [v for v in seq if var_groups[v] == g]
-                if sub:
-                    parts.append((sub, group_anchors[g].get(row, ())))
-        segments = [
-            segment
-            for part_seq, part_obstacles in parts
-            for segment in _split_by_anchors(
-                model, part_seq, part_obstacles,
-                jl=jl, widths=widths, targets=targets,
-            )
-        ]
-        for seg_vars, seg_lo, seg_hi in segments:
-            if not seg_vars:
-                continue
-            seg = np.asarray(seg_vars, dtype=np.intp)
-            seg_list.append(seg)
-            seg_lo_list.append(seg_lo)
-            if seg.size > 1:
-                # General per-variable offsets: y_j + L_j − y_l − L_l ≥ w_l.
-                chunks.append(("pairs", seg))
-                k += seg.size - 1
-            # Interior segment right edges are relaxed like the chip edge
-            # (obstacle-aware Tetris repairs any spill); only the explicit
-            # exact-boundary extension emits a −1 row, on the last segment.
-            if seg_hi is None and right_boundary is not None:
-                # Sequential (non-pairwise) sum: the ≤-with-epsilon test
-                # below must see the same float the old Python loop summed.
-                total = float(sum(widths[seg].tolist()))
-                if seg_lo + total <= right_boundary + 1e-9:
-                    last = int(seg[-1])
-                    chunks.append(
-                        ("bound", last,
-                         widths[last] - (right_boundary - seg_lo))
-                    )
-                    k += 1
+    # Parts: each row's sequence split by fence group (groups ascending),
+    # in row order.  Each part's obstacles cut it into segments.
+    num_rows = model.row_start.size - 1
+    seq = model.row_vars
+    rows = model.var_row[seq]
+    maps, rank = _group_maps(anchors, group_anchors, var_groups, seq)
+    if var_groups is not None:
+        by_group = np.lexsort((rank, rows))
+        seq, rows, rank = seq[by_group], rows[by_group], rank[by_group]
+    key = rank * num_rows + rows
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = key[1:] != key[:-1]
+    part = np.cumsum(opens) - 1
+    ptr, obs_lo, obs_hi = _obstacle_csr(maps, num_rows)
+    first_obs = ptr[key[opens]]
+    num_obs = ptr[key[opens] + 1] - first_obs
+    seg_base = np.zeros(num_obs.size + 1, dtype=np.intp)
+    np.cumsum(num_obs + 1, out=seg_base[1:])
+    num_segs = int(seg_base[-1])
+    seg_part = np.repeat(np.arange(num_obs.size), num_obs + 1)
+    seg_index = np.arange(num_segs) - seg_base[seg_part]
+    bounded = seg_index < num_obs[seg_part]
+    closing = first_obs[seg_part] + seg_index
+    seg_lo = np.zeros(num_segs)
+    seg_lo[seg_index > 0] = obs_hi[closing[seg_index > 0] - 1]
+    seg_hi = np.full(num_segs, np.inf)
+    seg_hi[bounded] = obs_lo[closing[bounded]]
 
-    if seg_list:
-        # Every variable lives in exactly one segment, so one gathered
-        # scatter sets all the lowers.
-        seg_sizes = np.array([s.size for s in seg_list], dtype=np.intp)
-        all_vars = np.concatenate(seg_list)
-        all_lo = np.repeat(np.asarray(seg_lo_list, dtype=float), seg_sizes)
-        lower[all_vars] = np.maximum(all_lo, jl[all_vars])
-
-    if not chunks:
-        return sp.csr_matrix((0, n)), np.zeros(0), lower
-
-    # Global row index of each chunk's first row, in emission order.
-    counts = np.array(
-        [c[1].size - 1 if c[0] == "pairs" else 1 for c in chunks],
-        dtype=np.intp,
-    )
-    offsets = np.concatenate([[0], np.cumsum(counts[:-1])])
-    pair_segs = [c[1] for c in chunks if c[0] == "pairs"]
-    pair_offsets = offsets[[i for i, c in enumerate(chunks) if c[0] == "pairs"]]
-    b = np.empty(k, dtype=float)
-    if pair_segs:
-        pair_counts = np.array([s.size - 1 for s in pair_segs], dtype=np.intp)
-        total_pairs = int(pair_counts.sum())
-        left = np.concatenate([s[:-1] for s in pair_segs])
-        right = np.concatenate([s[1:] for s in pair_segs])
-        starts = np.concatenate([[0], np.cumsum(pair_counts[:-1])])
-        row_ids = (
-            np.repeat(pair_offsets - starts, pair_counts)
-            + np.arange(total_pairs, dtype=np.intp)
+    seg_of_var = seg_base[part]
+    if obs_lo.size:
+        # Route each variable to the first segment of its part whose right
+        # edge exceeds its effective target (the GP target raised to any
+        # joint lower); a target equal to an edge routes rightward.
+        effective = np.maximum(targets[seq], jl[seq])
+        seg_of_var = seg_of_var + _edges_at_or_below(
+            seg_hi[bounded], seg_part[bounded], effective, part
         )
-        # Triplets per pair row stay (left, −1) then (right, +1) — the
-        # coo→csr counting sort is stable within a row, so the stored
-        # order (and every downstream summation) matches the historical
-        # per-pair emission exactly.
-        rows_pair = np.repeat(row_ids, 2)
-        cols_pair = np.empty(2 * total_pairs, dtype=np.intp)
-        cols_pair[0::2] = left
-        cols_pair[1::2] = right
-        data_pair = np.tile([-1.0, 1.0], total_pairs)
-        b[row_ids] = widths[left] + lower[left] - lower[right]
-    else:
-        rows_pair = np.zeros(0, dtype=np.intp)
-        cols_pair = np.zeros(0, dtype=np.intp)
-        data_pair = np.zeros(0)
-    bound_rows = [
-        (int(offsets[i]), c[1], c[2])
-        for i, c in enumerate(chunks)
-        if c[0] == "bound"
-    ]
-    if bound_rows:
-        rows_bound = np.array([r for r, _, _ in bound_rows], dtype=np.intp)
-        cols_bound = np.array([v for _, v, _ in bound_rows], dtype=np.intp)
-        data_bound = np.full(len(bound_rows), -1.0)
-        b[rows_bound] = [rhs for _, _, rhs in bound_rows]
-        rows_all = np.concatenate([rows_pair, rows_bound])
-        cols_all = np.concatenate([cols_pair, cols_bound])
-        data_all = np.concatenate([data_pair, data_bound])
-    else:
-        rows_all, cols_all, data_all = rows_pair, cols_pair, data_pair
-    B = sp.csr_matrix((data_all, (rows_all, cols_all)), shape=(k, n))
+        by_segment = np.argsort(seg_of_var, kind="stable")
+        seq, seg_of_var = seq[by_segment], seg_of_var[by_segment]
+    seg_start = np.zeros(num_segs + 1, dtype=np.intp)
+    np.cumsum(np.bincount(seg_of_var, minlength=num_segs), out=seg_start[1:])
+    w = widths[seq]
+
+    # Cascade overflow rightward: a segment holding more total width than
+    # it can ever fit would force its tail onto the obstacle (the relaxed
+    # right edge); moving the tail into the next segment preserves the GP
+    # ordering and lets the QP place it legally.  Only parts with a
+    # segment that may overflow run the exact left-to-right pass; the
+    # screen's relative slack of 1e-9 exceeds any difference between
+    # summation orders, so a part it passes cannot overflow.
+    capacity = seg_hi - seg_lo
+    maybe_over = _segment_sums(w, seg_start) * (1 + 1e-9) > capacity + 1e-9
+    for p in np.unique(seg_part[maybe_over]).tolist():
+        _cascade(w, seg_start, capacity, seg_base[p], seg_base[p + 1] - 1)
+    seg_count = np.diff(seg_start)
+
+    # Every variable lives in exactly one segment.
+    lower = np.zeros(n)
+    lower[seq] = np.maximum(np.repeat(seg_lo, seg_count), jl[seq])
+
+    # Interior segment right edges are relaxed like the chip edge
+    # (obstacle-aware Tetris repairs any spill); only the explicit
+    # exact-boundary extension emits a −1 row, on each part's last segment
+    # if it fits.  Totals within 1e-9 (relative) of the limit are redone
+    # left to right: only there can the summation order decide.
+    bound = np.zeros(num_segs, dtype=bool)
+    if right_boundary is not None:
+        last = ~bounded & (seg_count > 0)
+        limit = right_boundary + 1e-9
+        total = _segment_sums(w, seg_start)
+        near = last & (
+            np.abs(seg_lo + total - limit)
+            <= 1e-9 * (total + np.abs(seg_lo) + 1.0)
+        )
+        for s in np.flatnonzero(near).tolist():
+            total[s] = _left_to_right_sum(w[seg_start[s]:seg_start[s + 1]])
+        bound = last & (seg_lo + total <= limit)
+
+    rows_of_seg = np.maximum(seg_count - 1, 0) + bound
+    k = int(rows_of_seg.sum())
+    if not k:
+        return sp.csr_matrix((0, n)), np.zeros(0), lower
+    # Global row index of each segment's first row, in emission order:
+    # a segment's pair rows, then its boundary row.
+    offsets = np.cumsum(rows_of_seg) - rows_of_seg
+    seg_of_pos = np.repeat(np.arange(num_segs), seg_count)
+    pair = np.flatnonzero(seg_of_pos[1:] == seg_of_pos[:-1])
+    left, right = seq[pair], seq[pair + 1]
+    pair_seg = seg_of_pos[pair]
+    pair_rows = offsets[pair_seg] + (pair - seg_start[pair_seg])
+    bound_segs = np.flatnonzero(bound)
+    bound_rows = offsets[bound_segs] + seg_count[bound_segs] - 1
+    bound_vars = seq[seg_start[bound_segs + 1] - 1]
+    b = np.empty(k, dtype=float)
+    b[pair_rows] = widths[left] + lower[left] - lower[right]
+    if bound_segs.size:
+        b[bound_rows] = widths[bound_vars] - (right_boundary - seg_lo[bound_segs])
+    # Triplets per pair row stay (left, −1) then (right, +1), then the
+    # boundary rows' single −1.
+    cols_pair = np.empty(2 * pair.size, dtype=np.intp)
+    cols_pair[0::2] = left
+    cols_pair[1::2] = right
+    B = sp.csr_matrix(
+        (
+            np.concatenate([
+                np.tile([-1.0, 1.0], pair.size), np.full(bound_segs.size, -1.0)
+            ]),
+            (
+                np.concatenate([np.repeat(pair_rows, 2), bound_rows]),
+                np.concatenate([cols_pair, bound_vars]),
+            ),
+        ),
+        shape=(k, n),
+    )
     return B, b, lower
+
+
+def _group_maps(anchors, group_anchors, var_groups, variables):
+    """The obstacle maps in group order and each of *variables*' index
+    into them (all 0 without fence groups)."""
+    if var_groups is None:
+        return [anchors], np.zeros(variables.size, dtype=np.intp)
+    order = sorted(group_anchors)
+    return (
+        [group_anchors[g] for g in order],
+        np.searchsorted(order, var_groups[variables]),
+    )
+
+
+def _obstacle_csr(maps, num_rows: int):
+    """Flatten per-row interval maps into one CSR keyed by
+    ``map index * num_rows + row``.
+
+    Each key's intervals come out sorted as ``(start, end)`` tuples sort;
+    rows outside ``[0, num_rows)`` hold no variables and are dropped.
+    Returns ``(ptr, starts, ends)``.
+    """
+    keys, spans = [np.zeros(0, dtype=np.intp)], [np.zeros((0, 2))]
+    for g, per_row in enumerate(maps):
+        for row, intervals in per_row.items():
+            if len(intervals) and 0 <= row < num_rows:
+                keys.append(np.full(len(intervals), g * num_rows + row))
+                spans.append(np.asarray(intervals, dtype=float).reshape(-1, 2))
+    key = np.concatenate(keys)
+    start, end = np.concatenate(spans).T
+    order = np.lexsort((end, start, key))
+    ptr = np.searchsorted(key[order], np.arange(len(maps) * num_rows + 1))
+    return ptr, start[order], end[order]
+
+
+def _edges_at_or_below(edges, edge_group, values, value_group) -> np.ndarray:
+    """For each value, how many edges of its group are ``<= value``
+    (``np.searchsorted(..., side="right")`` per group; each group's edges
+    are ascending and groups are numbered in order)."""
+    m = edges.size
+    is_value = np.r_[np.zeros(m, dtype=bool), np.ones(values.size, dtype=bool)]
+    # Edges sort before equal values, so an equal edge counts.
+    order = np.lexsort((
+        is_value,
+        np.r_[edges, values],
+        np.r_[edge_group, value_group],
+    ))
+    passed = np.cumsum(~is_value[order])
+    at = order >= m
+    group_first_edge = np.searchsorted(edge_group, value_group)
+    counts = np.empty(values.size, dtype=np.intp)
+    placed = order[at] - m
+    counts[placed] = passed[at] - group_first_edge[placed]
+    return counts
+
+
+def _segment_sums(w: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
+    """Total width per segment (in any summation order)."""
+    sums = np.add.reduceat(np.r_[w, 0.0], seg_start[:-1])
+    sums[seg_start[1:] == seg_start[:-1]] = 0.0
+    return sums
+
+
+def _left_to_right_sum(w: np.ndarray):
+    """``w[0] + w[1] + ...`` in order, the float the ε tests are defined
+    on.  Near a threshold the summation order decides the outcome."""
+    return np.add.accumulate(w)[-1]
+
+
+def _cascade(w, seg_start, capacity, first: int, last: int) -> None:
+    """Move overfull segments' tails into the next segment, segments
+    ``first .. last - 1`` in order, by moving ``seg_start`` boundaries.
+
+    A segment's width is summed left to right, then one width is
+    subtracted per moved variable, last first, until the rest fits (or
+    the segment is empty).
+    """
+    for s in range(first, last):
+        lo, hi = int(seg_start[s]), int(seg_start[s + 1])
+        if lo == hi:
+            continue
+        limit = capacity[s] + 1e-9
+        total = _left_to_right_sum(w[lo:hi])
+        if total > limit:
+            rest = np.subtract.accumulate(np.r_[total, w[lo:hi][::-1]])[:-1]
+            fits = np.flatnonzero(rest <= limit)
+            seg_start[s + 1] = hi - (int(fits[0]) if fits.size else hi - lo)
 
 
 def _joint_lowers(
@@ -252,132 +331,63 @@ def _joint_lowers(
     x_origin: float,
     var_groups: Optional[np.ndarray] = None,
     group_anchors: Optional[Dict[int, Dict[int, List[Tuple[float, float]]]]] = None,
-) -> Dict[int, float]:
-    """Joint left bound per multi-row subcell, against the union of the
-    obstacles of every row the cell spans.
+) -> np.ndarray:
+    """Joint left bound per variable: for each multi-row cell, the left
+    end of the first gap between the union of its spanned rows' obstacles
+    that fits the cell and reaches its target (else past the last
+    obstacle); 0 for every other variable.
 
     In grouped (fence) mode each cell is measured against *its own
     group's* obstacle map, so a fenced double-height cell is steered by
     the fence complement, not by another group's geometry.
     """
-    joint: Dict[int, float] = {}
+    jl = np.zeros(model.num_variables)
     if not anchors and group_anchors is None:
-        return joint
-    for cell_id, vars_of_cell in model.by_cell.items():
-        if len(vars_of_cell) < 2:
-            continue
-        cell = model.subcells[vars_of_cell[0]].cell
-        if var_groups is not None:
-            cell_anchors = group_anchors[int(var_groups[vars_of_cell[0]])]
-        else:
-            cell_anchors = anchors
-        merged: List[Tuple[float, float]] = []
-        for var in vars_of_cell:
-            merged.extend(cell_anchors.get(model.subcells[var].row, ()))
-        if not merged:
-            continue
-        merged.sort()
-        # Coalesce overlapping intervals from different rows.
-        coalesced: List[Tuple[float, float]] = []
-        for start, end in merged:
-            if coalesced and start <= coalesced[-1][1] + 1e-9:
-                coalesced[-1] = (coalesced[-1][0], max(coalesced[-1][1], end))
-            else:
-                coalesced.append((start, end))
-        target = cell.gp_x - x_origin
-        width = cell.width
-        # First gap between the merged obstacles that both reaches the
-        # target and fits the cell.
-        lo = 0.0
-        chosen = 0.0
-        for start, end in coalesced:
-            gap_hi = start
-            if gap_hi - lo >= width - 1e-9 and target < gap_hi:
-                chosen = lo
-                break
-            lo = max(lo, end)
-        else:
-            chosen = lo
-        for var in vars_of_cell:
-            joint[var] = chosen
-    return joint
-
-
-def _split_by_anchors(
-    model: SubcellModel,
-    seq: List[int],
-    row_anchors,
-    x_origin: float = 0.0,
-    joint_lower: Optional[Dict[int, float]] = None,
-    jl: Optional[np.ndarray] = None,
-    widths: Optional[np.ndarray] = None,
-    targets: Optional[np.ndarray] = None,
-) -> List[Tuple[List[int], float, Optional[float]]]:
-    """Partition a row's variable sequence at the obstacle intervals.
-
-    Returns ``(vars, seg_lo, seg_hi)`` triples where ``seg_hi`` is None for
-    the last (unbounded) segment.  Cells are routed to the segment their
-    *effective* target falls in — the GP target, raised to any joint lower
-    bound a multi-row cell carries from its other rows.
-
-    ``jl`` / ``widths`` / ``targets`` are the caller's precomputed dense
-    arrays (joint lowers, subcell widths, shifted GP targets); each is
-    derived from the model when omitted.
-    """
-    obstacles = sorted(row_anchors)
-    if not obstacles:
-        return [(list(seq), 0.0, None)]
-    if widths is None:
-        widths = model.width_array()
-    if targets is None:
-        targets = model.target_array(x_origin)
-    if jl is None:
-        jl = np.zeros(model.num_variables)
-        for var, bound in (joint_lower or {}).items():
-            jl[var] = bound
-    bounds: List[Tuple[float, Optional[float]]] = []
-    lo = 0.0
-    for start, end in obstacles:
-        bounds.append((lo, start))
-        lo = end
-    bounds.append((lo, None))
-
-    # Route each variable to the first segment whose right edge exceeds
-    # its effective target.  The finite segment ends are ascending (the
-    # obstacles are sorted), so searchsorted(side='right') reproduces the
-    # historical first-match scan: target == seg_hi routes rightward.
-    seq_arr = np.asarray(seq, dtype=np.intp)
-    effective = np.maximum(targets[seq_arr], jl[seq_arr])
-    seg_his = np.array([hi for _, hi in bounds[:-1]], dtype=float)
-    index = np.searchsorted(seg_his, effective, side="right")
-    buckets: List[List[int]] = [[] for _ in bounds]
-    for var, i in zip(seq, index.tolist()):
-        buckets[i].append(var)
-
-    # Cascade overflow rightward: a bucket holding more total width than
-    # its segment can ever fit would force its tail onto the obstacle (the
-    # relaxed right edge); moving the tail into the next segment preserves
-    # the GP ordering and lets the QP place it legally.  Sequential sums
-    # on purpose — the epsilon threshold must see the same float the old
-    # Python loop accumulated.
-    for i in range(len(buckets) - 1):
-        seg_lo, seg_hi = bounds[i]
-        if seg_hi is None:
-            continue
-        capacity = seg_hi - seg_lo
-        total = (
-            float(sum(widths[np.asarray(buckets[i], dtype=np.intp)].tolist()))
-            if buckets[i]
-            else 0.0
-        )
-        while buckets[i] and total > capacity + 1e-9:
-            moved = buckets[i].pop()
-            buckets[i + 1].insert(0, moved)
-            total -= widths[moved]
-    return [
-        (bucket, seg_lo, seg_hi)
-        for bucket, (seg_lo, seg_hi) in zip(buckets, bounds)
-    ]
+        return jl
+    num_rows = model.row_start.size - 1
+    multi = np.flatnonzero(np.diff(model.cell_start)[model.var_cell] > 1)
+    maps, rank = _group_maps(anchors, group_anchors, var_groups, multi)
+    ptr, obs_lo, obs_hi = _obstacle_csr(maps, num_rows)
+    key = rank * num_rows + model.var_row[multi]
+    count = ptr[key + 1] - ptr[key]
+    take = np.repeat(ptr[key] - (np.cumsum(count) - count), count)
+    take += np.arange(take.size)
+    # Every obstacle of every spanned row, per cell, sorted as tuples.
+    owner = np.repeat(model.var_cell[multi], count)
+    order = np.lexsort((obs_hi[take], obs_lo[take], owner))
+    owner, start, end = owner[order], obs_lo[take][order], obs_hi[take][order]
+    m = owner.size
+    if not m:
+        return jl
+    new_cell = np.ones(m, dtype=bool)
+    new_cell[1:] = owner[1:] != owner[:-1]
+    cell_rank = np.cumsum(new_cell) - 1
+    # Furthest end so far within the cell, exactly: a running max over
+    # (cell rank, rank of the end) integer keys.
+    by_end = np.argsort(end, kind="stable")
+    end_rank = np.empty(m, dtype=np.intp)
+    end_rank[by_end] = np.arange(m)
+    reach = end[by_end[np.maximum.accumulate(cell_rank * m + end_rank) % m]]
+    before = np.r_[0.0, reach[:-1]]
+    # An interval starting more than 1e-9 past everything before it opens
+    # a coalesced obstacle; the gap left of it starts at the furthest end
+    # so far (0 at the cell's first).
+    opens = new_cell | (start > before + 1e-9)
+    gap_lo = np.where(new_cell, 0.0, np.maximum(0.0, before))
+    fits = (
+        opens
+        & (start - gap_lo >= model.cell_width[owner] - 1e-9)
+        & (model.cell_gp_x[owner] - x_origin < start)
+    )
+    last = np.r_[new_cell[1:], True]
+    chosen = np.maximum(0.0, reach[last])
+    hit = np.flatnonzero(fits)
+    cells_hit, first_hit = np.unique(cell_rank[hit], return_index=True)
+    chosen[cells_hit] = gap_lo[hit[first_hit]]
+    cell_lower = np.zeros(model.cell_start.size - 1)
+    cell_lower[owner[new_cell]] = chosen
+    jl[multi] = cell_lower[model.var_cell[multi]]
+    return jl
 
 
 def build_legalization_qp(
@@ -465,13 +475,15 @@ def fence_group_anchors(
     chip_w = core.width
     eps = 1e-9 * max(core.site_width, 1.0)
     membership = design.fence_index_by_cell_id()
-    var_groups = np.full(model.num_variables, -1, dtype=np.intp)
-    for var, sub in enumerate(model.subcells):
-        var_groups[var] = membership.get(sub.cell.id, -1)
+    group_of = np.full(len(design.cells), -1, dtype=np.intp)
+    group_of[np.fromiter(membership, np.intp, len(membership))] = np.fromiter(
+        membership.values(), np.intp, len(membership)
+    )
+    var_groups = group_of[model.cell_id[model.var_cell]]
 
-    rows = sorted(model.row_sequence)
+    rows = np.flatnonzero(np.diff(model.row_start)).tolist()
     group_anchors: Dict[int, Dict[int, List[Tuple[float, float]]]] = {}
-    for g in sorted(set(var_groups.tolist())):
+    for g in np.unique(var_groups).tolist():
         per_row: Dict[int, List[Tuple[float, float]]] = {}
         for row in rows:
             blocked = list(fixed_anchors.get(row, ()))

@@ -7,6 +7,9 @@ x variables together; following the paper's Figure 3 example, E uses the
 *star* pattern: one row ``x_{i,1} − x_{i,j} = 0`` for each extra subcell
 j = 2..d (coefficients −1 on the first subcell, +1 on subcell j).
 
+The split is pure index bookkeeping, so :class:`SubcellModel` holds it as
+arrays built in a few numpy passes over one extraction of the cells.
+
 After the MMSIM solve, :func:`restore_cells` writes each cell's x back as
 the mean of its subcells and reports the worst subcell mismatch — nonzero
 mismatch (bounded by the λ penalty) is one source of Table 1's rare
@@ -15,88 +18,63 @@ illegal cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.row_assign import RowAssignment
-from repro.netlist.cell import CellInstance
 from repro.netlist.design import Design
-
-
-@dataclass(frozen=True)
-class Subcell:
-    """One single-row slice of a (possibly multi-row) cell."""
-
-    var: int            # variable index in the QP
-    cell: CellInstance  # owning cell
-    row: int            # chip row this slice lives in
-    slice_index: int    # 0 for the bottom slice
 
 
 @dataclass
 class SubcellModel:
-    """Variable space of the relaxed QP.
+    """Variable space of the relaxed QP, as arrays.
 
-    ``subcells`` is indexed by variable id; ``by_cell[cell.id]`` lists the
-    cell's variable ids bottom-up; ``row_sequence[r]`` is the ordered (by GP
-    x) list of variable ids occupying chip row r — the sequence the
-    non-overlap constraints are generated from.
+    Cell i is the i-th of ``design.movable_cells`` (cell-id order).  It
+    owns variables ``cell_start[i]:cell_start[i + 1]``, bottom slice
+    first.  Chip row r holds variables
+    ``row_vars[row_start[r]:row_start[r + 1]]`` in (GP x, cell id) order,
+    the sequence the non-overlap constraints are generated from.
     """
 
-    subcells: List[Subcell] = field(default_factory=list)
-    by_cell: Dict[int, List[int]] = field(default_factory=dict)
-    row_sequence: Dict[int, List[int]] = field(default_factory=dict)
+    #: Per cell: design cell id, width and GP x (snapshots taken at split).
+    cell_id: np.ndarray
+    cell_width: np.ndarray
+    cell_gp_x: np.ndarray
+    #: Offsets of each cell's variables (len num_cells + 1).
+    cell_start: np.ndarray
+    #: Per variable: owning cell index, chip row, slice index (0 = bottom).
+    var_cell: np.ndarray
+    var_row: np.ndarray
+    var_slice: np.ndarray
+    #: Per-row variable sequences: offsets (len num_rows + 1) and ids.
+    row_start: np.ndarray
+    row_vars: np.ndarray
 
     @property
     def num_variables(self) -> int:
-        return len(self.subcells)
-
-    def width_of(self, var: int) -> float:
-        return self.subcells[var].cell.width
-
-    def target_of(self, var: int, x_origin: float) -> float:
-        """GP x target of a variable, shifted so the core left edge is 0."""
-        return self.subcells[var].cell.gp_x - x_origin
+        return self.var_cell.size
 
     def width_array(self) -> np.ndarray:
-        """All subcell widths as one array (computed fresh — the model may
-        be reused across runs while the underlying cells mutate)."""
-        return np.fromiter(
-            (sc.cell.width for sc in self.subcells),
-            dtype=float,
-            count=len(self.subcells),
-        )
+        """Every variable's width (its cell's)."""
+        return self.cell_width[self.var_cell]
 
     def target_array(self, x_origin: float) -> np.ndarray:
-        """All shifted GP x targets as one array (computed fresh, like
-        :meth:`width_array`)."""
-        return np.fromiter(
-            (sc.cell.gp_x - x_origin for sc in self.subcells),
-            dtype=float,
-            count=len(self.subcells),
-        )
+        """Every variable's GP x target, shifted so the core left edge is 0."""
+        return self.cell_gp_x[self.var_cell] - x_origin
 
     def equality_matrix(self) -> sp.csr_matrix:
         """The paper's E: one star row per extra subcell of multi-row cells."""
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        k = 0
-        for cell_id in sorted(self.by_cell):
-            vars_of_cell = self.by_cell[cell_id]
-            if len(vars_of_cell) < 2:
-                continue
-            first = vars_of_cell[0]
-            for other in vars_of_cell[1:]:
-                rows.extend([k, k])
-                cols.extend([first, other])
-                data.extend([-1.0, 1.0])
-                k += 1
+        others = np.flatnonzero(self.var_slice)
+        k = others.size
+        cols = np.empty(2 * k, dtype=np.intp)
+        cols[0::2] = self.cell_start[self.var_cell[others]]
+        cols[1::2] = others
         return sp.csr_matrix(
-            (data, (rows, cols)), shape=(k, self.num_variables)
+            (np.tile([-1.0, 1.0], k), (np.repeat(np.arange(k), 2), cols)),
+            shape=(k, self.num_variables),
         )
 
 
@@ -104,32 +82,45 @@ def split_cells(design: Design, assignment: RowAssignment) -> SubcellModel:
     """Create the subcell variable space from a row assignment.
 
     Variable ids are dense, assigned cell by cell in id order and bottom-up
-    within a cell; ``row_sequence`` respects the GP-x ordering already
-    established by :func:`repro.core.row_assign.assign_rows`.
+    within a cell.  Rows come from each cell's ``row_index``, which
+    :func:`repro.core.row_assign.assign_rows` and ``rebalance_rows`` keep
+    in step with *assignment*; each row's sequence is ordered by (GP x,
+    cell id), the order of ``assignment.occupied``.
     """
-    model = SubcellModel()
-    for cell in design.movable_cells:
-        if cell.row_index is None:
-            raise ValueError(
-                f"cell {cell.name!r} has no row assignment; run assign_rows first"
-            )
-        vars_of_cell: List[int] = []
-        for j in range(cell.height_rows):
-            var = len(model.subcells)
-            model.subcells.append(
-                Subcell(var=var, cell=cell, row=cell.row_index + j, slice_index=j)
-            )
-            vars_of_cell.append(var)
-        model.by_cell[cell.id] = vars_of_cell
+    cells = design.movable_cells
+    rows = [cell.row_index for cell in cells]
+    if None in rows:
+        name = cells[rows.index(None)].name
+        raise ValueError(
+            f"cell {name!r} has no row assignment; run assign_rows first"
+        )
+    n = len(cells)
+    masters = [cell.master for cell in cells]
+    cell_id = np.fromiter((cell.id for cell in cells), np.intp, n)
+    gp_x = np.fromiter((cell.gp_x for cell in cells), float, n)
+    width = np.fromiter((m.width for m in masters), float, n)
+    height = np.fromiter((m.height_rows for m in masters), np.intp, n)
 
-    # Row sequences follow the assignment's per-row GP-x order.
-    for row, cells in assignment.occupied.items():
-        seq: List[int] = []
-        for cell in cells:
-            slice_index = row - cell.row_index
-            seq.append(model.by_cell[cell.id][slice_index])
-        model.row_sequence[row] = seq
-    return model
+    cell_start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(height, out=cell_start[1:])
+    var_cell = np.repeat(np.arange(n), height)
+    var_slice = np.arange(var_cell.size) - cell_start[var_cell]
+    var_row = np.asarray(rows, dtype=np.intp)[var_cell] + var_slice
+    row_vars = np.lexsort((cell_id[var_cell], gp_x[var_cell], var_row))
+    per_row = np.bincount(var_row, minlength=design.core.num_rows)
+    row_start = np.zeros(per_row.size + 1, dtype=np.intp)
+    np.cumsum(per_row, out=row_start[1:])
+    return SubcellModel(
+        cell_id=cell_id,
+        cell_width=width,
+        cell_gp_x=gp_x,
+        cell_start=cell_start,
+        var_cell=var_cell,
+        var_row=var_row,
+        var_slice=var_slice,
+        row_start=row_start,
+        row_vars=row_vars,
+    )
 
 
 def restore_cells(
@@ -145,20 +136,10 @@ def restore_cells(
     cells = design.movable_cells
     if not cells:
         return 0.0, 0.0
-    by_cell = model.by_cell
-    # Gather subcell values grouped per cell and reduce with reduceat —
-    # the per-cell np.mean/np.max calls this replaces dominated restore
-    # time on large designs.
-    counts = np.fromiter(
-        (len(by_cell[cell.id]) for cell in cells), dtype=np.intp, count=len(cells)
-    )
-    idx = np.fromiter(
-        (v for cell in cells for v in by_cell[cell.id]),
-        dtype=np.intp,
-        count=int(counts.sum()),
-    )
-    values = np.asarray(x, dtype=float)[idx]
-    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    # Each cell's variables are one contiguous block.
+    starts = model.cell_start[:-1]
+    counts = np.diff(model.cell_start)
+    values = np.asarray(x, dtype=float)[: model.num_variables]
     means = np.add.reduceat(values, starts) / counts + x_origin
     spreads = (
         np.maximum.reduceat(values, starts)

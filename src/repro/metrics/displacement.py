@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+import numpy as np
+
 from repro.netlist.design import Design
 
 
@@ -34,25 +36,26 @@ class DisplacementStats:
 
 
 def displacement_stats(design: Design) -> DisplacementStats:
-    """Compute displacement statistics for a design's movable cells."""
+    """Compute displacement statistics for a design's movable cells.
+
+    Totals are added left to right in cell order, as a running ``+=``
+    would (not pairwise), so they do not depend on numpy's summation.
+    """
     site_w = design.core.site_width
-    total = 0.0
-    total_sq = 0.0
-    worst = 0.0
     cells = design.movable_cells
-    for cell in cells:
-        d = cell.displacement()
-        total += d
-        total_sq += cell.displacement_sq()
-        if d > worst:
-            worst = d
     n = len(cells)
+    if not n:
+        return DisplacementStats(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    dx = np.fromiter((c.x - c.gp_x for c in cells), float, n)
+    dy = np.fromiter((c.y - c.gp_y for c in cells), float, n)
+    d = np.abs(dx) + np.abs(dy)
+    total = float(np.add.accumulate(d)[-1])
     return DisplacementStats(
         total_manhattan=total,
         total_manhattan_sites=total / site_w,
-        total_quadratic=total_sq,
-        max_manhattan=worst,
-        mean_manhattan=total / n if n else 0.0,
+        total_quadratic=float(np.add.accumulate(dx * dx + dy * dy)[-1]),
+        max_manhattan=max(0.0, float(d.max())),
+        mean_manhattan=total / n,
         num_cells=n,
     )
 

@@ -34,6 +34,8 @@ def make_dual_lcp(qp: QPProblem) -> Tuple[LCP, Callable[[np.ndarray], np.ndarray
     """Build the dual LCP and a recovery map from multipliers to primal x.
 
     Returns ``(lcp, recover)`` where ``recover(r) = H⁻¹(Bᵀr − p)``.
+    Without constraints (m = 0) the dual LCP is empty and ``recover``
+    gives the unconstrained minimizer ``H⁻¹(−p)``.
 
     Note: Ã is formed explicitly, which densifies for large m; intended for
     tests and ablations on small/medium instances, not the production path.
@@ -43,8 +45,10 @@ def make_dual_lcp(qp: QPProblem) -> Tuple[LCP, Callable[[np.ndarray], np.ndarray
     solve_H = spla.factorized(H)
 
     # H⁻¹ Bᵀ column by column (m columns).  Fine for ablation sizes.
-    Bt = B.T.toarray() if sp.issparse(B) else B.T
-    HinvBt = np.column_stack([solve_H(Bt[:, j]) for j in range(Bt.shape[1])])
+    Bt = B.T.toarray()
+    HinvBt = np.empty(Bt.shape)
+    for j in range(Bt.shape[1]):
+        HinvBt[:, j] = solve_H(Bt[:, j])
     A_dual = B @ HinvBt
     A_dual = np.asarray(A_dual)
     Hinv_p = solve_H(qp.p)

@@ -3,18 +3,23 @@
 Each function here is the plain per-cell loop that the corresponding
 stage in ``src/`` replaced with numpy passes: Tetris pass 1 (with the
 final canonicalization and ``fix_displacement`` total), the audit's
-per-cell containment/alignment/rail checks, and row assignment.  The
-property tests compare the production stages against these bit for bit.
-Nothing under ``src/`` may import this module.
+per-cell containment/alignment/rail checks, row assignment, and the
+multi-row split with the QP assembly that reads it (one ``Subcell``
+object per variable).  The property tests compare the production stages
+against these bit for bit.  Nothing under ``src/`` may import this module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
+import scipy.sparse as sp
 
 import repro.core.row_assign as row_assign
 import repro.core.tetris_fix as tetris_fix
 import repro.legality.checker as checker
+from repro.core.qp_builder import fixed_cell_anchors
 from repro.core.row_assign import RowAssignment
 from repro.core.tetris_fix import TetrisFixStats
 from repro.geometry import is_on_grid
@@ -174,3 +179,242 @@ def assign_rows_oracle(design) -> RowAssignment:
     for row_cells in assignment.occupied.values():
         row_cells.sort(key=lambda c: (c.gp_x, c.id))
     return assignment
+
+
+# ----------------------------------------------------------------------
+# Multi-row split and QP assembly: one Subcell object per variable
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Subcell:
+    var: int
+    cell: object
+    row: int
+    slice_index: int
+
+
+@dataclass
+class SubcellObjects:
+    """``subcells`` by variable id; ``by_cell[cell.id]`` the cell's
+    variables bottom-up; ``row_sequence[r]`` row r's variables in the
+    assignment's GP-x order."""
+
+    subcells: list = field(default_factory=list)
+    by_cell: dict = field(default_factory=dict)
+    row_sequence: dict = field(default_factory=dict)
+
+
+def split_cells_oracle(design, assignment) -> SubcellObjects:
+    model = SubcellObjects()
+    for cell in design.movable_cells:
+        if cell.row_index is None:
+            raise ValueError(
+                f"cell {cell.name!r} has no row assignment; run assign_rows first"
+            )
+        vars_of_cell = []
+        for j in range(cell.height_rows):
+            var = len(model.subcells)
+            model.subcells.append(Subcell(var, cell, cell.row_index + j, j))
+            vars_of_cell.append(var)
+        model.by_cell[cell.id] = vars_of_cell
+    for row, cells in assignment.occupied.items():
+        model.row_sequence[row] = [
+            model.by_cell[cell.id][row - cell.row_index] for cell in cells
+        ]
+    return model
+
+
+def build_legalization_qp_oracle(
+    design, model, lam=1000.0, enforce_right_boundary=False
+) -> dict:
+    """``H, B, E, b, p, lower, var_groups`` of the relaxed QP."""
+    n = len(model.subcells)
+    x_origin = design.core.xl
+    widths = np.array([sc.cell.width for sc in model.subcells], dtype=float)
+    targets = np.array(
+        [sc.cell.gp_x - x_origin for sc in model.subcells], dtype=float
+    )
+    rows, cols, data = [], [], []
+    k = 0
+    for cell_id in sorted(model.by_cell):
+        first, *others = model.by_cell[cell_id]
+        for other in others:
+            rows.extend([k, k])
+            cols.extend([first, other])
+            data.extend([-1.0, 1.0])
+            k += 1
+    E = sp.csr_matrix((data, (rows, cols)), shape=(k, n))
+
+    anchors = fixed_cell_anchors(design)
+    var_groups = group_anchors = None
+    if design.fences:
+        var_groups, group_anchors = _fence_group_anchors_oracle(
+            design, model, anchors
+        )
+    jl = np.zeros(n)
+    for var, bound in _joint_lowers_oracle(
+        model, anchors, x_origin, var_groups, group_anchors
+    ).items():
+        jl[var] = bound
+
+    segments = []
+    for row in sorted(model.row_sequence):
+        seq = model.row_sequence[row]
+        if var_groups is None:
+            parts = [(seq, anchors.get(row, ()))]
+        else:
+            parts = [
+                ([v for v in seq if var_groups[v] == g],
+                 group_anchors[g].get(row, ()))
+                for g in sorted(group_anchors)
+            ]
+        for part_seq, obstacles in parts:
+            if part_seq:
+                segments.extend(_split_by_anchors_oracle(
+                    part_seq, obstacles, jl, widths, targets
+                ))
+    lower = np.zeros(n)
+    for seg_vars, seg_lo, _ in segments:
+        for var in seg_vars:
+            lower[var] = max(seg_lo, jl[var])
+
+    right = design.core.width if enforce_right_boundary else None
+    triplets, b = [], []
+    for seg_vars, seg_lo, seg_hi in segments:
+        if not seg_vars:
+            continue
+        for left, right_var in zip(seg_vars, seg_vars[1:]):
+            triplets += [(len(b), left, -1.0), (len(b), right_var, 1.0)]
+            b.append(widths[left] + lower[left] - lower[right_var])
+        if seg_hi is None and right is not None:
+            total = float(sum(widths[seg_vars].tolist()))
+            if seg_lo + total <= right + 1e-9:
+                last = seg_vars[-1]
+                triplets.append((len(b), last, -1.0))
+                b.append(widths[last] - (right - seg_lo))
+    if b:
+        r, c, d = zip(*triplets)
+        B = sp.csr_matrix((d, (r, c)), shape=(len(b), n))
+    else:
+        B = sp.csr_matrix((0, n))
+    return {
+        "H": sp.identity(n, format="csr") + lam * (E.T @ E),
+        "B": B,
+        "E": E,
+        "b": np.array(b, dtype=float),
+        "p": -np.maximum(targets - lower, 0.0),
+        "lower": lower,
+        "var_groups": var_groups,
+    }
+
+
+def _joint_lowers_oracle(model, anchors, x_origin, var_groups, group_anchors):
+    joint = {}
+    if not anchors and group_anchors is None:
+        return joint
+    for vars_of_cell in model.by_cell.values():
+        if len(vars_of_cell) < 2:
+            continue
+        cell = model.subcells[vars_of_cell[0]].cell
+        cell_anchors = (
+            anchors if var_groups is None
+            else group_anchors[int(var_groups[vars_of_cell[0]])]
+        )
+        merged = []
+        for var in vars_of_cell:
+            merged.extend(cell_anchors.get(model.subcells[var].row, ()))
+        if not merged:
+            continue
+        merged.sort()
+        coalesced = []
+        for start, end in merged:
+            if coalesced and start <= coalesced[-1][1] + 1e-9:
+                coalesced[-1] = (coalesced[-1][0], max(coalesced[-1][1], end))
+            else:
+                coalesced.append((start, end))
+        target = cell.gp_x - x_origin
+        lo = 0.0
+        for start, end in coalesced:
+            if start - lo >= cell.width - 1e-9 and target < start:
+                break
+            lo = max(lo, end)
+        for var in vars_of_cell:
+            joint[var] = lo
+    return joint
+
+
+def _split_by_anchors_oracle(seq, row_anchors, jl, widths, targets):
+    obstacles = sorted(row_anchors)
+    bounds = []
+    lo = 0.0
+    for start, end in obstacles:
+        bounds.append((lo, start))
+        lo = end
+    bounds.append((lo, None))
+    # First segment whose right edge exceeds the effective target.
+    buckets = [[] for _ in bounds]
+    for var in seq:
+        effective = max(targets[var], jl[var])
+        for i, (_, seg_hi) in enumerate(bounds):
+            if seg_hi is None or effective < seg_hi:
+                buckets[i].append(var)
+                break
+    # Overflow cascades rightward, tail first.
+    for i in range(len(buckets) - 1):
+        seg_lo, seg_hi = bounds[i]
+        capacity = seg_hi - seg_lo
+        total = float(sum(widths[buckets[i]].tolist())) if buckets[i] else 0.0
+        while buckets[i] and total > capacity + 1e-9:
+            moved = buckets[i].pop()
+            buckets[i + 1].insert(0, moved)
+            total -= widths[moved]
+    return [
+        (bucket, seg_lo, seg_hi)
+        for bucket, (seg_lo, seg_hi) in zip(buckets, bounds)
+    ]
+
+
+def _fence_group_anchors_oracle(design, model, fixed_anchors):
+    core = design.core
+    chip_w = core.width
+    eps = 1e-9 * max(core.site_width, 1.0)
+    membership = design.fence_index_by_cell_id()
+    var_groups = np.full(len(model.subcells), -1, dtype=np.intp)
+    for var, sub in enumerate(model.subcells):
+        var_groups[var] = membership.get(sub.cell.id, -1)
+    group_anchors = {}
+    for g in sorted(set(var_groups.tolist())):
+        per_row = {}
+        for row in sorted(model.row_sequence):
+            blocked = list(fixed_anchors.get(row, ()))
+            if g >= 0:
+                spans = [
+                    (lo - core.xl, hi - core.xl)
+                    for lo, hi in design.fences[g].row_spans(core, row)
+                ]
+                prev = 0.0
+                for lo, hi in spans:
+                    if lo > prev + eps:
+                        blocked.append((prev, lo))
+                    prev = max(prev, hi)
+                if prev < chip_w - eps:
+                    blocked.append((prev, chip_w))
+                if not spans:
+                    blocked = [(0.0, chip_w)]
+            else:
+                for fence in design.fences:
+                    blocked.extend(
+                        (lo - core.xl, hi - core.xl)
+                        for lo, hi in fence.row_overlap_spans(core, row)
+                    )
+            if not blocked:
+                continue
+            blocked.sort()
+            merged = []
+            for lo, hi in blocked:
+                if merged and lo <= merged[-1][1] + eps:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+                else:
+                    merged.append((lo, hi))
+            per_row[row] = merged
+        group_anchors[g] = per_row
+    return var_groups, group_anchors

@@ -111,11 +111,11 @@ class TestJointRouting:
         model = split_cells(design, assign_rows(design))
         joint = _joint_lowers(model, fixed_cell_anchors(design), design.core.xl)
         d = design.cell_by_name("d")
-        lowers = {joint[v] for v in model.by_cell[d.id]}
+        lowers = joint[model.cell_id[model.var_cell] == d.id].tolist()
         # Both subcells share one joint bound; the first merged gap that
         # fits width 6 and reaches gp=12 is [20, 24)? only 4 wide -> the
         # router must skip to after the second obstacle (34).
-        assert lowers == {34.0}
+        assert lowers == [34.0, 34.0]
 
     def test_joint_routed_cell_legal_without_repair(self):
         from repro.core import LegalizerConfig, MMSIMLegalizer
@@ -146,4 +146,4 @@ class TestJointRouting:
         joint = _joint_lowers(model, fixed_cell_anchors(design), core.xl)
         d = design.cell_by_name("d")
         # The gap [20, 30) fits width 6 and reaches gp=12: route there.
-        assert {joint[v] for v in model.by_cell[d.id]} == {20.0}
+        assert joint[model.cell_id[model.var_cell] == d.id].tolist() == [20.0, 20.0]

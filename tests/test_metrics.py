@@ -1,9 +1,13 @@
 """Tests for repro.metrics."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
 from repro.metrics import (
+    DisplacementStats,
     density_map,
     displacement_stats,
     gp_hpwl,
@@ -55,6 +59,54 @@ class TestDisplacement:
 
     def test_str_smoke(self, small_mixed_design):
         assert "disp(" in str(displacement_stats(small_mixed_design))
+
+    @staticmethod
+    def _per_cell_loop(design):
+        total = total_sq = worst = 0.0
+        cells = design.movable_cells
+        for cell in cells:
+            d = cell.displacement()
+            total += d
+            total_sq += cell.displacement_sq()
+            if d > worst:
+                worst = d
+        n = len(cells)
+        return DisplacementStats(
+            total_manhattan=total,
+            total_manhattan_sites=total / design.core.site_width,
+            total_quadratic=total_sq,
+            max_manhattan=worst,
+            mean_manhattan=total / n if n else 0.0,
+            num_cells=n,
+        )
+
+    def _assert_matches_per_cell_loop(self, design):
+        def bits(stats):
+            return [
+                struct.pack("<d", v) if isinstance(v, float) else v
+                for v in dataclasses.astuple(stats)
+            ]
+
+        assert bits(displacement_stats(design)) == bits(self._per_cell_loop(design))
+
+    def test_matches_per_cell_loop_bitwise(self):
+        from repro.benchgen import generate_benchmark
+        from repro.core import legalize
+
+        design = generate_benchmark(
+            "fft_2", scale=0.02, seed=1, fences=2, macro_fraction=0.1
+        )
+        assert any(c.fixed for c in design.cells)
+        legalize(design)
+        self._assert_matches_per_cell_loop(design)
+        rng = np.random.default_rng(0)
+        for cell in design.movable_cells:
+            cell.x += float(rng.normal(0.0, 3.7))
+            cell.y -= float(rng.normal(0.0, 0.9))
+        self._assert_matches_per_cell_loop(design)
+
+    def test_empty_design_matches_per_cell_loop(self, empty_design):
+        assert displacement_stats(empty_design) == self._per_cell_loop(empty_design)
 
 
 class TestWirelength:

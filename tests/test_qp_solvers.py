@@ -115,6 +115,21 @@ class TestDualLCP:
         x = recover(res.z)
         assert np.allclose(x, [3.0, 7.0], atol=1e-6)
 
+    def test_no_constraints_gives_empty_dual_and_unconstrained_minimizer(self):
+        from repro.lcp import psor_solve
+
+        H = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]))
+        qp = QPProblem(
+            H=H, p=np.array([-1.0, -2.0, -3.0]), B=sp.csr_matrix((0, 3)), b=np.zeros(0)
+        )
+        lcp, recover = make_dual_lcp(qp)
+        assert lcp.n == 0 and lcp.A.shape == (0, 0)
+        res = psor_solve(lcp)
+        assert res.converged and res.z.shape == (0,)
+        np.testing.assert_allclose(
+            recover(res.z), np.linalg.solve(H.toarray(), [1.0, 2.0, 3.0])
+        )
+
     def test_dual_matrix_spd(self):
         design = generate_benchmark("fft_a", scale=0.003, seed=9)
         model = split_cells(design, assign_rows(design))

@@ -211,6 +211,33 @@ class TestShardLadder:
         assert psor.iterations == 3
         assert psor.detail.startswith("sweep cap 3 = min(")
 
+    def test_psor_solves_constraint_free_shard(self):
+        from repro.core.resilience import _psor_rung
+
+        design = generate_benchmark(
+            "fft_2", scale=0.02, seed=1, blockage_fraction=0.2
+        )
+        lq = build_legalization_qp(design, split_cells(design, assign_rows(design)))
+        sk = shard_legalization_qp(lq, min_shard_variables=1)
+        shard = next(s for s in sk.shards if s.num_constraints == 0)
+        n = shard.splitting.n
+        result = _psor_rung(shard.lcp, shard.splitting, n, ResilienceConfig())
+        assert result.converged
+        # No multipliers: the clamped unconstrained minimizer H⁻¹(−p).
+        np.testing.assert_allclose(
+            result.z,
+            np.maximum(
+                np.linalg.solve(shard.splitting.H.toarray(), -shard.lcp.q), 0.0
+            ),
+        )
+        _, escalation = solve_shard_resilient(
+            shard.lcp,
+            shard.splitting,
+            config=ResilienceConfig(inject={0: ("mmsim", "mmsim_safe")}),
+            shard_index=0,
+        )
+        assert escalation.winner == "psor"
+
     def test_raising_primary_escalates(self, shard, monkeypatch):
         import repro.core.resilience as resilience
 

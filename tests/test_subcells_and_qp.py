@@ -85,9 +85,12 @@ class TestPaperFigure3:
         model = split_cells(design, assignment)
         # Variables: x11, x12 (c1 subcells), x21 (c2), x31, x32 (c3).
         assert model.num_variables == 5
-        assert model.by_cell[0] == [0, 1]
-        assert model.by_cell[1] == [2]
-        assert model.by_cell[2] == [3, 4]
+        assert model.cell_start.tolist() == [0, 2, 3, 5]
+        assert model.var_cell.tolist() == [0, 0, 1, 2, 2]
+        assert model.var_slice.tolist() == [0, 1, 0, 0, 1]
+        # Row 0: x11 < x21 < x31; row 1: x12 < x32.
+        assert model.row_start.tolist()[:3] == [0, 3, 5]
+        assert model.row_vars.tolist() == [0, 2, 3, 1, 4]
 
         B, b, _ = build_constraints(model)
         E = model.equality_matrix()
