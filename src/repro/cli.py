@@ -131,7 +131,6 @@ def cmd_legalize(args: argparse.Namespace) -> int:
         # message instead of no-opping or failing deep in the flow.
         overrides = dict(
             shard=not args.no_shard,
-            fallback=args.fallback,
             batch_micro_shards=args.batch,
             kernel_backend=args.kernel_backend,
         )
@@ -296,7 +295,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             workers=args.workers,
             default_deadline_seconds=args.deadline,
-            merge=not args.no_merge,
             store_max_entries=args.store_entries,
             store_max_bytes=args.store_bytes,
             store_ttl_seconds=args.store_ttl,
@@ -534,13 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solver-state file: if PATH exists, warm-start the "
                         "MMSIM from its KKT solution; afterwards the run's "
                         "solution is saved back to PATH")
-    p.add_argument("--fallback", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="per-shard solver fallback chain: re-solve a "
-                        "non-converging shard down safe-kernel MMSIM -> "
-                        "PSOR -> Lemke -> clamp instead of propagating a "
-                        "half-iterated placement (mmsim only; on by "
-                        "default, never changes a healthy run's output)")
     p.add_argument("--fail-on-illegal", action="store_true",
                    help="exit with status 2 if the post-flow legality "
                         "audit finds any violation (for CI gates)")
@@ -602,10 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=None, metavar="SEC",
                    help="default per-request deadline when the request "
                         "does not send one (default: none)")
-    p.add_argument("--no-merge", action="store_true",
-                   help="solve every request solo instead of stacking "
-                        "compatible designs (positions are bit-identical "
-                        "either way)")
     p.add_argument("--store-entries", type=int, default=1024,
                    help="warm-state store entry cap (default 1024)")
     p.add_argument("--store-bytes", type=int, default=256 * 1024 * 1024,

@@ -22,7 +22,6 @@ from repro.core.resilience import (
     RungAttempt,
     ShardEscalation,
     solve_shard_resilient,
-    solve_sharded_resilient,
 )
 from repro.core.row_assign import RowAssignment, assign_rows
 from repro.core.setup_cache import ReuseCache, SetupCache, TrustInfo
@@ -97,5 +96,4 @@ __all__ = [
     "RungAttempt",
     "ShardEscalation",
     "solve_shard_resilient",
-    "solve_sharded_resilient",
 ]

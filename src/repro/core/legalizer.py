@@ -25,11 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.qp_builder import LegalizationQP, build_legalization_qp
-from repro.core.resilience import (
-    ResilienceConfig,
-    ShardEscalation,
-    solve_sharded_resilient,
-)
+from repro.core.resilience import ResilienceConfig, ShardEscalation
 from repro.core.row_assign import assign_rows
 from repro.core.setup_cache import ReuseCache
 from repro.core.sharding import shard_legalization_qp, solve_sharded
@@ -66,8 +62,6 @@ class LegalizerConfig:
     tol: float = 1e-3
     residual_tol: Optional[float] = 1e-2
     max_iterations: int = 20000
-    warm_start: bool = True
-    validate_theorem2: bool = False
     #: Extension beyond the paper: shift cells out of over-capacity rows
     #: before the MMSIM (reduces right-boundary spill on dense designs).
     balance_rows: bool = False
@@ -96,14 +90,13 @@ class LegalizerConfig:
     #: otherwise): ``batch_micro_shards=True, shard=False`` raises
     #: ``ValueError`` instead of silently running one unbatched shard.
     batch_micro_shards: bool = False
-    #: Per-shard solver fallback chain (see repro.core.resilience): a
-    #: shard whose MMSIM fails to converge — or whose kernels raise — is
-    #: re-solved down safe-kernel MMSIM → PSOR → Lemke → clamp instead of
-    #: propagating a half-iterated placement.  Shards that converge are
-    #: untouched, so enabling this never changes a healthy run's output.
-    fallback: bool = True
-    #: Tunables (and the fault-injection hook) for ``fallback``; None
-    #: uses the :class:`repro.core.resilience.ResilienceConfig` defaults.
+    #: Tunables (and the fault-injection hook) of the per-shard solver
+    #: ladder (see repro.core.resilience): a shard whose MMSIM fails to
+    #: converge — or whose kernels raise — is re-solved down safe-kernel
+    #: MMSIM → PSOR → Lemke → clamp instead of propagating a
+    #: half-iterated placement; shards that converge are untouched.
+    #: None uses the :class:`~repro.core.resilience.ResilienceConfig`
+    #: defaults.
     resilience: Optional[ResilienceConfig] = None
     #: Sweep-kernel backend for the MMSIM inner loops (see
     #: :mod:`repro.kernels`): ``"reference"`` (default, bit-identical
@@ -156,13 +149,12 @@ class PreparedLegalization:
     z0: Optional[np.ndarray] = None
     #: GP-based warm start (the cold path), else None.
     s0: Optional[np.ndarray] = None
-    #: ``"state"`` (persisted solution accepted), ``"gp"`` (cold start
-    #: from global placement), or ``"none"`` (cfg.warm_start off).
+    #: ``"state"`` (persisted solution accepted) or ``"gp"`` (cold
+    #: start from global placement).
     warm_start: str = "gp"
     #: Why an offered persisted state was rejected, else None.
     warm_start_rejected: Optional[str] = None
     sharded: Optional[object] = None
-    theorem2_ok: Optional[bool] = None
 
     @property
     def num_variables(self) -> int:
@@ -192,7 +184,6 @@ class LegalizationResult:
     wirelength: Optional[WirelengthStats] = None
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     qp_objective: float = 0.0
-    theorem2_ok: Optional[bool] = None
     #: One record per shard whose primary MMSIM failed and walked the
     #: solver fallback ladder (empty on healthy runs).
     solver_escalations: List[ShardEscalation] = field(default_factory=list)
@@ -203,8 +194,8 @@ class LegalizationResult:
     #: The mandatory post-flow legality audit (independent checker).
     legality: Optional[LegalityReport] = None
     #: How the MMSIM was seeded: ``"state"`` (persisted solution
-    #: accepted — the ECO warm path), ``"gp"`` (cold start from the
-    #: global placement), or ``"none"``.
+    #: accepted — the ECO warm path) or ``"gp"`` (cold start from the
+    #: global placement).
     warm_start: str = "gp"
     #: When a persisted state was offered but rejected (stale fingerprint
     #: or dimension mismatch), the reason; None otherwise.  Surfaced in
@@ -366,7 +357,6 @@ class MMSIMLegalizer:
         self, prepared: PreparedLegalization, warm_start_z, metrics
     ) -> None:
         """Validate an offered persisted state and record the decision."""
-        cfg = self.config
         design = prepared.design
         z0 = None
         reason = None
@@ -399,11 +389,9 @@ class MMSIMLegalizer:
         prepared.warm_start_rejected = reason
         if z0 is not None:
             prepared.warm_start = "state"
-        elif cfg.warm_start:
+        else:
             prepared.s0 = self._warm_start(prepared.legal_qp)
             prepared.warm_start = "gp"
-        else:
-            prepared.warm_start = "none"
 
     def build_systems(
         self,
@@ -460,15 +448,6 @@ class MMSIMLegalizer:
                 )
                 span.set_attribute("fence_components", fence_components)
                 metrics.gauge("fence.components").set(fence_components)
-
-        if cfg.validate_theorem2:
-            with tracer.span("theorem2"):
-                # μ_max of a block-diagonal Γ is the max over blocks,
-                # so every shard must sit inside the window.
-                prepared.theorem2_ok = all(
-                    shard.splitting.parameters_satisfy_theorem2()
-                    for shard in prepared.sharded.shards
-                )
         return prepared
 
     def solver_options(self, tel=None) -> MMSIMOptions:
@@ -491,25 +470,14 @@ class MMSIMLegalizer:
         metrics = tel.metrics
         tracer = tracer if tracer is not None else active_tracer()
         with tracer.span("mmsim") as span:
-            options = self.solver_options(tel)
-            escalations: List[ShardEscalation] = []
-            if cfg.fallback:
-                mmsim_result, escalations = solve_sharded_resilient(
-                    prepared.sharded,
-                    options,
-                    s0=prepared.s0,
-                    config=cfg.resilience or ResilienceConfig(),
-                    z0=prepared.z0,
-                    batch=cfg.batch_micro_shards,
-                )
-            else:
-                mmsim_result = solve_sharded(
-                    prepared.sharded,
-                    options,
-                    s0=prepared.s0,
-                    z0=prepared.z0,
-                    batch=cfg.batch_micro_shards,
-                )
+            mmsim_result, escalations = solve_sharded(
+                prepared.sharded,
+                self.solver_options(tel),
+                s0=prepared.s0,
+                config=cfg.resilience,
+                z0=prepared.z0,
+                batch=cfg.batch_micro_shards,
+            )
             span.set_attributes(
                 iterations=mmsim_result.iterations,
                 converged=mmsim_result.converged,
@@ -610,7 +578,6 @@ class MMSIMLegalizer:
             wirelength=wl,
             stage_seconds={},
             qp_objective=legal_qp.qp.objective(y),
-            theorem2_ok=prepared.theorem2_ok,
             solver_escalations=escalations,
             kkt_solution=mmsim_result.z,
             legality=legality,

@@ -46,11 +46,7 @@ from repro.core.legalizer import (
     MMSIMLegalizer,
     PreparedLegalization,
 )
-from repro.core.resilience import (
-    ResilienceConfig,
-    ShardEscalation,
-    solve_sharded_resilient,
-)
+from repro.core.resilience import ShardEscalation
 from repro.core.setup_cache import ReuseCache
 from repro.core.sharding import build_shards, solve_sharded
 from repro.core.state import SolverState
@@ -76,17 +72,11 @@ class DesignJob:
 def _mergeable(cfg: LegalizerConfig) -> bool:
     """Whether a config can join a merged stacked solve.
 
-    Excluded: theorem-2 validation (needs per-design splittings
-    materialized), custom resilience configs
-    (fault-injection hooks are keyed by per-design shard indices), and
-    ``shard=False`` (one shard per design, which a stacked partition
-    would split).
+    Excluded: custom resilience configs (fault-injection hooks are keyed
+    by per-design shard indices) and ``shard=False`` (one shard per
+    design, which a stacked partition would split).
     """
-    return (
-        cfg.shard
-        and not cfg.validate_theorem2
-        and cfg.resilience is None
-    )
+    return cfg.shard and cfg.resilience is None
 
 
 def _solver_key(cfg: LegalizerConfig, prepared: PreparedLegalization) -> Tuple:
@@ -101,10 +91,8 @@ def _solver_key(cfg: LegalizerConfig, prepared: PreparedLegalization) -> Tuple:
         cfg.tol,
         cfg.residual_tol,
         cfg.max_iterations,
-        cfg.fallback,
         cfg.kernel_backend,
         prepared.z0 is not None,
-        prepared.s0 is not None,
     )
 
 
@@ -189,27 +177,20 @@ def _solve_group(
                 [p.z0[: p.num_variables] for p in preps]
                 + [p.z0[p.num_variables:] for p in preps]
             )
-        elif preps[0].s0 is not None:
+        else:
             s0c = np.concatenate(
                 [p.s0[: p.num_variables] for p in preps]
                 + [p.s0[p.num_variables:] for p in preps]
             )
 
     options = legalizers[members[0]].solver_options(tel)
-    rcfg = ResilienceConfig() if cfg.fallback else None
     start = time.perf_counter()
     with tracer.span(
         "mmsim_batch", designs=len(preps), variables=N, constraints=M
     ) as span:
-        if rcfg is not None:
-            group_result, escalations = solve_sharded_resilient(
-                sharded, options, s0=s0c, config=rcfg, z0=z0c, batch=True
-            )
-        else:
-            escalations = []
-            group_result = solve_sharded(
-                sharded, options, s0=s0c, z0=z0c, batch=True
-            )
+        group_result, escalations = solve_sharded(
+            sharded, options, s0=s0c, z0=z0c, batch=True
+        )
         span.set_attributes(
             iterations=group_result.iterations,
             converged=group_result.converged,

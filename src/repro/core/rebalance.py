@@ -70,7 +70,13 @@ def rebalance_rows(
 
 
 def _cheapest_move(design, core, loads, budget, row) -> Optional[tuple]:
-    """Best (cell, new_row): smallest extra y cost whose target has slack."""
+    """Best (cell, new_row): smallest extra y cost whose target has slack.
+
+    Only moves whose new span leaves *row* are offered, so every move
+    strictly lowers the overfull row's load (a tall cell shifted to a
+    bottom row that still covers *row* would not, and the caller's loop
+    would never end).
+    """
     best: Optional[tuple] = None
     best_cost = float("inf")
     for cell in assignment_cells(design, row):
@@ -78,9 +84,9 @@ def _cheapest_move(design, core, loads, budget, row) -> Optional[tuple]:
         if row not in span:
             continue
         for new_row in _alternative_rows(core, cell):
-            if new_row == cell.row_index:
-                continue
             new_span = range(new_row, new_row + cell.height_rows)
+            if row in new_span:
+                continue
             if any(
                 loads[r] + cell.width > budget + 1e-9
                 for r in new_span

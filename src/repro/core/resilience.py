@@ -32,12 +32,13 @@ This module re-solves *only the failing shard* down an escalation ladder:
 
 Every rung's candidate is *audited* against the shard's own KKT LCP (the
 natural residual must clear ``accept_tol``) before it is accepted, so a
-fallback can never hand the flow a solution worse than it claims.  The
-terminal clamp makes the chain total: combined with the Tetris stage's
-totality (compaction + eviction) and the flow's mandatory post-flow
-legality audit, ``repro legalize`` always terminates with a legal
-placement whose displacement is no worse than legalizing the pre-solve
-positions directly — the *no-worse contract*.
+fallback can never hand the flow a solution worse than it claims; a
+candidate that clears the audit wins even when its rung stopped at a
+sweep cap.  The terminal clamp makes the chain total: combined with the
+Tetris stage's totality (compaction + eviction) and the flow's mandatory
+post-flow legality audit, ``repro legalize`` always terminates with a
+legal placement whose displacement is no worse than legalizing the
+pre-solve positions directly — the *no-worse contract*.
 
 Deterministic fault injection (:attr:`ResilienceConfig.inject`) forces
 chosen rungs to fail on chosen shards, so every rung and the terminal
@@ -60,7 +61,6 @@ from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.sharding import Shard, ShardedKKT, solve_sharded
 from repro.core.splitting import LegalizationSplitting
 from repro.lcp.lemke import LemkeOptions, lemke_solve
 from repro.lcp.mmsim import MMSIMOptions, mmsim_solve
@@ -227,7 +227,7 @@ def solve_shard_resilient(
     )
     attempts = escalation.attempts
 
-    # Rung 1: the primary MMSIM, exactly as the non-resilient path runs it.
+    # Rung 1: the primary MMSIM on the shard's own splitting.
     try:
         if cfg.should_fail(shard_index, "mmsim"):
             raise FaultInjected("injected: mmsim")
@@ -255,10 +255,12 @@ def solve_shard_resilient(
     def try_rung(rung: str, runner, note: str = "") -> Optional[LCPResult]:
         """Run one fallback rung; audit, record, and return a win or None.
 
-        The candidate is accepted only when the rung converged *and* its
-        assembled z clears ``accept_tol`` on this shard's own KKT LCP —
-        the audit that makes the no-worse contract hold.  ``note`` leads
-        the attempt's ``detail`` whenever the rung ran.
+        The candidate wins when its assembled z clears ``accept_tol`` on
+        this shard's own KKT LCP — the audit that makes the no-worse
+        contract hold — whether or not the rung's own stopping test
+        fired: a rung stopped at its sweep cap below the bound is as good
+        an answer as one that converged, and is reported converged.
+        ``note`` leads the attempt's ``detail`` whenever the rung ran.
         """
         try:
             if cfg.should_fail(shard_index, rung):
@@ -271,27 +273,20 @@ def solve_shard_resilient(
             attempts.append(RungAttempt(rung, "raised", detail=repr(exc)))
             return None
         residual = lcp.natural_residual(result.z)
-        if result.converged and residual <= accept_tol:
-            attempts.append(
-                RungAttempt(
-                    rung,
-                    "won",
-                    iterations=result.iterations,
-                    residual=residual,
-                    detail=note,
-                )
-            )
-            return result
+        if residual <= accept_tol:
+            status = "won"
+        else:
+            status = "rejected" if result.converged else "failed"
         attempts.append(
             RungAttempt(
                 rung,
-                "rejected" if result.converged else "failed",
+                status,
                 iterations=result.iterations,
                 residual=residual,
                 detail="; ".join(filter(None, (note, result.message))),
             )
         )
-        return None
+        return replace(result, converged=True) if status == "won" else None
 
     # Rung 2: safe kernels + fixed conservative damping.
     def run_safe() -> LCPResult:
@@ -432,76 +427,7 @@ def _psor_rung(
     )
 
 
-# ----------------------------------------------------------------------
-# Sharded entry point
-# ----------------------------------------------------------------------
-def solve_sharded_resilient(
-    sharded: ShardedKKT,
-    options: Optional[MMSIMOptions] = None,
-    s0: Optional[np.ndarray] = None,
-    config: Optional[ResilienceConfig] = None,
-    z0: Optional[np.ndarray] = None,
-    batch=None,
-) -> Tuple[LCPResult, List[ShardEscalation]]:
-    """:func:`repro.core.sharding.solve_sharded` with the fallback ladder.
-
-    Shards whose primary MMSIM converges are untouched (bit-identical to
-    the plain sharded solve); failing shards walk the ladder.  With
-    ``batch`` on, a converged batched result passes rung 1 directly
-    (without ever materializing the shard's own factorization), while a
-    shard that failed inside its batch — or is fault-injected — is
-    peeled out and walks the ladder on its own prefactorized splitting.
-    Returns the aggregate result plus one :class:`ShardEscalation` per
-    shard that escalated, in shard order.
-    """
-    cfg = config or ResilienceConfig()
-    escalations: List[ShardEscalation] = []
-
-    def ladder(
-        shard: Shard,
-        opts: MMSIMOptions,
-        s0_s,
-        z0_s,
-        primary: Optional[LCPResult] = None,
-    ) -> LCPResult:
-        if (
-            primary is not None
-            and primary.converged
-            and not cfg.should_fail(shard.index, "mmsim")
-        ):
-            # Rung 1 succeeded inside the batch; nothing to escalate and
-            # no reason to build the shard's own LCP or splitting.
-            return primary
-        result, escalation = solve_shard_resilient(
-            shard.lcp,
-            shard.splitting,
-            opts,
-            s0=s0_s,
-            config=cfg,
-            shard_index=shard.index,
-            z0=z0_s,
-            primary_result=primary,
-        )
-        if escalation is not None:
-            escalations.append(escalation)
-        return result
-
-    result = solve_sharded(
-        sharded, options, s0=s0, shard_solver=ladder, z0=z0, batch=batch
-    )
-    _record_escalations(escalations)
-    if escalations:
-        solved = sum(1 for e in escalations if e.solved)
-        note = (
-            f"{len(escalations)} shard(s) escalated past mmsim "
-            f"({solved} solved by fallbacks)"
-        )
-        message = f"{result.message}; {note}" if result.message else note
-        result = replace(result, message=message)
-    return result, escalations
-
-
-def _record_escalations(escalations: List[ShardEscalation]) -> None:
+def record_escalations(escalations: List[ShardEscalation]) -> None:
     """Emit telemetry for completed ladder walks (one event per shard)."""
     if not escalations:
         return

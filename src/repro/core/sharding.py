@@ -42,12 +42,18 @@ the resilience ladder ever materialize individually.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from repro.core.resilience import (
+    ResilienceConfig,
+    ShardEscalation,
+    record_escalations,
+    solve_shard_resilient,
+)
 from repro.core.setup_cache import (
     ReuseCache,
     SetupCache,
@@ -55,7 +61,7 @@ from repro.core.setup_cache import (
     scalar_setup_key,
 )
 from repro.core.splitting import LegalizationSplitting, SplittingParameters
-from repro.lcp.mmsim import MMSIMOptions, mmsim_solve
+from repro.lcp.mmsim import MMSIMOptions
 from repro.lcp.problem import LCP, LCPResult, make_kkt_lcp
 from repro.telemetry import active_tracer
 
@@ -442,37 +448,6 @@ def shard_legalization_qp(
     )
 
 
-#: Per-shard solve hook:
-#: ``(shard, options, s0_slice, z0_slice, primary) -> LCPResult``.
-#: ``primary`` is the shard's result from the batched group solve (None
-#: when the shard was not batched).  The default hook returns it as-is
-#: or runs :func:`repro.lcp.mmsim.mmsim_solve` on the shard's
-#: prefactorized splitting; :mod:`repro.core.resilience` substitutes the
-#: fallback-ladder solver (auditing the primary before accepting it).
-ShardSolver = Callable[
-    [
-        Shard,
-        MMSIMOptions,
-        Optional[np.ndarray],
-        Optional[np.ndarray],
-        Optional[LCPResult],
-    ],
-    LCPResult,
-]
-
-
-def _default_shard_solver(
-    shard: Shard,
-    opts: MMSIMOptions,
-    s0: Optional[np.ndarray],
-    z0: Optional[np.ndarray],
-    primary: Optional[LCPResult] = None,
-) -> LCPResult:
-    if primary is not None:
-        return primary
-    return mmsim_solve(shard.lcp, shard.splitting, opts, s0=s0, z0=z0)
-
-
 def slice_shard_vector(
     vec: Optional[np.ndarray], shard: Shard, n: int
 ) -> Optional[np.ndarray]:
@@ -486,40 +461,42 @@ def solve_sharded(
     sharded: ShardedKKT,
     options: Optional[MMSIMOptions] = None,
     s0: Optional[np.ndarray] = None,
-    shard_solver: Optional[ShardSolver] = None,
+    config: Optional[ResilienceConfig] = None,
     z0: Optional[np.ndarray] = None,
     batch: Union[None, bool, "object"] = None,
-) -> LCPResult:
-    """Run the MMSIM on every shard, in shard order, and scatter back one
-    global solution.
+) -> Tuple[LCPResult, List[ShardEscalation]]:
+    """Solve every shard, in shard order, down the solver ladder and
+    scatter back one global solution.
 
     ``s0`` is the *global* warm start (length n + m), sliced per shard;
     ``z0`` is a global previous *solution* instead (see
     :func:`repro.lcp.mmsim.warm_start_from_z`; ``s0`` wins when both are
     given).
 
+    Each shard runs :func:`repro.core.resilience.solve_shard_resilient`
+    under ``config`` (default :class:`ResilienceConfig`): a shard whose
+    primary MMSIM converges is untouched, a failing one walks the ladder.
+
     ``batch`` enables the stacked micro-shard engine
     (:mod:`repro.core.batched`): ``True`` (or a
     :class:`~repro.core.batched.BatchOptions`) groups shards by
     structural signature and sweeps each group through one vectorized
-    MMSIM before any per-shard dispatch; per-shard results are
-    bit-identical to the per-shard path.  Shards the engine declines
-    (ineligible kernels, tiny groups) fall through to the normal
-    per-shard solve.
+    MMSIM first; per-shard results are bit-identical to the per-shard
+    path.  A converged batched result passes rung 1 without ever
+    materializing the shard's own factorization, while a shard that
+    failed inside its batch — or is fault-injected — walks the ladder on
+    its own splitting.  Shards the engine declines (ineligible kernels,
+    tiny groups) take the per-shard solve.
 
-    ``shard_solver`` replaces the per-shard solve (default: the plain
-    MMSIM); :func:`repro.core.resilience.solve_sharded_resilient` uses it
-    to run each shard down the solver fallback ladder.  It receives the
-    batched engine's result for the shard (if any) as its fifth argument.
-
-    The aggregate :class:`LCPResult` reports ``iterations`` as the
-    maximum over shards (the serial-equivalent sweep count),
-    ``residual`` as the max shard residual (equal to the global natural
-    residual, A being block diagonal), and ``converged`` only if every
-    shard converged.
+    Returns the aggregate :class:`LCPResult` plus one
+    :class:`ShardEscalation` per shard that escalated, in shard order.
+    The aggregate reports ``iterations`` as the maximum over shards (the
+    serial-equivalent sweep count), ``residual`` as the max shard
+    residual (equal to the global natural residual, A being block
+    diagonal), and ``converged`` only if every shard converged.
     """
     opts = options or MMSIMOptions()
-    solver = shard_solver or _default_shard_solver
+    cfg = config or ResilienceConfig()
     n = sharded.n
 
     primary: Dict[int, LCPResult] = {}
@@ -531,13 +508,31 @@ def solve_sharded(
             sharded, opts, s0=s0, z0=z0, batch=batch_opts
         )
 
+    escalations: List[ShardEscalation] = []
+
     def run(shard: Shard) -> LCPResult:
         pre = primary.get(shard.index)
-        if pre is not None and solver is _default_shard_solver:
+        if (
+            pre is not None
+            and pre.converged
+            and not cfg.should_fail(shard.index, "mmsim")
+        ):
+            # Rung 1 succeeded inside the batch; nothing to escalate and
+            # no reason to build the shard's own LCP or splitting.
             return pre
-        s0_s = slice_shard_vector(s0, shard, n)
-        z0_s = slice_shard_vector(z0, shard, n) if s0 is None else None
-        return solver(shard, opts, s0_s, z0_s, pre)
+        result, escalation = solve_shard_resilient(
+            shard.lcp,
+            shard.splitting,
+            opts,
+            s0=slice_shard_vector(s0, shard, n),
+            config=cfg,
+            shard_index=shard.index,
+            z0=slice_shard_vector(z0, shard, n) if s0 is None else None,
+            primary_result=pre,
+        )
+        if escalation is not None:
+            escalations.append(escalation)
+        return result
 
     results = [run(shard) for shard in sharded.shards]
 
@@ -549,16 +544,24 @@ def solve_sharded(
     converged = all(r.converged for r in results)
     stalled = sum(1 for r in results if not r.converged)
     rescued = sum(1 for r in results if "stall rescued" in r.message)
-    message = "" if converged else f"{stalled} shard(s) hit max iterations"
+    notes = [] if converged else [f"{stalled} shard(s) hit max iterations"]
     if rescued:
-        message = (
-            message + f"; stall rescued in {rescued} shard(s)"
-        ).lstrip("; ")
-    return LCPResult(
-        z=z,
-        converged=converged,
-        iterations=max((r.iterations for r in results), default=0),
-        residual=max((r.residual for r in results), default=0.0),
-        solver="mmsim",
-        message=message,
+        notes.append(f"stall rescued in {rescued} shard(s)")
+    if escalations:
+        solved = sum(1 for e in escalations if e.solved)
+        notes.append(
+            f"{len(escalations)} shard(s) escalated past mmsim "
+            f"({solved} solved by fallbacks)"
+        )
+    record_escalations(escalations)
+    return (
+        LCPResult(
+            z=z,
+            converged=converged,
+            iterations=max((r.iterations for r in results), default=0),
+            residual=max((r.residual for r in results), default=0.0),
+            solver="mmsim",
+            message="; ".join(notes),
+        ),
+        escalations,
     )

@@ -2,12 +2,12 @@
 
 For each case the oracle legalizes fresh builds of the same design under
 the full solver-configuration matrix (sharded / monolithic / batched /
-no-fallback / fault-injected ladder rungs / warm-started / setup-reuse
-rerun) and checks:
+fault-injected ladder rungs / warm-started / setup-reuse rerun) and
+checks:
 
-* **bit-identity** where the repo promises it (batched, healthy
-  no-fallback, and cached-setup rerun configurations reproduce
-  the baseline's KKT vector and final placement bit-for-bit),
+* **bit-identity** where the repo promises it (batched and cached-setup
+  rerun configurations reproduce the baseline's KKT vector and final
+  placement bit-for-bit),
 * **tolerance equivalence** elsewhere (monolithic, injected rungs, warm
   starts: same QP optimum within solver tolerance),
 * the **KKT natural-residual certificate** on every converged solution,
@@ -157,7 +157,6 @@ def oracle_configs(opts: OracleOptions) -> List[Tuple[str, LegalizerConfig, str]
     """The configuration matrix: (name, config, comparison group).
 
     Groups: ``identity`` must match the baseline bit-for-bit;
-    ``identity_healthy`` only when the baseline had no escalations;
     ``tolerance`` must agree within solver tolerance; ``sliced`` is the
     fence-slice refinement.  The ``reuse`` and ``fence_slices`` points
     are executed specially by :func:`run_oracle_design` (cache-warmed
@@ -369,11 +368,8 @@ def _check_identity(
     if not opts.wants("bit_identity"):
         return
     base_z = base.result.kkt_solution
-    healthy = not base.result.solver_escalations
     for rec in runs.values():
-        if rec.group == "identity_healthy" and not healthy:
-            continue
-        if rec.group not in ("identity", "identity_healthy"):
+        if rec.group != "identity":
             continue
         z = rec.result.kkt_solution
         if base_z is None or z is None or not np.array_equal(base_z, z):

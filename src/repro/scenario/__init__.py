@@ -24,7 +24,6 @@ from repro.scenario.spec import (
     conflicts,
     format_violations,
     requires,
-    rule,
 )
 from repro.scenario.specs import (
     BENCHGEN_SPEC,
@@ -50,5 +49,4 @@ __all__ = [
     "conflicts",
     "format_violations",
     "requires",
-    "rule",
 ]

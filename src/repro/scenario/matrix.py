@@ -27,9 +27,8 @@ class OraclePoint:
     ``overrides`` are the knobs this point changes relative to the
     oracle's base config (tight tolerances + single-component shards);
     ``group`` is its comparison class (``identity`` must match the
-    baseline bit-for-bit, ``identity_healthy`` only on escalation-free
-    baselines, ``tolerance`` within solver tolerance, ``sliced`` the
-    fence-slice refinement).  ``pseudo`` marks points the oracle runner
+    baseline bit-for-bit, ``tolerance`` within solver tolerance,
+    ``sliced`` the fence-slice refinement).  ``pseudo`` marks points the oracle runner
     executes specially (setup-reuse rerun, fence slicing) rather than as
     a plain extra configuration.
     """
@@ -61,7 +60,6 @@ def _one(axes: Mapping[str, Sequence[Any]]) -> Dict[str, Any]:
 _ONE_FACTOR: Tuple[Tuple[str, Dict[str, Tuple[Any, ...]], str], ...] = (
     ("merged_shards", {"min_shard_variables": (256,)}, "tolerance"),
     ("batch", {"batch_micro_shards": (True,)}, "identity"),
-    ("no_fallback", {"fallback": (False,)}, "identity_healthy"),
     ("monolithic", {"shard": (False,)}, "tolerance"),
 )
 
@@ -95,10 +93,6 @@ MATRIX_EXEMPT: Dict[str, str] = {
             "the optimum; covered by Theorem-2 unit tests",
     "theta": "splitting parameter: same as beta",
     "gamma": "regularization weight: same as beta",
-    "warm_start": "exercised by the oracle's warm_start/stale_state "
-                  "special checks, not as a matrix column",
-    "validate_theorem2": "diagnostics-only flag; adds checks, never "
-                         "changes results",
     "balance_rows": "extension that changes the target placement — no "
                     "differential group applies",
     "enforce_right_boundary": "extension that changes the QP itself — no "
@@ -172,9 +166,7 @@ def matrix_self_check() -> List[str]:
     for point in matrix:
         for violation in LEGALIZER_SPEC.validate(dict(point.overrides)):
             problems.append(f"point {point.name!r} invalid: {violation}")
-        if point.group not in (
-            "baseline", "identity", "identity_healthy", "tolerance", "sliced"
-        ):
+        if point.group not in ("baseline", "identity", "tolerance", "sliced"):
             problems.append(
                 f"point {point.name!r} has unknown group {point.group!r}"
             )

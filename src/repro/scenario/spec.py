@@ -4,8 +4,8 @@ The flow's configuration surface (``LegalizerConfig``, the service
 knobs, the benchmark generator) is described *declaratively*: every knob
 is a :class:`ConfigVar` carrying its accepted types, value domain,
 default and documentation, and every cross-field rule
-(``batch_micro_shards`` requires ``shard``, fault injection requires the
-fallback ladder, ...) is a :class:`Constraint`.  A :class:`ScenarioSpec`
+(``batch_micro_shards`` requires ``shard``, ...) is a
+:class:`Constraint`.  A :class:`ScenarioSpec`
 bundles them and is the single source of truth that every entry
 boundary consults:
 
@@ -214,7 +214,7 @@ class Constraint:
     """
 
     fields: Tuple[str, ...]
-    kind: str  # "requires" | "conflicts" | "rule"
+    kind: str  # "requires" | "conflicts"
     message: str
     predicate: Callable[[Mapping[str, Any]], bool]
 
@@ -245,17 +245,6 @@ def conflicts(a: str, b: str, message: Optional[str] = None) -> Constraint:
         kind="conflicts",
         message=message or f"{a}=True conflicts with {b}=True",
         predicate=lambda c: not (_truthy(c.get(a)) and _truthy(c.get(b))),
-    )
-
-
-def rule(
-    fields_: Sequence[str],
-    predicate: Callable[[Mapping[str, Any]], bool],
-    message: str,
-) -> Constraint:
-    """A free-form constraint over *fields_* (True = satisfied)."""
-    return Constraint(
-        fields=tuple(fields_), kind="rule", message=message, predicate=predicate
     )
 
 
@@ -518,5 +507,4 @@ __all__ = [
     "conflicts",
     "format_violations",
     "requires",
-    "rule",
 ]

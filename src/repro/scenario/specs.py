@@ -21,8 +21,6 @@ through a lazy callable for the same reason).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 from repro.core.resilience import ResilienceConfig
 from repro.scenario.spec import (
     Choice,
@@ -31,7 +29,6 @@ from repro.scenario.spec import (
     ScenarioSpec,
     combine_specs,
     requires,
-    rule,
 )
 
 
@@ -41,11 +38,6 @@ def _kernel_backend_names():
     from repro.kernels import known_backend_names
 
     return known_backend_names()
-
-
-def _inject_requires_fallback(config: Mapping[str, Any]) -> bool:
-    inject = getattr(config.get("resilience"), "inject", None)
-    return not inject or bool(config.get("fallback"))
 
 
 LEGALIZER_SPEC = ScenarioSpec(
@@ -92,16 +84,6 @@ LEGALIZER_SPEC = ScenarioSpec(
             Range(1),
         ),
         ConfigVar(
-            "warm_start", (bool,), True,
-            "Start the MMSIM from the GP positions (or an accepted "
-            "persisted state) instead of zero.",
-        ),
-        ConfigVar(
-            "validate_theorem2", (bool,), False,
-            "Verify the Theorem 2 spectral-radius contraction bound on "
-            "the assembled splitting (slow; diagnostics only).",
-        ),
-        ConfigVar(
             "balance_rows", (bool,), False,
             "Extension: shift cells out of over-capacity rows before the "
             "MMSIM to reduce right-boundary spill.",
@@ -131,14 +113,10 @@ LEGALIZER_SPEC = ScenarioSpec(
             "otherwise).",
         ),
         ConfigVar(
-            "fallback", (bool,), True,
-            "Per-shard solver fallback ladder (safe MMSIM → PSOR → "
-            "Lemke → clamp) for shards that fail to converge.",
-        ),
-        ConfigVar(
             "resilience", (ResilienceConfig,), None,
-            "Fallback-ladder tunables and the fault-injection hook; "
-            "injection requires fallback=True.",
+            "Tunables and the fault-injection hook of the per-shard "
+            "solver ladder (safe MMSIM → PSOR → Lemke → clamp) that "
+            "re-solves shards that fail to converge.",
             nullable=True,
         ),
         ConfigVar(
@@ -154,12 +132,6 @@ LEGALIZER_SPEC = ScenarioSpec(
             "batch_micro_shards=True requires shard=True (there are no "
             "micro-shards to batch without sharding; it would silently "
             "no-op)",
-        ),
-        rule(
-            ("resilience", "fallback"),
-            _inject_requires_fallback,
-            "resilience.inject is set but fallback=False: injected "
-            "faults would have no ladder to escalate through",
         ),
     ],
 )
@@ -206,10 +178,6 @@ SERVICE_SPEC = ScenarioSpec(
             "retry_after_seconds", (float,), 1.0,
             "Hint sent in 429 responses.",
             Range(0.0, lo_open=True),
-        ),
-        ConfigVar(
-            "merge", (bool,), True,
-            "Merge compatible designs into stacked solves.",
         ),
         ConfigVar(
             "store_max_entries", (int,), 1024,

@@ -97,9 +97,6 @@ class ServiceConfig:
     default_deadline_seconds: Optional[float] = None
     #: Hint sent in 429 responses.
     retry_after_seconds: float = 1.0
-    #: Merge compatible designs into stacked solves (``False`` solves
-    #: each job solo; positions are bit-identical either way).
-    merge: bool = True
     #: Warm-state store bounds (see :class:`WarmStateStore`).
     store_max_entries: Optional[int] = 1024
     store_max_bytes: Optional[int] = 256 * 1024 * 1024
@@ -325,9 +322,7 @@ class LegalizationServer:
 
         with telemetry.session() as tel:
             try:
-                results: List[Any] = legalize_many(
-                    jobs, merge=self.config.merge
-                )
+                results: List[Any] = legalize_many(jobs)
             except Exception:
                 # A poisoned batch: isolate the failure by re-running
                 # each job solo so one bad design cannot take down its

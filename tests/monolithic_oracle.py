@@ -3,9 +3,9 @@
 ``LegalizerConfig(shard=False)`` runs the one sharded path on a one-shard
 partition.  Before that it had a path of its own: one
 :class:`~repro.core.splitting.LegalizationSplitting` over the global QP
-blocks, the MMSIM on ``qp.kkt_lcp()``, and, with the fallback ladder on,
-:func:`~repro.core.resilience.solve_shard_resilient` on that pair as
-shard 0.  :func:`legalize_monolithic_oracle` is that path, between the
+blocks and :func:`~repro.core.resilience.solve_shard_resilient` on
+``qp.kkt_lcp()`` and that splitting as shard 0.
+:func:`legalize_monolithic_oracle` is that path, between the
 legalizer's own ``prepare`` and ``finish`` phases, so the parity tests
 can compare the two bit for bit.  Nothing under ``src/`` may import this
 module.
@@ -18,9 +18,8 @@ from repro.core.legalizer import (
     LegalizerConfig,
     MMSIMLegalizer,
 )
-from repro.core.resilience import ResilienceConfig, solve_shard_resilient
+from repro.core.resilience import solve_shard_resilient
 from repro.core.splitting import LegalizationSplitting
-from repro.lcp.mmsim import mmsim_solve
 
 
 def legalize_monolithic_oracle(
@@ -40,22 +39,14 @@ def legalize_monolithic_oracle(
         prepared.params,
         kernel_backend=config.kernel_backend,
     )
-    options = legalizer.solver_options()
-    escalations = []
-    if config.fallback:
-        result, escalation = solve_shard_resilient(
-            lcp,
-            splitting,
-            options,
-            s0=prepared.s0,
-            config=config.resilience or ResilienceConfig(),
-            shard_index=0,
-            z0=prepared.z0,
-        )
-        if escalation is not None:
-            escalations.append(escalation)
-    else:
-        result = mmsim_solve(
-            lcp, splitting, options, s0=prepared.s0, z0=prepared.z0
-        )
+    result, escalation = solve_shard_resilient(
+        lcp,
+        splitting,
+        legalizer.solver_options(),
+        s0=prepared.s0,
+        config=config.resilience,
+        shard_index=0,
+        z0=prepared.z0,
+    )
+    escalations = [] if escalation is None else [escalation]
     return legalizer.finish(prepared, result, escalations)

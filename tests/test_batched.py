@@ -119,12 +119,25 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("genkw", PROFILES)
     def test_solve_sharded_batch_flag(self, genkw):
+        # At these tolerances some triple-height shards stall; rungs 2-4
+        # are injected to fail so a stalled shard clamps at once instead
+        # of spending a minute on the ladder, identically on both sides.
         opts = MMSIMOptions()
-        serial = solve_sharded(_sharded(**genkw), opts)
-        batched = solve_sharded(_sharded(**genkw), opts, batch=True)
+        ladder = ResilienceConfig(
+            inject={"*": ("mmsim_safe", "psor", "lemke")}
+        )
+        serial, serial_esc = solve_sharded(
+            _sharded(**genkw), opts, config=ladder
+        )
+        batched, batched_esc = solve_sharded(
+            _sharded(**genkw), opts, config=ladder, batch=True
+        )
         assert np.array_equal(batched.z, serial.z)
         assert batched.iterations == serial.iterations
         assert batched.converged == serial.converged
+        assert [(e.shard_index, e.winner) for e in batched_esc] == [
+            (e.shard_index, e.winner) for e in serial_esc
+        ]
 
     @pytest.mark.parametrize("genkw", PROFILES)
     def test_end_to_end_positions_identical(self, genkw):
@@ -152,7 +165,7 @@ class TestBitIdentity:
     def test_escalations_peel_shards_out_of_batches(self):
         # Every shard's primary MMSIM is injected to fail: the batched
         # engine's results are discarded per shard and each one walks
-        # the ladder — identically to the unbatched resilient run.
+        # the ladder — identically to the unbatched run.
         def placements(cfg):
             design = generate_benchmark(
                 "fft_2", scale=0.05, seed=1, blockage_fraction=0.2
@@ -181,12 +194,14 @@ class TestBitIdentity:
 class TestWarmStart:
     def test_z0_accelerates_and_stays_bit_identical(self):
         opts = MMSIMOptions()
-        cold = solve_sharded(_sharded(blockage_fraction=0.2), opts, batch=True)
+        cold, _ = solve_sharded(
+            _sharded(blockage_fraction=0.2), opts, batch=True
+        )
         assert cold.converged
-        warm_ref = solve_sharded(
+        warm_ref, _ = solve_sharded(
             _sharded(blockage_fraction=0.2), opts, z0=cold.z
         )
-        warm_batched = solve_sharded(
+        warm_batched, _ = solve_sharded(
             _sharded(blockage_fraction=0.2), opts, z0=cold.z, batch=True
         )
         assert warm_batched.converged

@@ -4,8 +4,8 @@
 sharded path: every variable in one shard, in global order, with no
 coupling-component pass and no split at fence groups.  These tests hold
 it bit for bit to the path it replaced (``monolithic_oracle``) on
-blocked, fenced and triple-height designs, healthy, with the fallback
-ladder off, and with the primary MMSIM injected to fail so rung 2 wins.
+blocked, fenced and triple-height designs, healthy and with the primary
+MMSIM injected to fail so rung 2 wins.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ DESIGNS = {
 
 MODES = {
     "healthy": dict(),
-    "no_fallback": dict(fallback=False),
     "inject_mmsim": dict(resilience=ResilienceConfig(inject={"*": ("mmsim",)})),
 }
 

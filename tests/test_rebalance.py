@@ -1,5 +1,7 @@
 """Tests for the capacity-aware row rebalancing extension."""
 
+import signal
+
 import pytest
 
 from repro.core import LegalizerConfig, MMSIMLegalizer
@@ -83,3 +85,46 @@ class TestRebalance:
         result = MMSIMLegalizer(LegalizerConfig(balance_rows=False)).legalize(design)
         assert check_legality(design).is_legal  # still repaired
         assert result.num_illegal >= 1
+
+
+@pytest.fixture
+def deadline():
+    """Fail (instead of hanging) when the test body outlives *seconds*."""
+
+    def expire(signum, frame):
+        raise TimeoutError("rebalance_rows did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+
+    def arm(seconds):
+        signal.alarm(seconds)
+
+    yield arm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_tall_cells_covering_the_overfull_row_terminate(deadline):
+    """Every correct bottom row (0-2) of a 3-row cell in a 5-row core
+    covers row 2, so no move can relieve it; the loop must give up on
+    that row instead of shuffling cells between spans that all cover it."""
+    core = CoreArea(num_rows=5, row_height=1.0, num_sites=9, site_width=0.37)
+    design = Design(name="tall", core=core)
+    tall = CellMaster("T3", width=0.74, height_rows=3)
+    for i in range(7):
+        design.add_cell(f"t{i}", tall, 0.37 * i, 1.0)
+    assignment = assign_rows(design)
+    deadline(10)
+    moved = rebalance_rows(design, assignment)
+    budget = 0.95 * core.width
+    for row in (1, 3):
+        load = sum(
+            c.width
+            for c in design.movable_cells
+            if c.row_index <= row < c.row_index + c.height_rows
+        )
+        assert load <= budget + 1e-9
+    assert moved == 6
+    assert all(
+        core.row_is_correct(c.master, c.row_index) for c in design.movable_cells
+    )

@@ -4,8 +4,8 @@ Deterministic fault injection lets CI walk every rung of the escalation
 ladder on healthy designs, so the guarantees are testable without
 hunting for pathological inputs:
 
-- with no injected fault, the resilient path is bit-identical to the
-  plain solve (fallback on vs off);
+- with no injected fault, the ladder hands every shard's plain MMSIM
+  result through bit-identically;
 - with MMSIM forced to fail on every shard, the flow still terminates
   with a clean legality audit and one telemetry escalation event per
   failed shard;
@@ -28,7 +28,6 @@ from repro.core.resilience import (
     ShardEscalation,
     RungAttempt,
     solve_shard_resilient,
-    solve_sharded_resilient,
 )
 from repro.core.row_assign import assign_rows
 from repro.core.sharding import shard_legalization_qp, solve_sharded
@@ -46,10 +45,6 @@ def _sharded(scale=0.02, seed=0, min_shard_variables=32):
     model = split_cells(design, assign_rows(design))
     lq = build_legalization_qp(design, model)
     return shard_legalization_qp(lq, min_shard_variables=min_shard_variables)
-
-
-def _positions(design):
-    return np.array([(c.x, c.y) for c in design.cells])
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +206,38 @@ class TestShardLadder:
         assert psor.iterations == 3
         assert psor.detail.startswith("sweep cap 3 = min(")
 
+    def test_capped_psor_wins_on_its_audit(self, shard, monkeypatch):
+        """A rung stopped at its sweep cap is accepted when its candidate
+        clears accept_tol, and reported converged like any other win."""
+        import repro.core.resilience as resilience
+
+        m = shard.num_constraints
+        monkeypatch.setattr(resilience, "PSOR_WORK_BUDGET", 3 * m + 1)
+        capped = resilience._psor_rung(
+            shard.lcp, shard.splitting, shard.splitting.n,
+            ResilienceConfig(psor_max_iterations=3),
+        )
+        assert not capped.converged
+        residual = shard.lcp.natural_residual(capped.z)
+        inject = {0: ("mmsim", "mmsim_safe")}
+
+        result, escalation = solve_shard_resilient(
+            shard.lcp, shard.splitting,
+            config=ResilienceConfig(inject=inject, accept_tol=residual),
+        )
+        psor = escalation.attempts[-1]
+        assert (psor.rung, psor.status, psor.iterations) == ("psor", "won", 3)
+        assert escalation.winner == "psor"
+        assert result.converged
+        np.testing.assert_array_equal(result.z, capped.z)
+
+        _, escalation = solve_shard_resilient(
+            shard.lcp, shard.splitting,
+            config=ResilienceConfig(inject=inject, accept_tol=0.5 * residual),
+        )
+        psor = next(a for a in escalation.attempts if a.rung == "psor")
+        assert psor.status == "failed"
+
     def test_psor_solves_constraint_free_shard(self):
         from repro.core.resilience import _psor_rung
 
@@ -307,15 +334,23 @@ class TestShardLadder:
 # ----------------------------------------------------------------------
 class TestShardedResilient:
     def test_healthy_matches_plain_sharded(self):
+        """Healthy shards keep their plain MMSIM answer, bit for bit."""
         sk = _sharded()
-        plain = solve_sharded(sk)
-        resilient, escalations = solve_sharded_resilient(sk)
+        opts = MMSIMOptions()
+        result, escalations = solve_sharded(sk, opts)
         assert escalations == []
-        np.testing.assert_array_equal(resilient.z, plain.z)
+        assert result.converged
+        assert result.message == ""
+        z = np.zeros(sk.n + sk.m)
+        for shard in sk.shards:
+            plain = mmsim_solve(shard.lcp, shard.splitting, opts)
+            z[shard.variables] = plain.z[: shard.num_variables]
+            z[sk.n + shard.b_rows] = plain.z[shard.num_variables :]
+        np.testing.assert_array_equal(result.z, z)
 
     def test_inject_all_shards(self):
         sk = _sharded()
-        resilient, escalations = solve_sharded_resilient(
+        resilient, escalations = solve_sharded(
             sk, config=ResilienceConfig(inject={"*": ("mmsim",)})
         )
         assert len(escalations) == len(sk.shards)
@@ -340,7 +375,7 @@ class TestShardedResilient:
     def test_one_telemetry_event_per_escalated_shard(self):
         sk = _sharded()
         with telemetry.session() as tel:
-            _, escalations = solve_sharded_resilient(
+            _, escalations = solve_sharded(
                 sk, config=ResilienceConfig(inject={"*": ("mmsim",)})
             )
         events = tel.solver_events.events(kind="escalation")
@@ -361,13 +396,27 @@ class TestShardedResilient:
 # ----------------------------------------------------------------------
 class TestFullFlow:
     def test_injection_disabled_is_bit_identical(self):
-        d_on = _design()
-        d_off = _design()
-        r_on = MMSIMLegalizer(LegalizerConfig(fallback=True)).legalize(d_on)
-        r_off = MMSIMLegalizer(LegalizerConfig(fallback=False)).legalize(d_off)
-        assert r_on.solver_escalations == []
-        np.testing.assert_array_equal(_positions(d_on), _positions(d_off))
-        assert r_on.audit_clean and r_off.audit_clean
+        """With nothing injected the flow's KKT solution is the plain
+        per-shard MMSIM answer from the GP seed."""
+        design = _design()
+        legalizer = MMSIMLegalizer()
+        result = legalizer.legalize(design)
+        assert result.solver_escalations == []
+        assert result.audit_clean
+
+        prepared = legalizer.prepare(_design())
+        legalizer.build_systems(prepared)
+        sk = prepared.sharded
+        opts = legalizer.solver_options()
+        z = np.zeros(sk.n + sk.m)
+        for shard in sk.shards:
+            s0 = np.concatenate(
+                [prepared.s0[shard.variables], prepared.s0[sk.n + shard.b_rows]]
+            )
+            plain = mmsim_solve(shard.lcp, shard.splitting, opts, s0=s0)
+            z[shard.variables] = plain.z[: shard.num_variables]
+            z[sk.n + shard.b_rows] = plain.z[shard.num_variables :]
+        np.testing.assert_array_equal(result.kkt_solution, z)
 
     def test_mmsim_failing_everywhere_stays_legal(self):
         design = _design()
@@ -407,22 +456,6 @@ class TestFullFlow:
         assert "escalations=" in result.summary()
         assert "audit=clean" in result.summary()
 
-    def test_fallback_off_rejects_injection(self):
-        # fallback=False with inject set used to silently no-op (the
-        # ladder never ran, so injection never fired); the scenario spec
-        # now rejects the combination outright.
-        with pytest.raises(ValueError, match="resilience.inject"):
-            LegalizerConfig(
-                fallback=False,
-                resilience=ResilienceConfig(inject={"*": ("mmsim",)}),
-            )
-
-    def test_fallback_off_without_injection_skips_ladder(self):
-        design = _design()
-        result = MMSIMLegalizer(
-            LegalizerConfig(fallback=False)
-        ).legalize(design)
-        assert result.solver_escalations == []
 
 
 # ----------------------------------------------------------------------
@@ -441,8 +474,13 @@ class TestCLI:
         assert "audit=clean" in capsys.readouterr().out
 
     def test_no_fallback_flag(self, design_file, capsys):
-        rc = cli_main(["legalize", design_file, "--no-fallback"])
-        assert rc == 0
+        """The ladder has no off switch: the flag is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["legalize", design_file, "--no-fallback"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-fallback" in (
+            capsys.readouterr().err
+        )
 
     def test_fail_on_illegal_exits_2_on_violations(
         self, design_file, monkeypatch, capsys

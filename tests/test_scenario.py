@@ -167,7 +167,7 @@ class TestScenarioSpec:
 _VALUE_POOL = {
     "shard": [True, False, "yes"],
     "batch_micro_shards": [True, False],
-    "fallback": [True, False],
+    "balance_rows": [True, False],
     "lam": [1000.0, 1.0, 0.0, -5.0, "1000"],
     "beta": [0.5, 0.0, 1.0],
     "tol": [1e-6, 0.0],
@@ -234,8 +234,15 @@ class TestProperties:
 #: keyword, the service answers 400 "unknown config fields", and the CLI
 #: (whose flag went with the knob) exits 2 with a usage error.
 REMOVED_KNOBS = frozenset(
-    {"parallel", "max_workers", "batch_signature_buckets"}
+    {
+        "parallel", "max_workers", "batch_signature_buckets", "fallback",
+        "warm_start", "validate_theorem2",
+    }
 )
+#: Knobs deleted from ServiceConfig: the same three outcomes, with
+#: ServiceConfig and ``repro serve`` as the Python and CLI boundaries.
+REMOVED_SERVICE_KNOBS = frozenset({"merge"})
+ALL_REMOVED = REMOVED_KNOBS | REMOVED_SERVICE_KNOBS
 
 # (config overrides, expected message core, CLI argv producing the same
 # config — None when the combination is not expressible as flags).
@@ -253,6 +260,25 @@ INVALID_CONFIGS = [
     pytest.param(
         {"batch_signature_buckets": 8}, "batch_signature_buckets", None,
         id="signature-buckets-removed",
+    ),
+    pytest.param(
+        {"fallback": False}, "fallback",
+        ["legalize", "missing.json", "--no-fallback"],
+        id="fallback-removed",
+    ),
+    pytest.param(
+        {"warm_start": False}, "warm_start", None, id="warm-start-removed",
+    ),
+    pytest.param(
+        {"validate_theorem2": True}, "validate_theorem2", None,
+        id="validate-theorem2-removed",
+    ),
+    # ``--queue-limit=0`` is a config error, so a parser that still knew
+    # ``--no-merge`` would exit before binding a port.
+    pytest.param(
+        {"merge": False}, "merge",
+        ["serve", "--queue-limit=0", "--no-merge"],
+        id="merge-removed",
     ),
     pytest.param(
         {"batch_micro_shards": True, "shard": False},
@@ -296,9 +322,13 @@ class TestThreeBoundaries:
 
     @pytest.mark.parametrize("config,core,cli", INVALID_CONFIGS)
     def test_dataclass_rejects(self, config, core, cli):
-        if core in REMOVED_KNOBS:
+        if core in ALL_REMOVED:
+            target = (
+                ServiceConfig if core in REMOVED_SERVICE_KNOBS
+                else LegalizerConfig
+            )
             with pytest.raises(TypeError, match=f"keyword argument '{core}'"):
-                LegalizerConfig(**config)
+                target(**config)
             return
         with pytest.raises(ValueError) as exc:
             LegalizerConfig(**config)
@@ -314,7 +344,7 @@ class TestThreeBoundaries:
             LegalizeRequest.from_dict({"design": {}, "config": config})
         assert core in str(exc.value)
         kind = (
-            "unknown config fields" if core in REMOVED_KNOBS
+            "unknown config fields" if core in ALL_REMOVED
             else "invalid config"
         )
         assert kind in str(exc.value)
@@ -323,7 +353,7 @@ class TestThreeBoundaries:
     def test_cli_exits_2(self, config, core, cli, capsys):
         if cli is None:
             pytest.skip("combination not expressible as CLI flags")
-        if core in REMOVED_KNOBS:
+        if core in ALL_REMOVED:
             with pytest.raises(SystemExit) as exc:
                 main(cli)
             assert exc.value.code == 2
@@ -343,15 +373,9 @@ class TestThreeBoundaries:
         LegalizerConfig(batch_micro_shards=True)  # shard defaults True
         LegalizerConfig(shard=False)
         LegalizerConfig(residual_tol=None)
-
-    def test_inject_requires_fallback(self):
-        resilience = ResilienceConfig(inject={"*": ("mmsim",)})
-        with pytest.raises(ValueError, match="fallback"):
-            LegalizerConfig(resilience=resilience, fallback=False)
-        # Plain resilience tunables without injection are fine.
+        # Fault injection needs no switch: the ladder always runs.
         LegalizerConfig(
-            resilience=ResilienceConfig(safe_iteration_factor=1.0),
-            fallback=False,
+            resilience=ResilienceConfig(inject={"*": ("mmsim",)})
         )
 
     def test_protocol_rejects_non_string_config_keys(self):
@@ -434,8 +458,7 @@ class TestOracleMatrix:
         assert matrix[0].overrides == {}
         names = [p.name for p in matrix]
         for expected in (
-            "merged_shards", "batch",
-            "no_fallback", "monolithic", "inject_safe",
+            "merged_shards", "batch", "monolithic", "inject_safe",
             "inject_psor", "inject_lemke", "fused_kernel", "reuse",
             "fence_slices",
         ):
@@ -450,8 +473,8 @@ class TestOracleMatrix:
         assert [(p.name, p.group) for p in matrix] == [
             (n, g) for n, _, g in live
         ]
-        # 11 stock points (+1 when numba is present).
-        assert len(live) >= 11
+        # 10 stock points (+1 when numba is present).
+        assert len(live) >= 10
 
     def test_every_point_is_spec_valid(self):
         for point in oracle_matrix():
@@ -520,7 +543,7 @@ class TestSweep:
         valid point (the ISSUE's acceptance criterion)."""
         axes_path = tmp_path / "axes.json"
         axes_path.write_text(
-            '{"fallback": [true, false], '
+            '{"enforce_right_boundary": [true, false], '
             '"batch_micro_shards": [false, true]}'
         )
         out = tmp_path / "report.jsonl"
@@ -557,7 +580,10 @@ class TestSweep:
 
     def test_spec_check_command(self, capsys):
         assert main(["spec", "check"]) == 0
-        assert "spec check: ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "spec check: ok" in out
+        assert "(14 legalizer + 12 service + 6 benchgen knobs" in out
+        assert "1 constraints" in out
 
     def test_spec_knobs_command(self, capsys):
         assert main(["spec", "knobs", "--spec", "legalizer"]) == 0

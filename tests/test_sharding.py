@@ -6,6 +6,8 @@ solves scattered back must reproduce the monolithic solution (and the
 full legalizer must produce identical placements either way).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,7 @@ from repro.core.sharding import (
     build_shards,
     coupling_components,
     shard_legalization_qp,
+    slice_shard_vector,
     solve_sharded,
 )
 from repro.core.splitting import LegalizationSplitting
@@ -110,7 +113,14 @@ class TestShardPartition:
 
 
 class TestShardedSolveParity:
-    def _solve_both(self, lq, **shardkw):
+    def _solve_both(self, lq, ladder=True, **shardkw):
+        """The monolithic MMSIM and the sharded solve, from one seed.
+
+        ``ladder=False`` runs the plain MMSIM on each shard and scatters
+        the pieces back instead of calling :func:`solve_sharded`: at this
+        tolerance a shard can stall short of it, as the monolithic solve
+        does, and the ladder would replace that shard's iterate.
+        """
         lcp = lq.qp.kkt_lcp()
         spl = LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam)
         opts = MMSIMOptions(tol=1e-10, residual_tol=1e-8)
@@ -118,8 +128,20 @@ class TestShardedSolveParity:
         s0 = np.concatenate([x0, np.zeros(lq.num_constraints)])
         mono = mmsim_solve(lcp, spl, opts, s0=s0)
         sk = shard_legalization_qp(lq, **shardkw)
-        shard = solve_sharded(sk, opts, s0=s0)
-        return mono, shard
+        if ladder:
+            shard, _ = solve_sharded(sk, opts, s0=s0)
+            return mono, shard
+        z = np.zeros(sk.n + sk.m)
+        converged = True
+        for piece in sk.shards:
+            res = mmsim_solve(
+                piece.lcp, piece.splitting, opts,
+                s0=slice_shard_vector(s0, piece, sk.n),
+            )
+            z[piece.variables] = res.z[: piece.num_variables]
+            z[sk.n + piece.b_rows] = res.z[piece.num_variables :]
+            converged = converged and res.converged
+        return mono, SimpleNamespace(z=z, converged=converged)
 
     def test_matches_monolithic(self):
         lq = _legal_qp(scale=0.02)
@@ -132,7 +154,9 @@ class TestShardedSolveParity:
         lq = _legal_qp(
             scale=0.02, triple_fraction=0.15, blockage_fraction=0.08
         )
-        mono, shard = self._solve_both(lq, min_shard_variables=32)
+        mono, shard = self._solve_both(
+            lq, ladder=False, min_shard_variables=32
+        )
         assert shard.converged == mono.converged
         n = lq.num_variables
         assert np.allclose(shard.z[:n], mono.z[:n], atol=1e-7)
@@ -194,7 +218,7 @@ def test_sharded_solution_solves_the_global_lcp(seed):
         lq.qp.H, lq.qp.p, lq.qp.B, lq.qp.b, lq.E, lq.lam,
         min_shard_variables=32,
     )
-    res = solve_sharded(sk, MMSIMOptions(tol=1e-9, residual_tol=1e-7))
+    res, _ = solve_sharded(sk, MMSIMOptions(tol=1e-9, residual_tol=1e-7))
     # On rare seeds a shard's z-step 2-cycles just above tol without the
     # flag flipping; the solution quality is what sharding must preserve,
     # so assert on the *global* natural residual, not the flag.

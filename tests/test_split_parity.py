@@ -103,11 +103,8 @@ def test_empty_design_qp_matches_oracle(mode):
     _assert_parity(Design(name="empty", core=core), mode)
 
 
-# ``balance_rows`` stays on the benchmark designs: ``rebalance_rows`` can
-# loop forever on these tiny cores, where every bottom row of a tall
-# cell covers the overfull row.
 @PROPERTY
-@given(designs(), st.sampled_from(["default", "enforce_right_boundary"]))
+@given(designs(), st.sampled_from(MODES))
 def test_random_design_qp_matches_oracle(design, mode):
     got = _outcome(lambda d: _qp_bits(d, split_cells, _production, mode), design)
     want = _outcome(
