@@ -51,9 +51,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.setup_cache import combine_keys
+from repro.core.sharding import StackDeclined
 from repro.kernels import ReferenceSweepRunner
 from repro.lcp.mmsim import MMSIMOptions, warm_start_from_z
-from repro.lcp.problem import LCP, LCPResult, make_kkt_lcp
+from repro.lcp.problem import LCP, LCPResult
 from repro.telemetry import current_session
 
 
@@ -91,10 +92,6 @@ class BatchOptions:
             raise ValueError("repack_fraction must be in [0, 1)")
         if self.repack_interval < 1:
             raise ValueError("repack_interval must be >= 1")
-
-
-class _GroupFallback(Exception):
-    """The stacked kernels declined this group; solve it per-shard."""
 
 
 def shard_signature(shard, buckets: int) -> Tuple[str, int]:
@@ -170,7 +167,7 @@ class _GroupPack:
     # ------------------------------------------------------------------
     def _assemble(self, shards: List):
         """Build the stacked system for *shards*; raises
-        :class:`_GroupFallback` before any state is committed when the
+        :class:`StackDeclined` before any state is committed when the
         stacked kernels decline (probe-verification failure).
 
         When every member shard is *trusted* by this run's setup-reuse
@@ -181,10 +178,6 @@ class _GroupPack:
         is skipped on a hit.  One hit/miss/stale is counted per stack
         (the initial pack and each repack layout cache independently).
         """
-        from repro.core.splitting import LegalizationSplitting
-
-        vi = np.concatenate([sh.variables for sh in shards])
-        bi = np.concatenate([sh.b_rows for sh in shards])
         cache = getattr(self.source, "cache", None)
         key = None
         entry = None
@@ -203,31 +196,12 @@ class _GroupPack:
         ):
             cache.record("hit")
             splitting = entry.splitting
+            vi = np.concatenate([sh.variables for sh in shards])
+            bi = np.concatenate([sh.b_rows for sh in shards])
             q = np.concatenate([self.source.p[vi], -self.source.b[bi]])
             lcp = LCP(A=entry.A, q=q)
         else:
-            ei = np.concatenate([sh.e_rows for sh in shards])
-            Hg, Bg, Eg = self.source.slice_blocks(vi, bi, ei)
-            splitting = LegalizationSplitting(
-                Hg, Bg, Eg, self.source.lam,
-                params=self.source.params,
-                kernel_backend=getattr(
-                    self.source, "kernel_backend", "reference"
-                ),
-            )
-            if splitting.top_kernel != "woodbury":
-                raise _GroupFallback(
-                    "stacked top kernel fell back to SuperLU"
-                )
-            if splitting.m and splitting.bottom_kernel not in (
-                "pttrs", "scalar"
-            ):
-                raise _GroupFallback(
-                    f"stacked bottom kernel is {splitting.bottom_kernel}"
-                )
-            lcp = make_kkt_lcp(
-                Hg, self.source.p[vi], Bg, self.source.b[bi]
-            )
+            splitting, lcp = self.source.stack(shards)
             if cache is not None and key is not None:
                 cache.record(
                     "miss" if entry is None or trusted else "stale"
@@ -403,7 +377,7 @@ class _GroupPack:
         rescued = self.rescued[keep]
         try:
             self._commit(shards, s_new, omega, checkpoint, rescued)
-        except _GroupFallback:
+        except StackDeclined:
             # Same blocks just passed verification at the initial pack;
             # if a repack somehow declines, keep sweeping the old stack.
             return None
@@ -598,7 +572,7 @@ def solve_shards_batched(
                 source, shards, opts, label, s0, z0, n_global=sharded.n
             )
             results.update(pack.solve(cfg))
-        except _GroupFallback as exc:
+        except StackDeclined as exc:
             fallback_shards += len(shards)
             if tel.enabled and tel.solver_events is not None:
                 tel.solver_events.emit(

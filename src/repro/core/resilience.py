@@ -176,6 +176,15 @@ class ShardEscalation:
         return "clamp"
 
     @property
+    def primary_iterations(self) -> int:
+        """Sweeps of the shard's primary MMSIM (rung 1); 0 when that
+        attempt was injected or raised."""
+        for attempt in self.attempts:
+            if attempt.rung == "mmsim":
+                return attempt.iterations
+        return 0
+
+    @property
     def solved(self) -> bool:
         """True when some rung produced a certified LCP solution (the
         terminal clamp does not — it defers to the Tetris stage)."""

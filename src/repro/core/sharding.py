@@ -28,6 +28,21 @@ together into shards of at least ``min_shard_variables`` variables so the
 Python-level sweep overhead stays amortized; batching unions of
 components is still exact, it only couples their stopping decision.
 
+The Eq. (16) splitting is set up once per design, not once per shard:
+the eager build permutes H, B and E into shard order in one slice
+(:meth:`ShardSource.stack`), builds one
+:class:`~repro.core.splitting.LegalizationSplitting` and one KKT LCP
+over that block-diagonal system, and gives every shard row-range blocks
+of them (:meth:`LegalizationSplitting.block
+<repro.core.splitting.LegalizationSplitting.block>`,
+:func:`~repro.lcp.problem.kkt_block`).  Each B or E row touches only its
+own shard's columns, so a block keeps every value and every row's entry
+order, and ``pttrf`` restarts exactly at the zero couplings between
+shards: the blocks equal a per-shard build bit for bit, without its
+dozens of scipy constructor calls per shard.  A design whose stacked
+kernels the probe gate declines, or a run with a setup-reuse cache
+(whose unit of trust is the shard), builds each shard on its own.
+
 Alternatively, :mod:`repro.core.batched` keeps the components as
 *micro-shards* (``min_shard_variables=1``) and sweeps whole groups of
 them through one stacked vectorized MMSIM — per-component stopping
@@ -62,13 +77,18 @@ from repro.core.setup_cache import (
 )
 from repro.core.splitting import LegalizationSplitting, SplittingParameters
 from repro.lcp.mmsim import MMSIMOptions
-from repro.lcp.problem import LCP, LCPResult, make_kkt_lcp
+from repro.lcp.problem import LCP, LCPResult, kkt_block, make_kkt_lcp
 from repro.telemetry import active_tracer
+
+
+class StackDeclined(Exception):
+    """The probe gate declined a stacked splitting's specialized kernels."""
 
 
 @dataclass
 class ShardSource:
-    """The global QP blocks a lazy :class:`Shard` materializes from."""
+    """The global QP blocks that shards and stacks of shards are sliced
+    from."""
 
     H: sp.csr_matrix
     p: np.ndarray
@@ -99,15 +119,48 @@ class ShardSource:
         Es = self.E[ei][:, vi] if len(ei) else sp.csr_matrix((0, nv))
         return Hs, Bs, Es
 
+    def stack(
+        self, shards: List["Shard"], kernel_backend: Optional[str] = None
+    ) -> Tuple[LegalizationSplitting, LCP]:
+        """One splitting and KKT LCP over *shards* stacked in order.
+
+        The blocks come from one :meth:`slice_blocks` permutation, so the
+        stacked system is block diagonal over the shards.  The splitting
+        arms *kernel_backend* (the source's when None).  Raises
+        :class:`StackDeclined` when the probe gate leaves a kernel with
+        no per-shard block form: a top kernel other than ``woodbury``, or
+        a bottom one other than ``pttrs``, ``scalar`` or ``none``.
+        """
+        vi = np.concatenate([sh.variables for sh in shards])
+        bi = np.concatenate([sh.b_rows for sh in shards])
+        ei = np.concatenate([sh.e_rows for sh in shards])
+        Hs, Bs, Es = self.slice_blocks(vi, bi, ei)
+        splitting = LegalizationSplitting(
+            Hs, Bs, Es, self.lam,
+            params=self.params,
+            kernel_backend=(
+                self.kernel_backend if kernel_backend is None
+                else kernel_backend
+            ),
+        )
+        if splitting.top_kernel != "woodbury":
+            raise StackDeclined("stacked top kernel fell back to SuperLU")
+        if splitting.bottom_kernel not in ("pttrs", "scalar", "none"):
+            raise StackDeclined(
+                f"stacked bottom kernel is {splitting.bottom_kernel}"
+            )
+        return splitting, make_kkt_lcp(Hs, self.p[vi], Bs, self.b[bi])
+
 
 @dataclass
 class Shard:
     """One independent sub-LCP: a batch of coupling-graph components.
 
-    ``lcp`` and ``splitting`` materialize lazily from ``source`` on first
-    access (eagerly at build time unless ``build_shards(..., lazy=True)``),
-    so the batched engine never pays per-shard construction for shards it
-    solves in a stacked group.
+    ``lcp`` and ``splitting`` are set at build time (blocks of one
+    design-wide build, see :func:`build_shards`) unless
+    ``build_shards(..., lazy=True)``; a lazy shard materializes them from
+    ``source`` on first access, so the batched engine never pays
+    per-shard construction for shards it solves in a stacked group.
     """
 
     index: int
@@ -318,7 +371,11 @@ def build_shards(
     :class:`LegalizationSplitting`; relative variable and constraint order
     within a shard matches the global order, so every shard's B keeps the
     chain-adjacency structure the tridiagonal Schur approximation relies
-    on.
+    on.  Eagerly (no ``lazy``, no ``reuse``), both are row-range blocks
+    of one design-wide build over the shards stacked in order, equal bit
+    for bit to a per-shard build; when the stacked probe gate declines a
+    kernel (see :meth:`ShardSource.stack`), every shard is built from
+    its own slices instead.
 
     With ``lazy=True`` only the index sets are computed here; per-shard
     matrices materialize on first attribute access (the batched engine's
@@ -330,7 +387,8 @@ def build_shards(
     ``setup_reuse`` span and every shard whose coupling components are
     clean is marked *trusted*: its cached splitting and KKT matrix are
     reused bit-identically instead of being sliced and refactorized.
-    Dirty shards rebuild (and refresh the cache for the next run).
+    Dirty shards rebuild, each on its own (and refresh the cache for the
+    next run).
 
     ``single_shard=True`` (``LegalizerConfig(shard=False)``) puts every
     variable in one shard in global order: no coupling-component pass, no
@@ -405,11 +463,37 @@ def build_shards(
         if reuse is not None:
             shard.cache_key = index_key(vi, bi, ei)
             shard.trusted = trust.shard_trusted(vi)
-        if not lazy:
+        sharded.shards.append(shard)
+    if not lazy and (reuse is not None or not _attach_blocks(sharded)):
+        for shard in sharded.shards:
             shard.lcp          # noqa: B018 - materialize eagerly
             shard.splitting    # noqa: B018
-        sharded.shards.append(shard)
     return sharded
+
+
+def _attach_blocks(sharded: ShardedKKT) -> bool:
+    """Give every shard its splitting and KKT LCP as blocks of one
+    design-wide build.  False, with nothing attached, when the stacked
+    kernels are declined, or when a lone shard's own build already is
+    the design-wide one."""
+    source = sharded.source
+    if sharded.num_shards == 1:
+        return False
+    try:
+        splitting, lcp = source.stack(sharded.shards, "reference")
+    except StackDeclined:
+        return False
+    v0 = c0 = e0 = 0
+    for shard in sharded.shards:
+        rows = slice(v0, v0 + shard.num_variables)
+        cons = slice(c0, c0 + shard.num_constraints)
+        ties = slice(e0, e0 + len(shard.e_rows))
+        shard._splitting = splitting.block(
+            rows, cons, ties, source.kernel_backend
+        )
+        shard._lcp = kkt_block(lcp, splitting.n, rows, cons)
+        v0, c0, e0 = rows.stop, cons.stop, ties.stop
+    return True
 
 
 def shard_legalization_qp(
@@ -490,10 +574,12 @@ def solve_sharded(
 
     Returns the aggregate :class:`LCPResult` plus one
     :class:`ShardEscalation` per shard that escalated, in shard order.
-    The aggregate reports ``iterations`` as the maximum over shards (the
-    serial-equivalent sweep count), ``residual`` as the max shard
-    residual (equal to the global natural residual, A being block
-    diagonal), and ``converged`` only if every shard converged.
+    The aggregate reports ``iterations`` as the maximum over shards of
+    the primary (rung 1) MMSIM sweeps, whichever rung won (a fallback
+    rung's own count stays in its escalation's attempts), ``residual``
+    as the max shard residual (equal to the global natural residual, A
+    being block diagonal), and ``converged`` only if every shard
+    converged.
     """
     opts = options or MMSIMOptions()
     cfg = config or ResilienceConfig()
@@ -510,7 +596,8 @@ def solve_sharded(
 
     escalations: List[ShardEscalation] = []
 
-    def run(shard: Shard) -> LCPResult:
+    def run(shard: Shard) -> Tuple[LCPResult, int]:
+        """The shard's accepted result and its primary MMSIM sweeps."""
         pre = primary.get(shard.index)
         if (
             pre is not None
@@ -519,7 +606,7 @@ def solve_sharded(
         ):
             # Rung 1 succeeded inside the batch; nothing to escalate and
             # no reason to build the shard's own LCP or splitting.
-            return pre
+            return pre, pre.iterations
         result, escalation = solve_shard_resilient(
             shard.lcp,
             shard.splitting,
@@ -530,11 +617,13 @@ def solve_sharded(
             z0=slice_shard_vector(z0, shard, n) if s0 is None else None,
             primary_result=pre,
         )
-        if escalation is not None:
-            escalations.append(escalation)
-        return result
+        if escalation is None:
+            return result, result.iterations
+        escalations.append(escalation)
+        return result, escalation.primary_iterations
 
-    results = [run(shard) for shard in sharded.shards]
+    runs = [run(shard) for shard in sharded.shards]
+    results = [result for result, _ in runs]
 
     z = np.zeros(n + sharded.m)
     for shard, res in zip(sharded.shards, results):
@@ -558,7 +647,7 @@ def solve_sharded(
         LCPResult(
             z=z,
             converged=converged,
-            iterations=max((r.iterations for r in results), default=0),
+            iterations=max((sweeps for _, sweeps in runs), default=0),
             residual=max((r.residual for r in results), default=0.0),
             solver="mmsim",
             message="; ".join(notes),

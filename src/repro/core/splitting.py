@@ -128,6 +128,23 @@ def _blockwise_inverse(C: sp.csr_matrix) -> sp.csr_matrix:
     )
 
 
+def _csr_rows(
+    M: sp.csr_matrix, rows: slice, col0: int, ncols: int
+) -> sp.csr_matrix:
+    """Rows *rows* of *M* as a matrix of *ncols* columns starting at
+    *col0*: each row keeps its stored values and entry order, and the
+    data is a view of *M*'s."""
+    lo, hi = int(M.indptr[rows.start]), int(M.indptr[rows.stop])
+    return sp.csr_matrix(
+        (
+            M.data[lo:hi],
+            M.indices[lo:hi] - col0,
+            M.indptr[rows.start:rows.stop + 1] - lo,
+        ),
+        shape=(rows.stop - rows.start, ncols),
+    )
+
+
 def schur_tridiagonal(
     B: sp.spmatrix, H_inv: sp.spmatrix
 ) -> sp.csr_matrix:
@@ -233,6 +250,72 @@ class LegalizationSplitting:
         safe.kernel_backend = "reference"
         return safe
 
+    def block(
+        self,
+        rows: slice,
+        cons: slice,
+        ties: slice,
+        kernel_backend: str = "reference",
+    ) -> "LegalizationSplitting":
+        """The splitting of one diagonal block of this stacked splitting.
+
+        *rows*, *cons* and *ties* are the block's ranges of variables, B
+        rows and E rows.  This splitting must be block diagonal over such
+        blocks (each B or E row touches only its own block's columns, as
+        :meth:`~repro.core.sharding.ShardSource.stack` builds it) and
+        carry a ``woodbury`` top kernel and a ``pttrs``, ``scalar`` or
+        ``none`` bottom one.  The block then equals a splitting built
+        from its own H, B and E, bit for bit: every matrix is a row range
+        of this one's with rebased columns, which keeps each stored value
+        and each row's entry order, and ``pttrf``'s recurrence restarts
+        exactly at the zero coupling between blocks, so the block's
+        factors are a slice of the stacked ones.  The block arms
+        *kernel_backend* on its own arithmetic, like any splitting.
+        """
+        view = self.__class__.__new__(self.__class__)
+        n = rows.stop - rows.start
+        m = cons.stop - cons.start
+        v0, c0 = rows.start, cons.start
+        view.params, view.lam, view.n, view.m = self.params, self.lam, n, m
+        view.H = _csr_rows(self.H, rows, v0, n)
+        view.B = _csr_rows(self.B, cons, v0, n)
+        view.E = _csr_rows(self.E, ties, v0, n)
+        view.H_inv = _csr_rows(self.H_inv, rows, v0, n)
+        view.D = _csr_rows(self.D, cons, c0, m)
+        view.BT = _csr_rows(self.BT, rows, c0, m)
+        view._D_theta = _csr_rows(self._D_theta, cons, c0, m)
+        view._B_neg = _csr_rows(self._B_neg, cons, v0, n)
+        inv_top = _csr_rows(self._H_inv_top, rows, v0, n)
+        view._H_inv_top = inv_top
+        view.top_kernel = "woodbury"
+        view._solve_top = lambda r, _M=inv_top: _M @ r
+        view._pttrf_factors = None
+        view._bottom_pivot = None
+        view.bottom_kernel = "none"
+        view._solve_bottom = None
+        if m == 1:
+            # A row after a zero coupling leaves pttrf untouched, so its
+            # factor is the pivot the block's own scalar kernel divides by.
+            pivot = (
+                self._bottom_pivot
+                if self.bottom_kernel == "scalar"
+                else float(self._pttrf_factors[0][c0])
+            )
+            view.bottom_kernel = "scalar"
+            view._bottom_pivot = pivot
+            view._solve_bottom = lambda r, _p=pivot: r / _p
+        elif m:
+            df, ef = self._pttrf_factors
+            df, ef = df[cons], ef[c0:cons.stop - 1]
+            view.bottom_kernel = "pttrs"
+            view._pttrf_factors = (df, ef)
+            view._solve_bottom = (
+                lambda r, _d=df, _e=ef: lapack.dpttrs(_d, _e, r)[0]
+            )
+        view._allocate_buffers()
+        view._arm(kernel_backend)
+        return view
+
     # ------------------------------------------------------------------
     # Solver setup (shared with GeneralSplitting)
     # ------------------------------------------------------------------
@@ -258,10 +341,14 @@ class LegalizationSplitting:
                 self._build_bottom_solver() if self.m else None
             )
         self._allocate_sweep_state()
-        # Sweep-kernel backend (repro.kernels): probe-gated at setup;
-        # anything but a verified non-reference backend leaves
-        # sweep_runner None and the solver drives on the reference runner.
-        # GeneralSplitting (which shares this setup) never requests one.
+        self._arm(kernel_backend)
+
+    def _arm(self, kernel_backend: Optional[str]) -> None:
+        """Sweep-kernel backend (repro.kernels): probe-gated at setup;
+        anything but a verified non-reference backend leaves
+        ``sweep_runner`` None and the solver drives on the reference
+        runner.  GeneralSplitting (which shares this setup) never
+        requests one."""
         self.sweep_runner = None
         self.kernel_backend = "reference"
         if kernel_backend not in (None, "reference"):
@@ -275,6 +362,9 @@ class LegalizationSplitting:
         self.BT = self.B.T.tocsr()
         self._D_theta = (self.D / self.params.theta).tocsr()
         self._B_neg = (-self.B).tocsr()
+        self._allocate_buffers()
+
+    def _allocate_buffers(self) -> None:
         self._rhs_buf = np.empty(self.n + self.m)
         self._u_buf = np.empty(self.n)
         self._w_buf = np.empty(self.m)

@@ -123,6 +123,40 @@ def make_kkt_lcp(
     return LCP(A=A, q=q)
 
 
+def kkt_block(lcp: LCP, n: int, rows: slice, cons: slice) -> LCP:
+    """One diagonal block of a block-diagonal KKT LCP.
+
+    *lcp* is :func:`make_kkt_lcp` over ``n`` primal variables whose H and
+    B are block diagonal; *rows* and *cons* are one block's variables and
+    constraints.  The block's A takes the stored rows of its top and
+    bottom parts in order, with columns rebased into the block's own
+    ``[x; r]`` layout.  That mapping keeps each row's entry order, so the
+    result equals :func:`make_kkt_lcp` over the block's own H, p, B and b
+    bit for bit.
+    """
+    A = lcp.A
+    nv = rows.stop - rows.start
+    size = nv + cons.stop - cons.start
+    ptr = A.indptr
+    parts = ((rows.start, rows.stop), (n + cons.start, n + cons.stop))
+    spans = [(int(ptr[a]), int(ptr[b])) for a, b in parts]
+    cols = np.concatenate([A.indices[lo:hi] for lo, hi in spans])
+    cols = np.where(
+        cols < n, cols - rows.start, cols - (n + cons.start - nv)
+    )
+    top_nnz = spans[0][1] - spans[0][0]
+    indptr = np.concatenate([
+        ptr[rows.start:rows.stop + 1] - spans[0][0],
+        ptr[n + cons.start + 1:n + cons.stop + 1] - spans[1][0] + top_nnz,
+    ])
+    block = sp.csr_matrix(
+        (np.concatenate([A.data[lo:hi] for lo, hi in spans]), cols, indptr),
+        shape=(size, size),
+    )
+    q = np.concatenate([lcp.q[rows], lcp.q[n + cons.start:n + cons.stop]])
+    return LCP(A=block, q=q)
+
+
 def split_kkt_solution(z: np.ndarray, n_primal: int) -> tuple:
     """Split a KKT-LCP solution vector into (x, r)."""
     return z[:n_primal].copy(), z[n_primal:].copy()

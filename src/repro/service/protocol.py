@@ -47,7 +47,8 @@ _RESPONSE_SPEC = ScenarioSpec(
         ),
         ConfigVar("converged", (bool,), False, "MMSIM convergence flag."),
         ConfigVar(
-            "iterations", (int,), 0, "Total MMSIM sweeps.", Range(0)
+            "iterations", (int,), 0,
+            "Primary MMSIM sweeps, maximum over shards.", Range(0),
         ),
         ConfigVar("num_cells", (int,), 0, "Cells legalized.", Range(0)),
         ConfigVar(

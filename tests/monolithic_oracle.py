@@ -13,6 +13,8 @@ module.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.legalizer import (
     LegalizationResult,
     LegalizerConfig,
@@ -48,5 +50,9 @@ def legalize_monolithic_oracle(
         shard_index=0,
         z0=prepared.z0,
     )
-    escalations = [] if escalation is None else [escalation]
+    escalations = []
+    if escalation is not None:
+        # The flow reports the primary MMSIM's sweeps, whichever rung won.
+        result = replace(result, iterations=escalation.primary_iterations)
+        escalations.append(escalation)
     return legalizer.finish(prepared, result, escalations)

@@ -100,6 +100,16 @@ class TestShardEscalation:
         esc.attempts.append(RungAttempt("psor", "won"))
         assert esc.summary() == "shard 2: mmsim[injected] -> psor[won]"
 
+    def test_primary_iterations_read_rung_one(self):
+        esc = ShardEscalation(3, 4, 2)
+        esc.attempts.append(RungAttempt("mmsim", "failed", iterations=7))
+        esc.attempts.append(RungAttempt("psor", "won", iterations=90))
+        assert esc.primary_iterations == 7
+        esc = ShardEscalation(4, 4, 2)
+        esc.attempts.append(RungAttempt("mmsim", "injected"))
+        esc.attempts.append(RungAttempt("mmsim_safe", "won", iterations=40))
+        assert esc.primary_iterations == 0
+
 
 # ----------------------------------------------------------------------
 # The ladder on one shard
@@ -358,6 +368,29 @@ class TestShardedResilient:
         assert all(e.winner == "mmsim_safe" for e in escalations)
         assert "escalated past mmsim" in resilient.message
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_iterations_count_primary_sweeps_only(self, batch):
+        """``iterations`` is the largest primary (rung 1) MMSIM sweep
+        count, whichever rung won: 0 when every primary is injected,
+        while mmsim_safe's own sweeps stay in the escalation record."""
+        sk = _sharded()
+        result, escalations = solve_sharded(
+            sk, config=ResilienceConfig(inject={"*": ("mmsim",)}), batch=batch
+        )
+        assert {e.winner for e in escalations} == {"mmsim_safe"}
+        assert min(e.attempts[1].iterations for e in escalations) > 0
+        assert result.iterations == 0
+
+    def test_iterations_of_failed_primaries(self):
+        """Primaries stopped at a 3-sweep cap report 3, not the sweeps of
+        the rung that then won."""
+        sk = _sharded()
+        result, escalations = solve_sharded(sk, MMSIMOptions(max_iterations=3))
+        assert len(escalations) == len(sk.shards)
+        assert {e.primary_iterations for e in escalations} == {3}
+        assert max(e.attempts[-1].iterations for e in escalations) > 3
+        assert result.iterations == 3
+
     def test_monolithic_path(self):
         """``shard=False`` walks the ladder on its one shard, index 0."""
         result = MMSIMLegalizer(
@@ -427,6 +460,9 @@ class TestFullFlow:
             result = MMSIMLegalizer(config).legalize(design)
         assert result.solver_escalations
         assert result.audit_clean
+        # No primary MMSIM ran, so no MMSIM sweeps are reported.
+        assert result.iterations == 0
+        assert "mmsim_iters=0" in result.summary()
         events = tel.solver_events.events(kind="escalation")
         assert len(events) == len(result.solver_escalations)
 
