@@ -1,22 +1,18 @@
 """End-to-end legalization perf trajectory: sharded vs one-shard solve.
 
-Two kinds of profile:
+Every profile but ``eco`` runs each size twice: once as one monolithic
+shard (``LegalizerConfig(shard=False)``, report key ``monolithic``) and
+once with the default sharded configuration (``sharded``); final cell
+positions and displacement must agree within ``--parity-tol`` and every
+run must come out legal.
 
 * ``smoke`` / ``full`` — the :mod:`bench_scaling` suite (fft_2 at several
-  scales) twice per size: once as one monolithic shard
-  (``LegalizerConfig(shard=False)``) and once with the default sharded
-  configuration.
+  scales).
 
 * ``micro`` — the micro-shard-heavy regime (fft_2 with 15% row blockages,
   which shatters the KKT LCP into hundreds-to-thousands of tiny coupling
   components; the largest scale gives the default sharded config itself
-  >100 shards).  The comparison is the default sharded configuration
-  against the batched micro-shard engine
-  (``LegalizerConfig(batch_micro_shards=True)``,
-  :mod:`repro.core.batched`).  A per-shard reference run at the same
-  single-component granularity (``min_shard_variables=1``, batch off)
-  checks the engine's bit-identity contract: final cell positions must
-  match the per-shard path exactly, not just within tolerance.
+  >100 shards).
 
 * ``eco`` — the incremental setup-reuse story (same blockage-heavy
   designs): a cold run populates a
@@ -33,15 +29,15 @@ Two kinds of profile:
 Each config records wall time, iteration counts, the per-stage breakdown
 from the legalizer's telemetry spans, and ``solver_s`` — the
 splitting + mmsim stage seconds, i.e. the part of the flow the sharded /
-batched paths actually change (row assignment, QP build, Tetris and the
-legality audit are identical work in every config).
+one-shard paths actually change (row assignment, QP build, Tetris and
+the legality audit are identical work in every config).
 
 Results land in ``BENCH_legalize.json`` at the repo root (see
 ``docs/PERFORMANCE.md`` for the schema).  The script exits nonzero if
 configurations diverge: final cell positions must agree within
-``--parity-tol`` (bit-exactly for batched vs per-shard) and
-legality/displacement stats must be identical, so a perf "win" can never
-silently trade away correctness.
+``--parity-tol``, legality/displacement stats must be identical, and
+every run must be legal, so a perf "win" can never silently trade away
+correctness.
 
 Run:  PYTHONPATH=src python benchmarks/bench_legalize_perf.py --profile micro
 """
@@ -72,12 +68,7 @@ PROFILES = {
     "smoke": {"scales": [0.01, 0.02, 0.05], "reps": 1},
     "full": {"scales": [0.01, 0.02, 0.05, 0.1], "reps": 3},
     # Micro-shard-heavy regime: blockages fragment the constraint graph.
-    "micro": {
-        "scales": [0.2, 0.4, 0.8],
-        "reps": 2,
-        "blockage": 0.15,
-        "batched": True,
-    },
+    "micro": {"scales": [0.2, 0.4, 0.8], "reps": 2, "blockage": 0.15},
     # Incremental setup reuse: cold run -> unchanged re-run with the
     # ReuseCache -> perturb a fraction of cells -> re-run again.
     "eco": {
@@ -88,9 +79,8 @@ PROFILES = {
         "perturb": 0.05,
     },
     # Fence regions + fixed macros: group-partitioned constraint graph.
-    # Same monolithic-vs-sharded comparison as smoke/full; additionally every
-    # run must come out fully legal (zero FENCE violations) or the bench
-    # exits nonzero.
+    # Same monolithic-vs-sharded comparison as smoke/full; legal here
+    # includes zero FENCE violations.
     "fences": {
         "scales": [0.01, 0.02, 0.05],
         "reps": 1,
@@ -312,86 +302,7 @@ def run_profile(
     blockage = spec.get("blockage")
     runs: List[Dict] = []
     diverged = False
-    if spec.get("batched"):
-        sharded_cfg = LegalizerConfig()
-        batched_cfg = LegalizerConfig(
-            batch_micro_shards=True, kernel_backend=backend
-        )
-        # Same single-component granularity as the batched engine, batch
-        # off: the bit-identity reference.
-        reference_cfg = LegalizerConfig(min_shard_variables=1)
-        for scale in spec["scales"]:
-            sharded = _run_config(sharded_cfg, scale, spec["reps"], blockage)
-            batched = _run_config(batched_cfg, scale, spec["reps"], blockage)
-            reference = _run_config(reference_cfg, scale, 1, blockage)
-            # Bit-identity is the *reference* backend's contract; blocked
-            # backends (fused/numba) stop at block-aligned iterates, so
-            # they promise tolerance parity only (the "reordered" class,
-            # docs/PERFORMANCE.md §5) — still enforced via the parity
-            # check and the legality bit in _run_config.
-            if backend == "reference":
-                bit_identical = bool(
-                    np.array_equal(
-                        batched["positions"], reference["positions"]
-                    )
-                )
-                pos_tol = parity_tol
-            else:
-                bit_identical = None
-                # The "reordered" tolerance class after site snapping: a
-                # borderline cell whose pre-snap position straddles a
-                # site boundary may land one site over, so positions and
-                # total displacement agree to one site, not 1e-6.
-                pos_tol = max(parity_tol, batched["site_width"])
-            parity = _parity(batched, sharded, pos_tol)
-            diverged = (
-                diverged
-                or not parity["ok"]
-                or bit_identical is False
-                or not batched["legal"]
-            )
-            speedup_solver = sharded["solver_s"] / batched["solver_s"]
-            speedup_wall = sharded["wall_s"] / batched["wall_s"]
-            runs.append(
-                {
-                    "scale": scale,
-                    "num_cells": sharded["num_cells"],
-                    "num_variables": sharded["num_variables"],
-                    "num_constraints": sharded["num_constraints"],
-                    "sharded": _strip(sharded),
-                    "batched": _strip(batched),
-                    "per_shard_reference": {
-                        "wall_s": reference["wall_s"],
-                        "solver_s": reference["solver_s"],
-                        "iterations": reference["iterations"],
-                    },
-                    # The headline metric: the sharded solve path
-                    # (shard construction + MMSIM stages) vs the batched
-                    # engine on the same work.  The full-flow ratio is
-                    # recorded next to it; the flow's shared stages
-                    # (row assignment, QP build, Tetris, audit) are
-                    # identical work in both configs and dilute it.
-                    "speedup_batched": round(speedup_solver, 3),
-                    "wall_speedup_batched": round(speedup_wall, 3),
-                    "batched_bit_identical": bit_identical,
-                    "parity": parity,
-                }
-            )
-            bit_label = (
-                "n/a" if bit_identical is None
-                else ("yes" if bit_identical else "NO")
-            )
-            print(
-                f"scale {scale:<5} cells {sharded['num_cells']:>6}  "
-                f"sharded {sharded['wall_s']:.3f}s "
-                f"(solver {sharded['solver_s']:.3f}s)  "
-                f"batched[{backend}] {batched['wall_s']:.3f}s "
-                f"(solver {batched['solver_s']:.3f}s)  "
-                f"solver speedup {speedup_solver:.2f}x  "
-                f"bit-identical {bit_label}  "
-                f"parity {'ok' if parity['ok'] else 'FAIL'}"
-            )
-    elif spec.get("eco"):
+    if spec.get("eco"):
         cfg = LegalizerConfig()
         for scale in spec["scales"]:
             rec = _run_eco_scale(
@@ -438,7 +349,7 @@ def run_profile(
         fences = spec.get("fences", 0)
         macro_frac = spec.get("macro_frac", 0.0)
         sharded_cfg = LegalizerConfig(kernel_backend=backend)
-        monolithic_cfg = LegalizerConfig(shard=False)
+        monolithic_cfg = LegalizerConfig(shard=False, kernel_backend=backend)
         for scale in spec["scales"]:
             monolithic = _run_config(
                 monolithic_cfg, scale, spec["reps"], blockage, fences,
@@ -448,14 +359,14 @@ def run_profile(
                 sharded_cfg, scale, spec["reps"], blockage, fences, macro_frac
             )
             parity = _parity(sharded, monolithic, parity_tol)
-            diverged = diverged or not parity["ok"]
-            if fences:
-                # The fences profile doubles as a legality gate: a fenced
-                # design that ends illegal is a regression, not a perf
-                # data point.
-                diverged = (
-                    diverged or not sharded["legal"] or not monolithic["legal"]
-                )
+            # A design that ends illegal is a regression, not a perf
+            # data point.
+            diverged = (
+                diverged
+                or not parity["ok"]
+                or not sharded["legal"]
+                or not monolithic["legal"]
+            )
             speedup = monolithic["wall_s"] / sharded["wall_s"]
             runs.append(
                 {
@@ -501,8 +412,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--backend", choices=["reference", "fused", "numba"],
         default="reference",
-        help="sweep-kernel backend for the optimized configs (the "
-             "monolithic / per-shard reference configs always run "
+        help="sweep-kernel backend for both the sharded and the "
+             "monolithic config (the eco profile always runs "
              "'reference'); the report records it so the regression "
              "gate only compares like-for-like backends",
     )
@@ -546,13 +457,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"(gate: <= 0.25); largest profile "
             f"{largest['cold']['setup_s']:.4f}s -> "
             f"{largest['incremental']['setup_s']:.4f}s setup"
-        )
-    elif "speedup_batched" in largest:
-        print(
-            f"largest profile: {largest['speedup_batched']:.2f}x solver "
-            f"speedup ({largest['sharded']['solver_s']:.3f}s -> "
-            f"{largest['batched']['solver_s']:.3f}s), "
-            f"{largest['wall_speedup_batched']:.2f}x full-flow"
         )
     else:
         print(

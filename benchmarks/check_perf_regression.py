@@ -13,8 +13,7 @@ is one configuration slowing down relative to the others.  So:
    (default threshold 0.2, i.e. a >20% relative wall-clock regression).
 
 Correctness gates ride along: the run fails outright if the new report
-is marked diverged, or any micro-profile run lost batched-vs-per-shard
-bit-identity or batched-vs-sharded parity.
+is marked diverged, or any run lost sharded-vs-monolithic parity.
 
 Eco-profile reports (``BENCH_legalize_eco.json``) add two **in-report**
 gates that need no machine normalization because both numbers come from
@@ -38,7 +37,6 @@ from typing import Dict, List, Optional
 CONFIG_KEYS = (
     "monolithic",
     "sharded",
-    "batched",
     "cold",
     "incremental",
     "incremental_perturbed",
@@ -99,13 +97,6 @@ def check(
     if new.get("diverged"):
         failures.append("new report is marked diverged")
     for run in new["runs"]:
-        # None means a non-reference backend, which promises tolerance
-        # parity (checked via run['parity']) rather than bit-identity.
-        if run.get("batched_bit_identical") is False:
-            failures.append(
-                f"scale {run['scale']}: batched positions are not "
-                "bit-identical to the per-shard reference"
-            )
         if "parity" in run and not run["parity"].get("ok", True):
             failures.append(f"scale {run['scale']}: parity check failed")
         if "setup_ratio" in run:

@@ -22,13 +22,13 @@ Subcommands
              (JSONL report; ``--dry-run`` plans without solving)
 ``spec``     inspect the declarative configuration specs:
              ``spec check`` runs the self-checks (spec <-> dataclass
-             drift, constraint consistency, fuzz-oracle matrix),
-             ``spec knobs`` prints a spec's knob/constraint tables
+             drift, fuzz-oracle matrix),
+             ``spec knobs`` prints a spec's knob table
 
-Invalid configurations (``--batch`` without sharding, ``--lam 0``,
-``serve --queue-limit 0``, ...) exit with status 2 and the same
-violation message the Python constructor and the service's HTTP 400
-report (see docs/CONFIGURATION.md).
+Invalid configurations (``--lam 0``, ``serve --queue-limit 0``, ...)
+exit with status 2 and the same violation message the Python
+constructor and the service's HTTP 400 report (see
+docs/CONFIGURATION.md).
 
 Design files are Bookshelf ``.aux`` suites or this package's ``.json``
 format (chosen by extension).
@@ -125,13 +125,11 @@ def cmd_legalize(args: argparse.Namespace) -> int:
         raise SystemExit(f"unknown algorithm {args.algorithm!r}")
     legalizer = factory()
     if args.algorithm == "mmsim":
-        # Validate the flag combination (spec-backed, inside the
-        # constructor) before touching the input file, so `--batch`
-        # without sharding or `--lam 0` exits 2 with the violation
-        # message instead of no-opping or failing deep in the flow.
+        # Validate the flags (spec-backed, inside the constructor)
+        # before touching the input file, so `--lam 0` exits 2 with the
+        # violation message instead of failing deep in the flow.
         overrides = dict(
             shard=not args.no_shard,
-            batch_micro_shards=args.batch,
             kernel_backend=args.kernel_backend,
         )
         if args.lam is not None:
@@ -416,7 +414,6 @@ def cmd_spec(args: argparse.Namespace) -> int:
             f"spec check: ok ({len(LEGALIZER_SPEC.variables)} legalizer + "
             f"{len(SERVICE_SPEC.variables)} service + "
             f"{len(BENCHGEN_SPEC.variables)} benchgen knobs, "
-            f"{len(LEGALIZER_SPEC.constraints)} constraints, "
             f"{len(matrix)}-point oracle matrix)"
         )
         return 0
@@ -424,9 +421,6 @@ def cmd_spec(args: argparse.Namespace) -> int:
         spec = specs[args.spec]
         print(f"## {spec.name} knobs\n")
         print(spec.knob_table())
-        if spec.constraints:
-            print("\n## constraints\n")
-            print(spec.constraint_table())
         return 0
     raise SystemExit(f"unknown spec command {args.spec_command!r}")
 
@@ -515,10 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solve one monolithic KKT LCP instead of sharding "
                         "it into independent coupling-graph components "
                         "(mmsim only; sharding is exact and on by default)")
-    p.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="batch micro-shards through the stacked vectorized "
-                        "MMSIM engine (bit-identical to the per-shard path)")
     p.add_argument("--kernel-backend", default="reference",
                    choices=["reference", "fused", "numba"],
                    help="sweep-kernel backend for the MMSIM inner loops "
@@ -664,12 +654,12 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="spec_command", required=True)
     pc = ssub.add_parser(
         "check",
-        help="self-check the specs: dataclass drift, constraint "
-             "consistency, and fuzz-oracle matrix coverage",
+        help="self-check the specs: dataclass drift and fuzz-oracle "
+             "matrix coverage",
     )
     pc.set_defaults(func=cmd_spec)
     pk = ssub.add_parser(
-        "knobs", help="print a spec's knob and constraint tables"
+        "knobs", help="print a spec's knob table"
     )
     pk.add_argument("--spec", default="legalizer",
                     choices=["legalizer", "service", "benchgen", "sweep"])

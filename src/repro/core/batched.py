@@ -1,12 +1,14 @@
-"""Batched micro-shard MMSIM execution engine.
+"""Batched micro-shard MMSIM execution engine for cross-design stacks.
 
 :mod:`repro.core.sharding` makes the legalization KKT LCP exactly block
-diagonal over coupling components, but dispatching one Python-level
-``mmsim_solve`` per component means designs that shatter into hundreds of
-micro-shards (short chains of adjacent cells — the common case) pay
+diagonal over coupling components, and :mod:`repro.core.multi` stacks
+several designs' systems the same way.  Dispatching one Python-level
+``mmsim_solve`` per component of such a stack means a burst of small
+designs (hundreds of micro-shards: short chains of adjacent cells) pays
 per-shard Python and setup overhead that dwarfs the arithmetic.  This
-module keeps the per-component *stopping* win of micro-sharding while
-running the sweeps as a handful of vectorized operations:
+module, reached through ``solve_sharded(..., batch=True)``, keeps the
+per-component *stopping* win of micro-sharding while running the sweeps
+as a handful of vectorized operations:
 
 * shards are grouped by **structural signature** — pure-chain (no E
   rows, H = I) vs. coupled, and a log₂ size bucket — so each group's
@@ -45,56 +47,36 @@ when its result fails the KKT audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.setup_cache import combine_keys
 from repro.core.sharding import StackDeclined
 from repro.kernels import ReferenceSweepRunner
 from repro.lcp.mmsim import MMSIMOptions, warm_start_from_z
-from repro.lcp.problem import LCP, LCPResult
+from repro.lcp.problem import LCPResult
 from repro.telemetry import current_session
 
-
-@dataclass(frozen=True)
-class BatchOptions:
-    """Controls for the batched micro-shard engine.
-
-    ``signature_buckets`` caps the log₂ size bucket of the grouping
-    signature: shards of ``n + m`` variables land in bucket
-    ``min(bit_length(n+m), signature_buckets)``, so everything above
-    ``2**signature_buckets`` shares one bucket.  ``min_group_shards``
-    routes groups too small to amortize a stacked factorization to the
-    per-shard path.  ``repack_fraction`` triggers a repack when the
-    active fraction of a group drops to (or below) it — each repack at
-    most halves the stack with the default 0.5, so total ride-along
-    waste stays bounded.  ``repack_interval`` is the minimum number of
-    sweeps a pack must run before it may be repacked: restacking costs a
-    fresh factorization (milliseconds of sparse-assembly overhead) while
-    a ride-along sweep over frozen entries costs nanoseconds per entry,
-    so repacking only pays off for long-tail groups — short-lived groups
-    should finish in their original stack.
-    """
-
-    signature_buckets: int = 8
-    min_group_shards: int = 2
-    repack_fraction: float = 0.5
-    repack_interval: int = 250
-
-    def __post_init__(self) -> None:
-        if self.signature_buckets < 1:
-            raise ValueError("signature_buckets must be >= 1")
-        if self.min_group_shards < 1:
-            raise ValueError("min_group_shards must be >= 1")
-        if not 0.0 <= self.repack_fraction < 1.0:
-            raise ValueError("repack_fraction must be in [0, 1)")
-        if self.repack_interval < 1:
-            raise ValueError("repack_interval must be >= 1")
+#: Cap on the log₂ size bucket of the grouping signature: shards of
+#: ``n + m`` variables land in bucket ``min(bit_length(n+m), 8)``, so
+#: everything above 256 entries shares one bucket.
+SIGNATURE_BUCKETS = 8
+#: Groups with fewer shards than this take the per-shard path: they are
+#: too small to amortize a stacked factorization.
+MIN_GROUP_SHARDS = 2
+#: A pack is repacked when its active fraction drops to (or below) this;
+#: each repack at most halves the stack, so total ride-along waste stays
+#: bounded.
+REPACK_FRACTION = 0.5
+#: Sweeps a pack must run before it may be repacked.  Restacking costs a
+#: fresh factorization (milliseconds of sparse-assembly overhead) while a
+#: ride-along sweep over frozen entries costs nanoseconds per entry, so
+#: repacking only pays off for long-tail groups — short-lived groups
+#: finish in their original stack.
+REPACK_INTERVAL = 250
 
 
-def shard_signature(shard, buckets: int) -> Tuple[str, int]:
+def shard_signature(shard) -> Tuple[str, int]:
     """Structural signature ``(kind, size_bucket)`` of one shard.
 
     ``kind`` is ``"chain"`` for pure-chain shards (no E rows, so H = I
@@ -103,16 +85,14 @@ def shard_signature(shard, buckets: int) -> Tuple[str, int]:
     """
     kind = "chain" if len(shard.e_rows) == 0 else "coupled"
     size = shard.num_variables + shard.num_constraints
-    return kind, min(int(size).bit_length(), buckets)
+    return kind, min(int(size).bit_length(), SIGNATURE_BUCKETS)
 
 
-def group_shards(shards, batch: BatchOptions) -> Dict[Tuple[str, int], List]:
+def group_shards(shards) -> Dict[Tuple[str, int], List]:
     """Group shards by signature, preserving shard order within groups."""
     groups: Dict[Tuple[str, int], List] = {}
     for shard in shards:
-        groups.setdefault(
-            shard_signature(shard, batch.signature_buckets), []
-        ).append(shard)
+        groups.setdefault(shard_signature(shard), []).append(shard)
     return groups
 
 
@@ -165,68 +145,23 @@ class _GroupPack:
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def _assemble(self, shards: List):
-        """Build the stacked system for *shards*; raises
-        :class:`StackDeclined` before any state is committed when the
-        stacked kernels decline (probe-verification failure).
-
-        When every member shard is *trusted* by this run's setup-reuse
-        diff and the group's combined index key has a cached entry, the
-        stacked splitting and KKT matrix are reused bit-identically —
-        only ``q = [p; −b]`` rebuilds.  A cached splitting already passed
-        kernel probe verification when it was built, so the kernel gate
-        is skipped on a hit.  One hit/miss/stale is counted per stack
-        (the initial pack and each repack layout cache independently).
-        """
-        cache = getattr(self.source, "cache", None)
-        key = None
-        entry = None
-        trusted = False
-        if cache is not None:
-            keys = [sh.cache_key for sh in shards]
-            if all(k is not None for k in keys):
-                key = combine_keys(keys)
-                trusted = all(sh.trusted for sh in shards)
-                entry = cache.get(key)
-        if (
-            trusted
-            and entry is not None
-            and entry.splitting is not None
-            and entry.A is not None
-        ):
-            cache.record("hit")
-            splitting = entry.splitting
-            vi = np.concatenate([sh.variables for sh in shards])
-            bi = np.concatenate([sh.b_rows for sh in shards])
-            q = np.concatenate([self.source.p[vi], -self.source.b[bi]])
-            lcp = LCP(A=entry.A, q=q)
-        else:
-            splitting, lcp = self.source.stack(shards)
-            if cache is not None and key is not None:
-                cache.record(
-                    "miss" if entry is None or trusted else "stale"
-                )
-                cache.store(key, splitting=splitting, A=lcp.A)
-        top_sizes = np.array([sh.num_variables for sh in shards], dtype=np.intp)
-        bot_sizes = np.array([sh.num_constraints for sh in shards], dtype=np.intp)
-        top_off = np.concatenate([[0], np.cumsum(top_sizes)])
-        bot_off = np.concatenate([[0], np.cumsum(bot_sizes)])
-        return splitting, lcp, top_sizes, bot_sizes, top_off, bot_off
-
     def _commit(self, shards, s_init, omega, checkpoint, rescued) -> None:
-        (
-            splitting, lcp, top_sizes, bot_sizes, top_off, bot_off
-        ) = self._assemble(shards)
+        """Stack *shards* and reset the pack state around them; raises
+        :class:`StackDeclined` before any state is committed when the
+        stacked kernels decline (probe-verification failure)."""
+        self.splitting, self.lcp = self.source.stack(shards)
         self.shards = list(shards)
-        self.splitting = splitting
-        self.lcp = lcp
-        self.top_sizes = top_sizes
-        self.bot_sizes = bot_sizes
-        self.top_off = top_off
-        self.bot_off = bot_off
-        self.N = int(top_off[-1])
-        self.M = int(bot_off[-1])
-        self.gq = self.gamma * lcp.q
+        self.top_sizes = np.array(
+            [sh.num_variables for sh in shards], dtype=np.intp
+        )
+        self.bot_sizes = np.array(
+            [sh.num_constraints for sh in shards], dtype=np.intp
+        )
+        self.top_off = np.concatenate([[0], np.cumsum(self.top_sizes)])
+        self.bot_off = np.concatenate([[0], np.cumsum(self.bot_sizes)])
+        self.N = int(self.top_off[-1])
+        self.M = int(self.bot_off[-1])
+        self.gq = self.gamma * self.lcp.q
         self.omega = omega
         self.checkpoint = checkpoint
         self.rescued = rescued
@@ -386,7 +321,7 @@ class _GroupPack:
     # ------------------------------------------------------------------
     # The batched sweep
     # ------------------------------------------------------------------
-    def solve(self, batch: BatchOptions) -> Dict[int, LCPResult]:
+    def solve(self) -> Dict[int, LCPResult]:
         """The batched sweep: the drive of :func:`repro.lcp.mmsim.mmsim_solve`
         over the stacked state.
 
@@ -496,8 +431,8 @@ class _GroupPack:
                 ) * opts.stall_window
             if (
                 k < opts.max_iterations
-                and k - last_pack_k >= batch.repack_interval
-                and active_count <= batch.repack_fraction * len(self.shards)
+                and k - last_pack_k >= REPACK_INTERVAL
+                and active_count <= REPACK_FRACTION * len(self.shards)
             ):
                 self.s = s
                 z_new = self._repack(z_prev)
@@ -539,7 +474,6 @@ def solve_shards_batched(
     options: Optional[MMSIMOptions] = None,
     s0: Optional[np.ndarray] = None,
     z0: Optional[np.ndarray] = None,
-    batch: Optional[BatchOptions] = None,
 ) -> Dict[int, LCPResult]:
     """Solve eligible shard groups through the stacked vectorized MMSIM.
 
@@ -550,12 +484,11 @@ def solve_shards_batched(
     the per-shard path (see the module docstring for why).
     """
     opts = options or MMSIMOptions()
-    cfg = batch or BatchOptions()
     source = getattr(sharded, "source", None)
     results: Dict[int, LCPResult] = {}
     if source is None:
         return results
-    groups = group_shards(sharded.shards, cfg)
+    groups = group_shards(sharded.shards)
     tel = current_session()
     batched_groups = 0
     batched_shards = 0
@@ -563,7 +496,7 @@ def solve_shards_batched(
     swept = 0
     wasted = 0
     for sig, shards in groups.items():
-        if len(shards) < cfg.min_group_shards:
+        if len(shards) < MIN_GROUP_SHARDS:
             fallback_shards += len(shards)
             continue
         label = f"{sig[0]}/{sig[1]}"
@@ -571,7 +504,7 @@ def solve_shards_batched(
             pack = _GroupPack(
                 source, shards, opts, label, s0, z0, n_global=sharded.n
             )
-            results.update(pack.solve(cfg))
+            results.update(pack.solve())
         except StackDeclined as exc:
             fallback_shards += len(shards)
             if tel.enabled and tel.solver_events is not None:

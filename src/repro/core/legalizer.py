@@ -80,16 +80,6 @@ class LegalizerConfig:
     #: Batch tiny coupling components into shards of at least this many
     #: variables so Python sweep overhead stays amortized.
     min_shard_variables: int = 256
-    #: Route micro-shards through the batched group engine
-    #: (:mod:`repro.core.batched`): shard at single-component granularity
-    #: (``min_shard_variables`` is ignored), group shards by structural
-    #: signature, and sweep each group as one stacked vectorized MMSIM
-    #: with per-shard convergence masking.  Bit-identical to the
-    #: per-shard path; shards the engine declines fall back to it.
-    #: Requires ``shard=True`` (there are no micro-shards to batch
-    #: otherwise): ``batch_micro_shards=True, shard=False`` raises
-    #: ``ValueError`` instead of silently running one unbatched shard.
-    batch_micro_shards: bool = False
     #: Tunables (and the fault-injection hook) of the per-shard solver
     #: ladder (see repro.core.resilience): a shard whose MMSIM fails to
     #: converge — or whose kernels raise — is re-solved down safe-kernel
@@ -107,7 +97,7 @@ class LegalizerConfig:
     kernel_backend: str = "reference"
 
     def __post_init__(self) -> None:
-        # Every knob and cross-field rule is declared once, in
+        # Every knob is declared once, in
         # repro.scenario.specs.LEGALIZER_SPEC; the service protocol and
         # the CLI surface the same violations (HTTP 400 / exit 2).
         # Imported lazily: the scenario package imports repro.core
@@ -411,15 +401,11 @@ class MMSIMLegalizer:
         metrics = current_session().metrics
         tracer = tracer if tracer is not None else active_tracer()
         legal_qp = prepared.legal_qp
-        batching = cfg.batch_micro_shards
         with tracer.span("splitting") as span:
             prepared.sharded = shard_legalization_qp(
                 legal_qp,
                 params=prepared.params,
-                min_shard_variables=(
-                    1 if batching else cfg.min_shard_variables
-                ),
-                lazy=batching,
+                min_shard_variables=cfg.min_shard_variables,
                 reuse=reuse,
                 kernel_backend=cfg.kernel_backend,
                 single_shard=not cfg.shard,
@@ -427,7 +413,6 @@ class MMSIMLegalizer:
             span.set_attributes(
                 components=prepared.sharded.num_components,
                 shards=prepared.sharded.num_shards,
-                batched=batching,
                 **{"kernel.backend": cfg.kernel_backend},
             )
             metrics.gauge(f"kernel.backend.{cfg.kernel_backend}").set(1.0)
@@ -476,7 +461,6 @@ class MMSIMLegalizer:
                 s0=prepared.s0,
                 config=cfg.resilience,
                 z0=prepared.z0,
-                batch=cfg.batch_micro_shards,
             )
             span.set_attributes(
                 iterations=mmsim_result.iterations,

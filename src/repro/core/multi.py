@@ -1,10 +1,10 @@
 """Cross-design stacked legalization: many designs, one batched solve.
 
 The legalization service answers many small concurrent requests — each a
-whole (usually small, often warm-started) design.  Solving them one at a
-time repays the per-solve Python and setup overhead the batched engine
-(:mod:`repro.core.batched`) was built to amortize; this module extends
-that amortization *across requests*:
+whole (usually small, often warm-started) design.  Solving a burst of
+them one at a time repays the per-solve Python and setup overhead that
+the batched engine (:mod:`repro.core.batched`) amortizes *across
+requests*:
 
 1. each design runs the front half of the flow on its own
    (:meth:`~repro.core.legalizer.MMSIMLegalizer.prepare`: row alignment,
@@ -14,16 +14,23 @@ that amortization *across requests*:
    merged KKT LCP is exactly the concatenation of the per-design ones —
    the same invariant component sharding already exploits *within* one
    design) and sharded at micro-component granularity;
-3. one call into the sharded/batched/resilient solver sweeps every
+3. one call into the sharded solver with ``batch=True`` sweeps every
    shard of every design, grouping shards *across designs* by structural
    signature into stacked vectorized MMSIMs;
 4. each design's slice of the solution is scattered back and finished
    independently (restore, Tetris allocation, mandatory legality audit).
 
-Positions are bit-identical to legalizing each design alone: merging
-only changes which stacked group a shard sweeps in, and the batched
-engine is bit-identical to the per-shard path by construction (see
-:mod:`repro.core.batched`).
+Merging only changes which stacked group a shard sweeps in, and the
+batched engine is bit-identical to the per-shard path by construction,
+so a merged design's result equals its solo run at single-component
+granularity (``LegalizerConfig(min_shard_variables=1)``) bit for bit.
+
+A design with nothing to merge with — alone in its solver-key group, a
+config the merger excludes, or no movable subcells — runs the rest of
+:meth:`~repro.core.legalizer.MMSIMLegalizer.legalize`'s own phase chain
+on its prepared design (``build_systems`` with the job's
+:class:`~repro.core.setup_cache.ReuseCache`, ``solve_prepared``,
+``finish``), so its answer is ``legalize()``'s bit for bit.
 
 Warm and cold designs are solved in **separate** merged groups: a warm
 group seeds from the concatenated persisted ``z`` vectors, a cold group
@@ -63,9 +70,9 @@ class DesignJob:
     config: Optional[LegalizerConfig] = None
     warm_state: Union[None, SolverState, np.ndarray] = None
     #: Previous run's setup-reuse cache for this design (see
-    #: :mod:`repro.core.setup_cache`).  Honoured on solo runs and on
-    #: single-member merged groups; a cache built for one design cannot
-    #: describe a *stacked* system, so multi-member groups skip it.
+    #: :mod:`repro.core.setup_cache`).  Honoured when the design solves
+    #: alone; a cache built for one design cannot describe a *stacked*
+    #: system, so merged groups skip it.
     reuse: Optional[ReuseCache] = None
 
 
@@ -119,7 +126,7 @@ def _scatter_escalations(
 
 def _solve_group(
     members: List[int],
-    prepared: List[Optional[PreparedLegalization]],
+    prepared: List[PreparedLegalization],
     legalizers: List[MMSIMLegalizer],
     results: List[Optional[LegalizationResult]],
     tracer,
@@ -159,11 +166,6 @@ def _solve_group(
             min_shard_variables=1,
             lazy=True,
             kernel_backend=cfg.kernel_backend,
-            reuse=(
-                getattr(preps[0], "_reuse", None)
-                if len(preps) == 1
-                else None
-            ),
         )
         if tel.enabled:
             tel.metrics.gauge("shard.components").set(sharded.num_components)
@@ -242,18 +244,44 @@ def _solve_group(
         results[i] = result
 
 
+def _solve_alone(
+    legalizer: MMSIMLegalizer,
+    prepared: PreparedLegalization,
+    reuse: Optional[ReuseCache],
+    tracer,
+) -> LegalizationResult:
+    """Run the rest of ``legalize()``'s phase chain on one prepared
+    design."""
+    with tracer.span(
+        "legalize",
+        design=prepared.design.name,
+        algorithm="mmsim",
+        phase="solve",
+        cells=len(prepared.design.movable_cells),
+    ) as root:
+        legalizer.build_systems(prepared, tracer=tracer, reuse=reuse)
+        mmsim_result, escalations = legalizer.solve_prepared(
+            prepared, tracer=tracer
+        )
+        result = legalizer.finish(
+            prepared, mmsim_result, escalations, tracer=tracer
+        )
+    result.stage_seconds = root.child_seconds()
+    return result
+
+
 def legalize_many(
     jobs: Sequence[Union[DesignJob, Design]],
-    merge: bool = True,
 ) -> List[LegalizationResult]:
     """Legalize several designs, stacking compatible ones into shared
     batched solves.  Returns one :class:`LegalizationResult` per job, in
     order.  Plain :class:`Design` items are wrapped in a default
     :class:`DesignJob`.
 
-    ``merge=False`` (or any config the merger excludes — see
-    ``_mergeable``) falls back to independent solo runs; merged and solo
-    paths produce bit-identical positions either way.
+    A job that shares its solver-key group with no other job (see
+    ``_mergeable`` and ``_solver_key``) gets ``legalize()``'s answer bit
+    for bit; a merged job gets its solo
+    ``LegalizerConfig(min_shard_variables=1)`` answer.
     """
     jobs = [
         job if isinstance(job, DesignJob) else DesignJob(design=job)
@@ -263,16 +291,13 @@ def legalize_many(
     legalizers: List[MMSIMLegalizer] = [
         MMSIMLegalizer(job.config) for job in jobs
     ]
-    prepared: List[Optional[PreparedLegalization]] = [None] * len(jobs)
+    prepared: List[PreparedLegalization] = []
+    prepare_seconds: List[Dict[str, float]] = []
     tracer = active_tracer()
 
     groups: Dict[Tuple, List[int]] = {}
-    solo: List[int] = []
     for i, job in enumerate(jobs):
         cfg = legalizers[i].config
-        if not merge or not _mergeable(cfg):
-            solo.append(i)
-            continue
         with tracer.span(
             "legalize",
             design=job.design.name,
@@ -283,29 +308,24 @@ def legalize_many(
             prep = legalizers[i].prepare(
                 job.design, warm_start_z=job.warm_state, tracer=tracer
             )
-        if prep.num_variables == 0:
-            # Degenerate (no movable subcells): nothing to stack.
-            solo.append(i)
-            continue
-        prep._prepare_seconds = dict(proot.child_seconds())  # type: ignore[attr-defined]
-        prep._reuse = job.reuse  # type: ignore[attr-defined]
-        prepared[i] = prep
-        groups.setdefault(_solver_key(cfg, prep), []).append(i)
-
-    for i in solo:
-        results[i] = legalizers[i].legalize(
-            jobs[i].design,
-            warm_start_z=jobs[i].warm_state,
-            reuse=jobs[i].reuse,
-        )
+        prepare_seconds.append(dict(proot.child_seconds()))
+        prepared.append(prep)
+        key: Tuple = ("alone", i)
+        if _mergeable(cfg) and prep.num_variables:
+            key = _solver_key(cfg, prep)
+        groups.setdefault(key, []).append(i)
 
     for members in groups.values():
-        _solve_group(members, prepared, legalizers, results, tracer)
+        if len(members) == 1:
+            (i,) = members
+            results[i] = _solve_alone(
+                legalizers[i], prepared[i], jobs[i].reuse, tracer
+            )
+        else:
+            _solve_group(members, prepared, legalizers, results, tracer)
         for i in members:
-            extra = getattr(prepared[i], "_prepare_seconds", None)
-            if extra:
-                merged = dict(extra)
-                merged.update(results[i].stage_seconds)
-                results[i].stage_seconds = merged
+            results[i].stage_seconds = {
+                **prepare_seconds[i], **results[i].stage_seconds
+            }
 
     return results  # type: ignore[return-value]

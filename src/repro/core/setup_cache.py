@@ -1,9 +1,9 @@
 """Incremental setup reuse for ECO re-legalization (the factorization cache).
 
-With the batched MMSIM the sweeps themselves are cheap; what now dominates
-an ECO re-run is *setup*: slicing the per-shard blocks out of the global
-matrices, the Woodbury/``pttrf`` factorizations of every splitting, and
-assembling the stacked KKT matrices.  All of that depends only on the
+A warm-started ECO re-run needs few sweeps; what then dominates it is
+*setup*: slicing the per-shard blocks out of the global matrices, the
+Woodbury/``pttrf`` factorizations of every splitting, and assembling the
+per-shard KKT matrices.  All of that depends only on the
 matrices ``(H, B, E)``, the scalars ``(λ, β*, θ*)``, and the kernel
 backend — not on the right-hand sides ``(p, b)`` that a position-only ECO
 perturbs.
@@ -13,8 +13,7 @@ This module makes that setup incremental:
 * :class:`SetupCache` memoizes one :class:`SetupEntry` (a prefactorized
   :class:`~repro.core.splitting.LegalizationSplitting` plus the assembled
   KKT matrix ``A``) per *index key* — a digest of the exact global index
-  sets ``(variables, b_rows, e_rows)`` a shard or stacked group was sliced
-  from.  ``q = [p; −b]`` is always rebuilt fresh, so a cache hit is
+  sets ``(variables, b_rows, e_rows)`` a shard was sliced from.  ``q = [p; −b]`` is always rebuilt fresh, so a cache hit is
   bit-identical to a cold build by construction: same matrices, same
   per-row entry order, same factorizations — hence identical sweeps.
 
@@ -32,7 +31,7 @@ This module makes that setup incremental:
     dropped and rebuilt, never served.
 
 Cache taxonomy (``setup.cache_{hit,miss,stale}`` counters, one increment
-per splitting built or reused — a stacked group counts once):
+per shard splitting built or reused):
 
 * **hit** — trusted entry found: the splitting and A are reused.
 * **miss** — no entry under the key (first run, evicted, or a shard whose
@@ -53,7 +52,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,15 +68,6 @@ def index_key(
         a = np.ascontiguousarray(arr, dtype=np.int64)
         h.update(np.int64(a.size).tobytes())
         h.update(a.tobytes())
-    return h.digest()
-
-
-def combine_keys(keys: List[bytes]) -> bytes:
-    """One key for a stacked group: the digest of its members' keys in
-    stacking order (order matters — it is the memory layout)."""
-    h = hashlib.blake2b(digest_size=16)
-    for key in keys:
-        h.update(key)
     return h.digest()
 
 

@@ -43,12 +43,13 @@ dozens of scipy constructor calls per shard.  A design whose stacked
 kernels the probe gate declines, or a run with a setup-reuse cache
 (whose unit of trust is the shard), builds each shard on its own.
 
-Alternatively, :mod:`repro.core.batched` keeps the components as
-*micro-shards* (``min_shard_variables=1``) and sweeps whole groups of
-them through one stacked vectorized MMSIM — per-component stopping
-without per-component Python overhead.  To support it, shards can be
-built *lazily*: they carry only their index sets plus a reference to the
-global matrices (:class:`ShardSource`), and materialize their own
+For a stack of several designs (:mod:`repro.core.multi`),
+:mod:`repro.core.batched` keeps the components as *micro-shards*
+(``min_shard_variables=1``) and sweeps whole groups of them through one
+stacked vectorized MMSIM — per-component stopping without per-component
+Python overhead.  To support it, shards can be built *lazily*: they
+carry only their index sets plus a reference to the global matrices
+(:class:`ShardSource`), and materialize their own
 :class:`~repro.lcp.problem.LCP` / splitting on first access — the
 batched engine slices whole groups at once and only shards peeled out by
 the resilience ladder ever materialize individually.
@@ -57,7 +58,7 @@ the resilience ladder ever materialize individually.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -379,7 +380,8 @@ def build_shards(
 
     With ``lazy=True`` only the index sets are computed here; per-shard
     matrices materialize on first attribute access (the batched engine's
-    mode of operation — it slices whole groups at once instead).
+    mode of operation on cross-design stacks — it slices whole groups at
+    once instead).
 
     With ``reuse`` set (a :class:`~repro.core.setup_cache.ReuseCache`
     carried over from a previous run of the same design), the global
@@ -547,7 +549,7 @@ def solve_sharded(
     s0: Optional[np.ndarray] = None,
     config: Optional[ResilienceConfig] = None,
     z0: Optional[np.ndarray] = None,
-    batch: Union[None, bool, "object"] = None,
+    batch: bool = False,
 ) -> Tuple[LCPResult, List[ShardEscalation]]:
     """Solve every shard, in shard order, down the solver ladder and
     scatter back one global solution.
@@ -561,12 +563,11 @@ def solve_sharded(
     under ``config`` (default :class:`ResilienceConfig`): a shard whose
     primary MMSIM converges is untouched, a failing one walks the ladder.
 
-    ``batch`` enables the stacked micro-shard engine
-    (:mod:`repro.core.batched`): ``True`` (or a
-    :class:`~repro.core.batched.BatchOptions`) groups shards by
-    structural signature and sweeps each group through one vectorized
-    MMSIM first; per-shard results are bit-identical to the per-shard
-    path.  A converged batched result passes rung 1 without ever
+    ``batch=True`` enables the stacked micro-shard engine
+    (:mod:`repro.core.batched`, used for cross-design stacks): it groups
+    shards by structural signature and sweeps each group through one
+    vectorized MMSIM first; per-shard results are bit-identical to the
+    per-shard path.  A converged batched result passes rung 1 without ever
     materializing the shard's own factorization, while a shard that
     failed inside its batch — or is fault-injected — walks the ladder on
     its own splitting.  Shards the engine declines (ineligible kernels,
@@ -587,12 +588,9 @@ def solve_sharded(
 
     primary: Dict[int, LCPResult] = {}
     if batch and sharded.num_shards:
-        from repro.core.batched import BatchOptions, solve_shards_batched
+        from repro.core.batched import solve_shards_batched
 
-        batch_opts = batch if isinstance(batch, BatchOptions) else None
-        primary = solve_shards_batched(
-            sharded, opts, s0=s0, z0=z0, batch=batch_opts
-        )
+        primary = solve_shards_batched(sharded, opts, s0=s0, z0=z0)
 
     escalations: List[ShardEscalation] = []
 

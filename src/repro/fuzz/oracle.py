@@ -1,13 +1,13 @@
 """The differential oracle: one scenario, every solver configuration.
 
 For each case the oracle legalizes fresh builds of the same design under
-the full solver-configuration matrix (sharded / monolithic / batched /
-fault-injected ladder rungs / warm-started / setup-reuse rerun) and
-checks:
+the full solver-configuration matrix (sharded / monolithic / kernel
+backends / fault-injected ladder rungs / warm-started / setup-reuse
+rerun) and checks:
 
-* **bit-identity** where the repo promises it (batched and cached-setup
-  rerun configurations reproduce the baseline's KKT vector and final
-  placement bit-for-bit),
+* **bit-identity** where the repo promises it (the cached-setup rerun
+  reproduces the baseline's KKT vector and final placement
+  bit-for-bit),
 * **tolerance equivalence** elsewhere (monolithic, injected rungs, warm
   starts: same QP optimum within solver tolerance),
 * the **KKT natural-residual certificate** on every converged solution,
@@ -133,10 +133,10 @@ def _base_config(opts: OracleOptions, overrides: dict) -> LegalizerConfig:
     """One matrix point's config: oracle base + the point's overrides.
 
     The base pins min_shard_variables=1 — single-component granularity,
-    the granularity whose bit-identity the batched engine promises (the
-    production default, merged micro-shards, is a separate
-    tolerance-group point: merging changes sweep stopping points, so it
-    is tolerance-equivalent, not bitwise) — and a 1x safe-kernel
+    where every component stops on its own (the production default,
+    merged micro-shards, is a separate tolerance-group point: merging
+    changes sweep stopping points, so it is tolerance-equivalent, not
+    bitwise) — and a 1x safe-kernel
     iteration cap, so a hard shard fails over to the fast exact
     PSOR/Lemke rungs instead of grinding, which bounds the campaign's
     worst-case wall clock.
@@ -164,8 +164,8 @@ def oracle_configs(opts: OracleOptions) -> List[Tuple[str, LegalizerConfig, str]
 
     The matrix itself is *generated* from the declarative legalizer
     spec — :func:`repro.scenario.matrix.oracle_matrix` expands the
-    batched identity point, the one-factor tolerance axes,
-    and the injection-ladder rungs through
+    one-factor tolerance axes, the kernel-backend points and the
+    injection-ladder rungs through
     ``ScenarioSpec.enumerate_valid`` — so an invalid combination can
     never enter the campaign, and a new ``LegalizerConfig`` knob
     without oracle coverage (or an explicit exemption) fails

@@ -1,8 +1,8 @@
 """Declarative scenario/configuration layer (see docs/CONFIGURATION.md).
 
 :mod:`repro.scenario.spec` is the machinery (typed :class:`ConfigVar`
-knobs, cross-field :class:`Constraint` rules, :class:`ScenarioSpec`
-with ``validate`` / ``enumerate_valid`` / ``self_check``);
+knobs with value domains, :class:`ScenarioSpec` with ``validate`` /
+``enumerate_valid`` / ``self_check``);
 :mod:`repro.scenario.specs` declares the repo's concrete specs.  The
 fuzz-oracle matrix generator (:mod:`repro.scenario.matrix`) and the
 ``repro sweep`` campaign runner (:mod:`repro.scenario.sweep`) are
@@ -16,14 +16,11 @@ from repro.scenario.spec import (
     Choice,
     ConfigVar,
     ConfigViolation,
-    Constraint,
     Domain,
     Range,
     ScenarioSpec,
     combine_specs,
-    conflicts,
     format_violations,
-    requires,
 )
 from repro.scenario.specs import (
     BENCHGEN_SPEC,
@@ -38,7 +35,6 @@ __all__ = [
     "Choice",
     "ConfigVar",
     "ConfigViolation",
-    "Constraint",
     "Domain",
     "LEGALIZER_SPEC",
     "Range",
@@ -46,7 +42,5 @@ __all__ = [
     "SWEEP_SPEC",
     "ScenarioSpec",
     "combine_specs",
-    "conflicts",
     "format_violations",
-    "requires",
 ]

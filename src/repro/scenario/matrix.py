@@ -54,12 +54,9 @@ def _one(axes: Mapping[str, Sequence[Any]]) -> Dict[str, Any]:
     return points[0]
 
 
-#: (name, axes, group) rows expanded one-factor-at-a-time.  ``batch``
-#: is the identity point: the batched engine promises bit-identity
-#: against the plain sharded baseline.
+#: (name, axes, group) rows expanded one-factor-at-a-time.
 _ONE_FACTOR: Tuple[Tuple[str, Dict[str, Tuple[Any, ...]], str], ...] = (
     ("merged_shards", {"min_shard_variables": (256,)}, "tolerance"),
-    ("batch", {"batch_micro_shards": (True,)}, "identity"),
     ("monolithic", {"shard": (False,)}, "tolerance"),
 )
 
@@ -72,8 +69,8 @@ _LADDER: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 #: Knobs the oracle base pins for every point (tight tolerances so
-#: group comparisons are meaningful; single-component shards because
-#: that is the granularity whose bit-identity the engines promise).
+#: group comparisons are meaningful; single-component shards so every
+#: shard stops on its own).
 BASE_OVERRIDDEN = frozenset(
     {
         "lam",
@@ -115,10 +112,9 @@ def oracle_matrix() -> List[OraclePoint]:
     for name, rungs in _LADDER:
         point = _one({"resilience": (_inject(*rungs),)})
         matrix.append(OraclePoint(name, "tolerance", point))
-    # Non-reference sweep-kernel backends, routed through the batched
-    # engine (their main production surface).  Only the stock optional
-    # backends: test suites register throwaway backends at runtime, and
-    # those must not leak into the differential matrix.
+    # Non-reference sweep-kernel backends on the default flow.  Only the
+    # stock optional backends: test suites register throwaway backends
+    # at runtime, and those must not leak into the differential matrix.
     from repro.kernels import get_backend
 
     kernel_backends = ["fused"]
@@ -128,10 +124,7 @@ def oracle_matrix() -> List[OraclePoint]:
         OraclePoint(
             f"{backend}_kernel",
             "tolerance",
-            _one({
-                "kernel_backend": (backend,),
-                "batch_micro_shards": (True,),
-            }),
+            _one({"kernel_backend": (backend,)}),
         )
         for backend in kernel_backends
     ]

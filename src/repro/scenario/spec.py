@@ -1,13 +1,10 @@
-"""Declarative configuration specs: typed knobs + cross-field constraints.
+"""Declarative configuration specs: typed knobs with value domains.
 
 The flow's configuration surface (``LegalizerConfig``, the service
 knobs, the benchmark generator) is described *declaratively*: every knob
 is a :class:`ConfigVar` carrying its accepted types, value domain,
-default and documentation, and every cross-field rule
-(``batch_micro_shards`` requires ``shard``, ...) is a
-:class:`Constraint`.  A :class:`ScenarioSpec`
-bundles them and is the single source of truth that every entry
-boundary consults:
+default and documentation.  A :class:`ScenarioSpec` bundles them and is
+the single source of truth that every entry boundary consults:
 
 * ``LegalizerConfig.__post_init__`` raises ``ValueError`` with the
   violation list,
@@ -20,8 +17,8 @@ boundary consults:
   enumerate_valid` into telemetry-backed campaigns
   (:mod:`repro.scenario.sweep`).
 
-The idiom follows the staged, constraint-validated ``ConfigVar`` layer
-of ProConPy/visualCaseGen: knobs declare their lattice once, and both
+The idiom follows the staged ``ConfigVar`` layer of
+ProConPy/visualCaseGen: knobs declare their lattice once, and both
 validation and enumeration fall out of the same declaration.
 """
 
@@ -29,26 +26,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields as dc_fields, is_dataclass, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
 class ConfigViolation:
     """One way a configuration fails its spec.
 
-    ``field`` names the offending knob (comma-joined for cross-field
-    constraints), ``code`` classifies the failure (``unknown`` /
-    ``type`` / ``domain`` / ``constraint``), and ``message`` is the
+    ``field`` names the offending knob, ``code`` classifies the failure
+    (``unknown`` / ``type`` / ``domain``), and ``message`` is the
     human-readable sentence every boundary surfaces verbatim — the
     dataclass ``ValueError``, the service 400 payload and the CLI
     stderr all print the same text.
@@ -202,57 +188,10 @@ class ConfigVar:
 
 
 # ----------------------------------------------------------------------
-# Cross-field constraints
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Constraint:
-    """One cross-field rule over a full (defaults-merged) configuration.
-
-    ``predicate`` receives the merged config mapping and returns True
-    when the rule is satisfied.  ``fields`` names every knob the rule
-    reads — used for reporting and by :meth:`ScenarioSpec.self_check`.
-    """
-
-    fields: Tuple[str, ...]
-    kind: str  # "requires" | "conflicts"
-    message: str
-    predicate: Callable[[Mapping[str, Any]], bool]
-
-    def check(self, config: Mapping[str, Any]) -> Optional[ConfigViolation]:
-        if self.predicate(config):
-            return None
-        return ConfigViolation(",".join(self.fields), "constraint", self.message)
-
-
-def _truthy(value: Any) -> bool:
-    return bool(value)
-
-
-def requires(a: str, b: str, message: Optional[str] = None) -> Constraint:
-    """``a`` enabled ⇒ ``b`` enabled (a truthy knob implies another)."""
-    return Constraint(
-        fields=(a, b),
-        kind="requires",
-        message=message or f"{a}=True requires {b}=True",
-        predicate=lambda c: not _truthy(c.get(a)) or _truthy(c.get(b)),
-    )
-
-
-def conflicts(a: str, b: str, message: Optional[str] = None) -> Constraint:
-    """``a`` and ``b`` must not both be enabled."""
-    return Constraint(
-        fields=(a, b),
-        kind="conflicts",
-        message=message or f"{a}=True conflicts with {b}=True",
-        predicate=lambda c: not (_truthy(c.get(a)) and _truthy(c.get(b))),
-    )
-
-
-# ----------------------------------------------------------------------
 # The spec
 # ----------------------------------------------------------------------
 class ScenarioSpec:
-    """A named bundle of :class:`ConfigVar` knobs + :class:`Constraint` rules.
+    """A named bundle of :class:`ConfigVar` knobs.
 
     ``validate`` is the single entry point every boundary shares;
     ``enumerate_valid`` expands an axes mapping into the valid sublattice
@@ -261,19 +200,13 @@ class ScenarioSpec:
     lockstep.
     """
 
-    def __init__(
-        self,
-        name: str,
-        variables: Iterable[ConfigVar],
-        constraints: Iterable[Constraint] = (),
-    ) -> None:
+    def __init__(self, name: str, variables: Iterable[ConfigVar]) -> None:
         self.name = name
         self.variables: Dict[str, ConfigVar] = {}
         for var in variables:
             if var.name in self.variables:
                 raise ValueError(f"duplicate ConfigVar {var.name!r}")
             self.variables[var.name] = var
-        self.constraints: List[Constraint] = list(constraints)
 
     # ------------------------------------------------------------- access
     def __contains__(self, name: str) -> bool:
@@ -291,39 +224,24 @@ class ScenarioSpec:
 
         *config* is a mapping of overrides (absent knobs take their
         defaults) or a dataclass instance (every declared knob is read
-        with ``getattr``).  Per-knob type/domain checks run first;
-        cross-field constraints are only evaluated when every knob they
-        read passed (a constraint over an ill-typed value would just
-        duplicate the type error, or crash comparing strings to floats).
+        with ``getattr``).  Unknown names are reported first, then each
+        known knob's type/domain check.
         """
         provided = self._as_mapping(config)
-        violations: List[ConfigViolation] = []
-        bad_fields = set()
-        for name in provided:
-            if name not in self.variables:
-                violations.append(ConfigViolation(
-                    name, "unknown",
-                    f"unknown {self.name} field (known: "
-                    f"{sorted(self.variables)})",
-                ))
-                bad_fields.add(name)
+        violations: List[ConfigViolation] = [
+            ConfigViolation(
+                name, "unknown",
+                f"unknown {self.name} field (known: "
+                f"{sorted(self.variables)})",
+            )
+            for name in provided
+            if name not in self.variables
+        ]
         for name, value in provided.items():
-            if name in bad_fields:
-                continue
-            violation = self.variables[name].validate(value)
-            if violation is not None:
-                violations.append(violation)
-                bad_fields.add(name)
-        merged = self.defaults()
-        merged.update(
-            {k: v for k, v in provided.items() if k not in bad_fields}
-        )
-        for constraint in self.constraints:
-            if any(f in bad_fields for f in constraint.fields):
-                continue
-            violation = constraint.check(merged)
-            if violation is not None:
-                violations.append(violation)
+            if name in self.variables:
+                violation = self.variables[name].validate(value)
+                if violation is not None:
+                    violations.append(violation)
         return violations
 
     def _as_mapping(self, config: Any) -> Dict[str, Any]:
@@ -350,9 +268,9 @@ class ScenarioSpec:
         accepts, in deterministic product order (last axis fastest).
         Axis values that fail their knob's *type* check raise
         immediately (a typo'd axes file should not silently produce an
-        empty campaign); points dropped by *domain or constraint*
-        violations are skipped silently — pruning invalid combinations
-        is the method's purpose.
+        empty campaign); points dropped by *domain* violations are
+        skipped silently — pruning invalid values is the method's
+        purpose.
         """
         names = list(axes)
         for name in names:
@@ -383,23 +301,15 @@ class ScenarioSpec:
     def self_check(self, mirror: Any = None) -> List[str]:
         """Internal-consistency problems (empty = healthy).
 
-        Checks that the defaults themselves validate, that every
-        constraint only references declared knobs, and — when *mirror*
-        is given (a dataclass type this spec shadows, e.g.
-        ``LegalizerConfig``) — that the spec and the dataclass agree
-        field-for-field and default-for-default, so a knob added to one
-        side without the other fails CI.
+        Checks that the defaults themselves validate, that every knob
+        has a doc string, and — when *mirror* is given (a dataclass type
+        this spec shadows, e.g. ``LegalizerConfig``) — that the spec and
+        the dataclass agree field-for-field and default-for-default, so
+        a knob added to one side without the other fails CI.
         """
         problems: List[str] = []
         for violation in self.validate(self.defaults()):
             problems.append(f"default config invalid: {violation}")
-        for constraint in self.constraints:
-            for name in constraint.fields:
-                if name not in self.variables:
-                    problems.append(
-                        f"constraint {constraint.message!r} references "
-                        f"undeclared field {name!r}"
-                    )
         for name, var in self.variables.items():
             if not var.doc.strip():
                 problems.append(f"field {name!r} has no doc string")
@@ -449,13 +359,6 @@ class ScenarioSpec:
             )
         return "\n".join(lines)
 
-    def constraint_table(self) -> str:
-        """The cross-field rules as a markdown bullet list."""
-        return "\n".join(
-            f"- **{c.kind}** (`{', '.join(c.fields)}`): {c.message}"
-            for c in self.constraints
-        )
-
 
 _NO_DEFAULT = object()
 
@@ -473,25 +376,15 @@ def _dataclass_default(f) -> Any:
 def combine_specs(
     name: str, parts: Sequence[Tuple[str, "ScenarioSpec"]]
 ) -> "ScenarioSpec":
-    """Merge several specs into one, prefixing each part's knob names.
-
-    Constraints are carried over only from parts with an empty prefix
-    (a prefixed constraint would need its field references rewritten;
-    none of the current prefixed parts declare any).
-    """
-    variables: List[ConfigVar] = []
-    constraints: List[Constraint] = []
-    for prefix, spec in parts:
-        for var_name, var in spec.variables.items():
-            variables.append(var.renamed(prefix + var_name))
-        if not prefix:
-            constraints.extend(spec.constraints)
-        elif spec.constraints:
-            raise ValueError(
-                f"cannot prefix spec {spec.name!r}: it declares "
-                "cross-field constraints"
-            )
-    return ScenarioSpec(name, variables, constraints)
+    """Merge several specs into one, prefixing each part's knob names."""
+    return ScenarioSpec(
+        name,
+        [
+            var.renamed(prefix + var_name)
+            for prefix, spec in parts
+            for var_name, var in spec.variables.items()
+        ],
+    )
 
 
 __all__ = [
@@ -499,12 +392,9 @@ __all__ = [
     "Choice",
     "ConfigVar",
     "ConfigViolation",
-    "Constraint",
     "Domain",
     "Range",
     "ScenarioSpec",
     "combine_specs",
-    "conflicts",
     "format_violations",
-    "requires",
 ]

@@ -28,7 +28,6 @@ from repro.scenario.spec import (
     Range,
     ScenarioSpec,
     combine_specs,
-    requires,
 )
 
 
@@ -102,15 +101,8 @@ LEGALIZER_SPEC = ScenarioSpec(
         ConfigVar(
             "min_shard_variables", (int,), 256,
             "Batch tiny coupling components into shards of at least this "
-            "many variables (ignored when batch_micro_shards routes "
-            "micro-shards through the batched engine instead).",
+            "many variables.",
             Range(1),
-        ),
-        ConfigVar(
-            "batch_micro_shards", (bool,), False,
-            "Route micro-shards through the batched group engine; "
-            "requires shard=True (there are no shards to batch "
-            "otherwise).",
         ),
         ConfigVar(
             "resilience", (ResilienceConfig,), None,
@@ -124,14 +116,6 @@ LEGALIZER_SPEC = ScenarioSpec(
             "Sweep-kernel backend for the MMSIM inner loops (see "
             "repro.kernels; non-reference backends are probe-verified).",
             Choice(_kernel_backend_names),
-        ),
-    ],
-    [
-        requires(
-            "batch_micro_shards", "shard",
-            "batch_micro_shards=True requires shard=True (there are no "
-            "micro-shards to batch without sharding; it would silently "
-            "no-op)",
         ),
     ],
 )

@@ -5,14 +5,14 @@ file* mapping knob names to candidate value lists, e.g.::
 
     {
         "shard": [true, false],
-        "batch_micro_shards": [false, true],
+        "beta": [0.5, 1.0],
         "gen.scale": [0.01, 0.02]
     }
 
 :func:`run_sweep` expands it through
 :meth:`~repro.scenario.spec.ScenarioSpec.enumerate_valid` on
-:data:`~repro.scenario.specs.SWEEP_SPEC` — invalid combinations
-(``batch_micro_shards=True`` with ``shard=False`` above) are pruned, not
+:data:`~repro.scenario.specs.SWEEP_SPEC` — invalid points
+(``beta=1.0`` above, outside Theorem 2's open interval) are pruned, not
 run and not errored — then legalizes a fresh benchmark build per
 surviving point under its own telemetry session, and writes a JSONL
 report: one ``campaign`` header record plus one ``point`` record per
@@ -199,8 +199,8 @@ def run_sweep(
     """Expand *axes* and run (or plan) the campaign.
 
     Raises ``ValueError`` for unknown axis names or ill-typed axis
-    values (via ``enumerate_valid``); domain- or constraint-invalid
-    *combinations* are silently pruned from the lattice.
+    values (via ``enumerate_valid``); points with a domain-invalid
+    value are silently pruned from the lattice.
     """
     opts = opts or SweepOptions()
     points = SWEEP_SPEC.enumerate_valid(axes)

@@ -14,9 +14,10 @@ execution tier:
 * **Cross-request micro-batching** — a batcher task drains the queue,
   accumulates jobs for a short window, and hands each batch to a
   :class:`~concurrent.futures.ThreadPoolExecutor` worker that runs
-  :func:`repro.core.multi.legalize_many`: compatible designs are stacked
-  block-diagonally and swept as **one** batched MMSIM (bit-identical to
-  solo runs — see :mod:`repro.core.multi`).
+  :func:`repro.core.multi.legalize_many`: a lone request runs
+  ``legalize()``'s own phases (the same answer bit for bit), and two or
+  more compatible designs are stacked block-diagonally and swept as
+  **one** batched MMSIM (see :mod:`repro.core.multi`).
 * **Keyed warm-state store** — each design's KKT solution is cached
   under the request key (:mod:`repro.service.store`); the next request
   for the same key warm-starts and converges in a handful of sweeps.
@@ -293,8 +294,8 @@ class LegalizationServer:
         # duration of the batch (they hold mutable sweep buffers, so a
         # concurrent batch must not share them) and checked back in
         # below.  Jobs in this batch sharing a key share the cache —
-        # solo jobs run sequentially inside legalize_many, and merged
-        # multi-member groups skip the cache entirely.
+        # jobs that solve alone run sequentially inside legalize_many,
+        # and merged groups skip the cache entirely.
         reuse_by_key: Dict[str, ReuseCache] = {}
         for job in batch:
             req = job.request
@@ -325,12 +326,12 @@ class LegalizationServer:
                 results: List[Any] = legalize_many(jobs)
             except Exception:
                 # A poisoned batch: isolate the failure by re-running
-                # each job solo so one bad design cannot take down its
+                # each job alone so one bad design cannot take down its
                 # batchmates.
                 results = []
                 for dj in jobs:
                     try:
-                        results.append(legalize_many([dj], merge=False)[0])
+                        results.append(legalize_many([dj])[0])
                     except Exception as exc:  # noqa: BLE001
                         results.append(exc)
             snapshot = tel.metrics.snapshot()

@@ -5,7 +5,10 @@ contiguous system and sweeping them through a single vectorized MMSIM is
 *bit-identical* to solving each shard on its own — same iterates, same
 iteration counts, same messages, same final placements.  Everything else
 (grouping, repacking, warm starts, the resilience ladder peeling a shard
-out of its batch) must preserve that.
+out of its batch) must preserve that.  The engine is reached through
+``solve_sharded(..., batch=True)`` and, end to end, through
+``legalize_many`` stacks of two or more designs, whose results must equal
+each design's solo ``LegalizerConfig(min_shard_variables=1)`` run.
 """
 
 import numpy as np
@@ -14,12 +17,13 @@ import pytest
 from repro import telemetry
 from repro.benchgen import generate_benchmark
 from repro.core.batched import (
-    BatchOptions,
+    SIGNATURE_BUCKETS,
     group_shards,
     shard_signature,
     solve_shards_batched,
 )
 from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
+from repro.core.multi import DesignJob, legalize_many
 from repro.core.qp_builder import build_legalization_qp
 from repro.core.resilience import ResilienceConfig
 from repro.core.row_assign import assign_rows
@@ -51,49 +55,50 @@ def _sharded(scale=0.05, seed=1, **genkw):
     )
 
 
-class TestBatchOptions:
-    def test_defaults_valid(self):
-        opts = BatchOptions()
-        assert opts.signature_buckets >= 1
-        assert opts.min_group_shards >= 1
+def _positions(design):
+    return np.array([(c.x, c.y, c.flipped) for c in design.movable_cells])
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"signature_buckets": 0},
-            {"min_group_shards": 0},
-            {"repack_fraction": -0.1},
-            {"repack_fraction": 1.0},
-            {"repack_interval": 0},
-        ],
+
+def _stacked_vs_solo(**genkw):
+    """``legalize_many`` over two fresh builds of the seed-1 design, and
+    its solo ``min_shard_variables=1`` run; returns the stacked
+    ``(positions, result)`` pairs and the solo pair.  (Stacks of
+    distinct designs are checked in ``tests/test_multi.py``.)"""
+    stacked = [
+        generate_benchmark("fft_2", scale=0.05, seed=1, **genkw)
+        for _ in range(2)
+    ]
+    results = legalize_many(stacked)
+    design = generate_benchmark("fft_2", scale=0.05, seed=1, **genkw)
+    solo = MMSIMLegalizer(LegalizerConfig(min_shard_variables=1)).legalize(
+        design
     )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            BatchOptions(**kwargs)
+    return (
+        [(_positions(d), r) for d, r in zip(stacked, results)],
+        (_positions(design), solo),
+    )
 
 
 class TestSignatureGrouping:
     def test_chain_vs_coupled_kinds(self):
         sharded = _sharded(blockage_fraction=0.2, triple_fraction=0.5)
-        kinds = {
-            shard_signature(s, 8)[0]: s for s in sharded.shards
-        }
+        kinds = {shard_signature(s)[0]: s for s in sharded.shards}
         assert set(kinds) == {"chain", "coupled"}
         assert len(kinds["chain"].e_rows) == 0
         assert len(kinds["coupled"].e_rows) > 0
 
     def test_size_bucket_is_capped(self):
         sharded = _sharded()
-        for shard in sharded.shards:
-            size = shard.num_variables + shard.num_constraints
-            assert shard_signature(shard, 8)[1] == min(
-                int(size).bit_length(), 8
+        sizes = [s.num_variables + s.num_constraints for s in sharded.shards]
+        assert max(sizes).bit_length() > SIGNATURE_BUCKETS  # cap applies
+        for shard, size in zip(sharded.shards, sizes):
+            assert shard_signature(shard)[1] == min(
+                int(size).bit_length(), SIGNATURE_BUCKETS
             )
-            assert shard_signature(shard, 1)[1] == 1
 
     def test_groups_partition_the_shards(self):
         sharded = _sharded()
-        groups = group_shards(sharded.shards, BatchOptions())
+        groups = group_shards(sharded.shards)
         grouped = [s.index for shards in groups.values() for s in shards]
         assert sorted(grouped) == [s.index for s in sharded.shards]
         for shards in groups.values():
@@ -141,54 +146,40 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("genkw", PROFILES)
     def test_end_to_end_positions_identical(self, genkw):
-        def placements(cfg):
-            design = generate_benchmark("fft_2", scale=0.05, seed=1, **genkw)
-            result = MMSIMLegalizer(cfg).legalize(design)
-            return (
-                np.array([(c.x, c.y) for c in design.movable_cells]),
-                result,
+        """Each design of a two-design stack lands exactly where its solo
+        single-component run does: positions, KKT vector, displacement."""
+        stacked, (want, want_result) = _stacked_vs_solo(**genkw)
+        for got, got_result in stacked:
+            assert np.array_equal(got, want)
+            assert np.array_equal(
+                got_result.kkt_solution, want_result.kkt_solution
             )
-
-        micro, micro_result = placements(
-            LegalizerConfig(min_shard_variables=1)
-        )
-        batched, batched_result = placements(
-            LegalizerConfig(batch_micro_shards=True)
-        )
-        assert np.array_equal(batched, micro)
-        assert batched_result.audit_clean
-        assert (
-            batched_result.displacement.total_manhattan_sites
-            == micro_result.displacement.total_manhattan_sites
-        )
+            assert got_result.audit_clean
+            assert (
+                got_result.displacement.total_manhattan_sites
+                == want_result.displacement.total_manhattan_sites
+            )
 
     def test_escalations_peel_shards_out_of_batches(self):
         # Every shard's primary MMSIM is injected to fail: the batched
         # engine's results are discarded per shard and each one walks
         # the ladder — identically to the unbatched run.
-        def placements(cfg):
-            design = generate_benchmark(
-                "fft_2", scale=0.05, seed=1, blockage_fraction=0.2
-            )
-            result = MMSIMLegalizer(cfg).legalize(design)
-            return (
-                np.array([(c.x, c.y) for c in design.movable_cells]),
-                result,
-            )
-
+        # The legalizer's own (loose) tolerances, as in a legalize() run.
+        opts = MMSIMLegalizer().solver_options()
         resilience = ResilienceConfig(inject={"*": ("mmsim",)})
-        micro, micro_result = placements(
-            LegalizerConfig(min_shard_variables=1, resilience=resilience)
+        serial, serial_esc = solve_sharded(
+            _sharded(blockage_fraction=0.2), opts, config=resilience
         )
-        batched, batched_result = placements(
-            LegalizerConfig(batch_micro_shards=True, resilience=resilience)
+        batched, batched_esc = solve_sharded(
+            _sharded(blockage_fraction=0.2), opts, config=resilience,
+            batch=True,
         )
-        assert batched_result.solver_escalations
-        assert len(batched_result.solver_escalations) == len(
-            micro_result.solver_escalations
-        )
-        assert batched_result.audit_clean
-        assert np.array_equal(batched, micro)
+        assert batched_esc
+        assert [(e.shard_index, e.winner) for e in batched_esc] == [
+            (e.shard_index, e.winner) for e in serial_esc
+        ]
+        assert np.array_equal(batched.z, serial.z)
+        assert batched.converged == serial.converged
 
 
 class TestWarmStart:
@@ -209,38 +200,52 @@ class TestWarmStart:
         assert np.array_equal(warm_batched.z, warm_ref.z)
 
     def test_legalizer_warm_start_round_trip(self):
-        def run(warm_start_z=None):
-            design = generate_benchmark("fft_2", scale=0.05, seed=1)
-            cfg = LegalizerConfig(batch_micro_shards=True)
-            return MMSIMLegalizer(cfg).legalize(
-                design, warm_start_z=warm_start_z
+        def run(warm_states=(None, None)):
+            return legalize_many(
+                [
+                    DesignJob(
+                        design=generate_benchmark("fft_2", scale=0.05, seed=s),
+                        warm_state=state,
+                    )
+                    for s, state in zip((1, 2), warm_states)
+                ]
             )
 
         cold = run()
-        assert cold.kkt_solution is not None
-        warm = run(warm_start_z=cold.kkt_solution)
-        assert warm.converged
-        assert warm.iterations < cold.iterations
+        assert all(r.kkt_solution is not None for r in cold)
+        warm = run(tuple(r.kkt_solution for r in cold))
+        for w, c in zip(warm, cold):
+            assert w.warm_start == "state"
+            assert w.converged
+            assert w.iterations < c.iterations
 
     def test_wrong_shape_warm_start_is_ignored(self):
-        design = generate_benchmark("fft_2", scale=0.05, seed=1)
-        cfg = LegalizerConfig(batch_micro_shards=True)
+        # The rejected job falls back to the GP seed and stacks with the
+        # cold job next to it.
         with pytest.warns(UserWarning):
-            result = MMSIMLegalizer(cfg).legalize(
-                design, warm_start_z=np.zeros(3)
+            results = legalize_many(
+                [
+                    DesignJob(
+                        design=generate_benchmark("fft_2", scale=0.05, seed=1),
+                        warm_state=np.zeros(3),
+                    ),
+                    generate_benchmark("fft_2", scale=0.05, seed=2),
+                ]
             )
-        assert result.converged
+        assert results[0].warm_start_rejected is not None
+        assert all(r.converged for r in results)
 
 
 class TestTelemetry:
     def test_batch_metrics_and_events(self):
-        design = generate_benchmark(
-            "fft_2", scale=0.05, seed=1, blockage_fraction=0.2
-        )
+        designs = [
+            generate_benchmark(
+                "fft_2", scale=0.05, seed=s, blockage_fraction=0.2
+            )
+            for s in (1, 2)
+        ]
         with telemetry.session() as tel:
-            MMSIMLegalizer(
-                LegalizerConfig(batch_micro_shards=True)
-            ).legalize(design)
+            legalize_many(designs)
         snap = tel.metrics.snapshot()
         assert snap["batch.groups"]["value"] >= 1
         assert snap["batch.shards"]["value"] >= 2

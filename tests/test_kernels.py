@@ -21,6 +21,7 @@ import pytest
 from repro import telemetry
 from repro.benchgen import generate_benchmark
 from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
+from repro.core.multi import DesignJob, legalize_many
 from repro.core.qp_builder import build_legalization_qp
 from repro.core.row_assign import assign_rows
 from repro.core.setup_cache import scalar_setup_key
@@ -324,27 +325,38 @@ class TestProbeCache:
 class TestEndToEnd:
     @pytest.mark.parametrize("batch", [False, True])
     def test_fused_positions_within_tolerance_class(self, batch):
-        d_ref = generate_benchmark(
-            "fft_2", scale=0.05, seed=3, blockage_fraction=0.2
-        )
-        d_fused = generate_benchmark(
-            "fft_2", scale=0.05, seed=3, blockage_fraction=0.2
-        )
-        site = d_ref.core.site_width
-        r_ref = MMSIMLegalizer(
-            LegalizerConfig(batch_micro_shards=batch)
-        ).legalize(d_ref)
-        r_fused = MMSIMLegalizer(
-            LegalizerConfig(batch_micro_shards=batch, kernel_backend="fused")
-        ).legalize(d_fused)
-        assert r_ref.audit_clean and r_fused.audit_clean
+        """``batch=True`` stacks two designs through ``legalize_many``,
+        so the fused backend runs inside the batched engine."""
+        seeds = (3, 4) if batch else (3,)
+
+        def run(backend):
+            designs = [
+                generate_benchmark(
+                    "fft_2", scale=0.05, seed=s, blockage_fraction=0.2
+                )
+                for s in seeds
+            ]
+            results = legalize_many(
+                [
+                    DesignJob(
+                        design=d,
+                        config=LegalizerConfig(kernel_backend=backend),
+                    )
+                    for d in designs
+                ]
+            )
+            return designs, results
+
+        d_ref, r_ref = run("reference")
+        d_fused, r_fused = run("fused")
+        site = d_ref[0].core.site_width
+        assert all(r.audit_clean for r in r_ref + r_fused)
         # "reordered" tolerance class: identical per-sweep arithmetic,
         # block-sampled stopping — after site snapping a borderline cell
         # may land one site over (docs/PERFORMANCE.md §5).
-        diff = np.max(
-            np.abs(_positions(d_ref) - _positions(d_fused))
-        )
-        assert diff <= site + 1e-9
+        for a, b in zip(d_ref, d_fused):
+            diff = np.max(np.abs(_positions(a) - _positions(b)))
+            assert diff <= site + 1e-9
 
     def test_fused_monolithic_converges_like_reference(self):
         d_ref = generate_benchmark("fft_2", scale=0.03, seed=7)

@@ -1,8 +1,9 @@
 """Cross-design stacked solves (legalize_many) vs solo runs.
 
-The load-bearing invariant: merging designs into one block-diagonal
+The load-bearing invariants: merging designs into one block-diagonal
 batched solve is *exact* — positions are bit-identical to legalizing
-each design alone, warm or cold.
+each design alone, warm or cold — and a job with nothing to merge with
+gets ``legalize()``'s answer bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.benchgen.generator import generate_benchmark
 from repro.core import (
     DesignJob,
     LegalizerConfig,
+    ReuseCache,
     SolverState,
     legalize,
     legalize_many,
@@ -48,10 +50,11 @@ def test_merged_positions_bit_identical_to_solo():
 
 
 def test_merged_kkt_solution_bit_identical_with_matching_sharding():
-    """With the solo reference on the same micro-shard batched engine the
-    merged solve is bitwise exact, z included: stacking across designs
-    only changes which group a shard sweeps in (the PR-4 invariant)."""
-    cfg = LegalizerConfig(batch_micro_shards=True)
+    """With the solo reference at the same single-component granularity
+    the merged solve is bitwise exact, z included: stacking across
+    designs only changes which group a shard sweeps in, and the batched
+    engine is bit-identical to the per-shard path."""
+    cfg = LegalizerConfig(min_shard_variables=1)
     solo_designs = make_designs()
     solo_results = [legalize(d, config=cfg) for d in solo_designs]
     merged_designs = make_designs()
@@ -134,13 +137,35 @@ def test_plain_designs_and_empty_input():
 
 
 def test_merge_false_matches_merge_true():
+    """Unmerged (one job per call) and merged (one call for all jobs)
+    runs place every design alike."""
     a = make_designs()
-    ra = legalize_many(a, merge=True)
+    ra = legalize_many(a)
     b = make_designs()
-    rb = legalize_many(b, merge=False)
+    rb = [legalize_many([d])[0] for d in b]
     for da, db in zip(a, b):
         assert positions(da) == positions(db)
     assert [r.audit_clean for r in ra] == [r.audit_clean for r in rb]
+
+
+@pytest.mark.parametrize("scale", [0.02, 0.05])
+def test_lone_job_equals_legalize(scale):
+    """A job alone in its batch runs ``legalize()``'s own phases: equal
+    KKT vector, positions and sweep count on blockage designs, where a
+    single-component stacked solve would stop its shards elsewhere."""
+    alone = generate_benchmark(
+        "fft_2", scale=scale, seed=3, blockage_fraction=0.15
+    )
+    (got,) = legalize_many([DesignJob(design=alone)])
+    solo = generate_benchmark(
+        "fft_2", scale=scale, seed=3, blockage_fraction=0.15
+    )
+    want = legalize(solo)
+    assert got.kkt_solution.tobytes() == want.kkt_solution.tobytes()
+    assert positions(alone) == positions(solo)
+    assert got.iterations == want.iterations
+    assert got.solver_escalations == want.solver_escalations
+    assert set(got.stage_seconds) == set(want.stage_seconds)
 
 
 def test_merged_run_emits_batch_metrics():
@@ -185,3 +210,25 @@ def test_jobs_on_different_backends_never_share_a_solve(first):
             ]
         )
         assert got.kkt_solution.tobytes() == alone.kkt_solution.tobytes()
+
+
+def test_lone_job_rides_its_reuse_cache_and_stacks_skip_it():
+    """A lone job builds through ``DesignJob.reuse`` exactly as
+    ``legalize(..., reuse=)`` does (the unchanged re-run hits every
+    shard and lands on the same bits); a stack of two jobs leaves the
+    cache untouched, since it cannot describe a stacked system."""
+    reuse = ReuseCache()
+    first = _blocked(3)
+    (cold,) = legalize_many([DesignJob(design=first, reuse=reuse)])
+    misses = reuse.stats["miss"]
+    assert misses > 0 and reuse.stats["hit"] == 0
+    again = _blocked(3)
+    (rerun,) = legalize_many([DesignJob(design=again, reuse=reuse)])
+    assert reuse.stats == {"hit": misses, "miss": misses, "stale": 0}
+    assert rerun.kkt_solution.tobytes() == cold.kkt_solution.tobytes()
+    assert positions(again) == positions(first)
+
+    legalize_many(
+        [DesignJob(design=_blocked(seed), reuse=reuse) for seed in (3, 4)]
+    )
+    assert reuse.stats == {"hit": misses, "miss": misses, "stale": 0}

@@ -1,7 +1,7 @@
 """The declarative scenario/config layer (repro.scenario).
 
-Covers the spec machinery (typed ConfigVars, domains, cross-field
-constraints, lattice enumeration, self-checks), the three wired
+Covers the spec machinery (typed ConfigVars, domains, lattice
+enumeration, self-checks), the three wired
 boundaries — ``LegalizerConfig``, the service protocol, the CLI — which
 must reject the same invalid configs with consistent messages (shared
 parametrized table), the spec-generated fuzz-oracle matrix, and the
@@ -27,7 +27,6 @@ from repro.scenario import (
     Range,
     ScenarioSpec,
     format_violations,
-    requires,
 )
 from repro.scenario.matrix import (
     BASE_OVERRIDDEN,
@@ -103,11 +102,6 @@ class TestScenarioSpec:
         assert LEGALIZER_SPEC.validate(LegalizerConfig()) == []
         assert SERVICE_SPEC.validate(ServiceConfig()) == []
 
-    def test_constraint_skipped_when_field_ill_typed(self):
-        # The type error must not be duplicated by a constraint crash.
-        violations = LEGALIZER_SPEC.validate({"batch_micro_shards": "yes"})
-        assert [v.code for v in violations] == ["type"]
-
     def test_self_checks_are_clean(self):
         assert LEGALIZER_SPEC.self_check(LegalizerConfig) == []
         assert SERVICE_SPEC.self_check(ServiceConfig) == []
@@ -124,14 +118,6 @@ class TestScenarioSpec:
         assert any("beta" in p for p in problems)
         assert any("default mismatch" in p and "lam" in p for p in problems)
 
-    def test_self_check_catches_undeclared_constraint_field(self):
-        spec = ScenarioSpec(
-            "bad",
-            [ConfigVar("a", (bool,), False, "doc")],
-            [requires("a", "missing")],
-        )
-        assert any("missing" in p for p in spec.self_check())
-
     def test_knob_table_lists_every_knob(self):
         table = LEGALIZER_SPEC.knob_table()
         for name in LEGALIZER_SPEC.variables:
@@ -139,11 +125,11 @@ class TestScenarioSpec:
 
     def test_enumerate_valid_prunes_invalid_combos(self):
         points = LEGALIZER_SPEC.enumerate_valid(
-            {"shard": [True, False], "batch_micro_shards": [False, True]}
+            {"shard": [True, False], "beta": [0.5, 1.0]}
         )
-        assert {"shard": False, "batch_micro_shards": True} not in points
-        assert {"shard": True, "batch_micro_shards": True} in points
-        assert len(points) == 3
+        assert {"shard": False, "beta": 1.0} not in points
+        assert {"shard": False, "beta": 0.5} in points
+        assert len(points) == 2
 
     def test_enumerate_valid_unknown_axis(self):
         with pytest.raises(ValueError, match="unknown.*axis"):
@@ -156,17 +142,14 @@ class TestScenarioSpec:
     def test_sweep_spec_prefixes_benchgen(self):
         assert "gen.scale" in SWEEP_SPEC.variables
         assert "shard" in SWEEP_SPEC.variables
-        # Cross-field constraints survive the merge.
-        assert SWEEP_SPEC.validate(
-            {"batch_micro_shards": True, "shard": False}
-        ) != []
+        # Domains survive the prefixing.
+        assert SWEEP_SPEC.validate({"gen.scale": -1.0}) != []
 
 
 # A compact value pool per knob, mixing valid and invalid values, for
 # the property tests below.
 _VALUE_POOL = {
     "shard": [True, False, "yes"],
-    "batch_micro_shards": [True, False],
     "balance_rows": [True, False],
     "lam": [1000.0, 1.0, 0.0, -5.0, "1000"],
     "beta": [0.5, 0.0, 1.0],
@@ -236,7 +219,7 @@ class TestProperties:
 REMOVED_KNOBS = frozenset(
     {
         "parallel", "max_workers", "batch_signature_buckets", "fallback",
-        "warm_start", "validate_theorem2",
+        "warm_start", "validate_theorem2", "batch_micro_shards",
     }
 )
 #: Knobs deleted from ServiceConfig: the same three outcomes, with
@@ -281,10 +264,9 @@ INVALID_CONFIGS = [
         id="merge-removed",
     ),
     pytest.param(
-        {"batch_micro_shards": True, "shard": False},
-        "batch_micro_shards=True requires shard=True",
-        ["legalize", "missing.json", "--no-shard", "--batch"],
-        id="batch-without-shard",
+        {"batch_micro_shards": True}, "batch_micro_shards",
+        ["legalize", "missing.json", "--batch"],
+        id="batch-micro-shards-removed",
     ),
     pytest.param(
         {"lam": 0.0}, "lam: must be > 0",
@@ -370,7 +352,6 @@ class TestThreeBoundaries:
 
     def test_valid_configs_still_construct(self):
         LegalizerConfig()
-        LegalizerConfig(batch_micro_shards=True)  # shard defaults True
         LegalizerConfig(shard=False)
         LegalizerConfig(residual_tol=None)
         # Fault injection needs no switch: the ladder always runs.
@@ -458,7 +439,7 @@ class TestOracleMatrix:
         assert matrix[0].overrides == {}
         names = [p.name for p in matrix]
         for expected in (
-            "merged_shards", "batch", "monolithic", "inject_safe",
+            "merged_shards", "monolithic", "inject_safe",
             "inject_psor", "inject_lemke", "fused_kernel", "reuse",
             "fence_slices",
         ):
@@ -473,8 +454,9 @@ class TestOracleMatrix:
         assert [(p.name, p.group) for p in matrix] == [
             (n, g) for n, _, g in live
         ]
-        # 10 stock points (+1 when numba is present).
-        assert len(live) >= 10
+        # 9 stock points (+1 when numba is present).
+        assert len(live) >= 9
+        assert "batch" not in [n for n, _, _ in live]
 
     def test_every_point_is_spec_valid(self):
         for point in oracle_matrix():
@@ -503,10 +485,10 @@ class TestSweep:
         del yaml
         path = tmp_path / "axes.yaml"
         path.write_text(
-            "shard: [true, false]\nbatch_micro_shards: [false]\n"
+            "shard: [true, false]\nbalance_rows: [false]\n"
         )
         assert load_axes(str(path)) == {
-            "shard": [True, False], "batch_micro_shards": [False]
+            "shard": [True, False], "balance_rows": [False]
         }
 
     def test_load_axes_rejects_non_mapping(self, tmp_path):
@@ -518,21 +500,19 @@ class TestSweep:
     def test_dry_run_plans_only_valid_points(self, tmp_path):
         out = tmp_path / "report.jsonl"
         summary = run_sweep(
-            {"shard": [True, False], "batch_micro_shards": [False, True]},
+            {"shard": [True, False], "beta": [0.5, 1.0], "tol": [1e-3]},
             SweepOptions(dry_run=True, out=str(out)),
         )
         assert summary.lattice_size == 4
-        assert summary.valid_points == 3
-        assert summary.planned == 3
+        assert summary.valid_points == 2
+        assert summary.planned == 2
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert records[0]["record"] == "campaign"
         assert records[0]["dry_run"] is True
         points = [r for r in records if r["record"] == "point"]
-        assert len(points) == 3
+        assert len(points) == 2
         assert all(r["status"] == "planned" for r in points)
-        assert {"shard": False, "batch_micro_shards": True} not in [
-            r["overrides"] for r in points
-        ]
+        assert all(r["overrides"]["beta"] == 0.5 for r in points)
 
     def test_unknown_axis_raises(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -544,7 +524,7 @@ class TestSweep:
         axes_path = tmp_path / "axes.json"
         axes_path.write_text(
             '{"enforce_right_boundary": [true, false], '
-            '"batch_micro_shards": [false, true]}'
+            '"shard": [true, false]}'
         )
         out = tmp_path / "report.jsonl"
         code = main([
@@ -573,7 +553,7 @@ class TestSweep:
     def test_cli_sweep_all_invalid_exits_2(self, tmp_path, capsys):
         axes_path = tmp_path / "axes.json"
         axes_path.write_text(
-            '{"shard": [false], "batch_micro_shards": [true]}'
+            '{"shard": [false], "beta": [1.0]}'
         )
         assert main(["sweep", str(axes_path), "--dry-run"]) == 2
         assert "no valid points" in capsys.readouterr().err
@@ -582,14 +562,16 @@ class TestSweep:
         assert main(["spec", "check"]) == 0
         out = capsys.readouterr().out
         assert "spec check: ok" in out
-        assert "(14 legalizer + 12 service + 6 benchgen knobs" in out
-        assert "1 constraints" in out
+        assert "(13 legalizer + 12 service + 6 benchgen knobs" in out
+        assert f"{len(oracle_matrix())}-point oracle matrix" in out
+        assert "constraint" not in out
 
     def test_spec_knobs_command(self, capsys):
         assert main(["spec", "knobs", "--spec", "legalizer"]) == 0
         out = capsys.readouterr().out
         assert "`kernel_backend`" in out
-        assert "requires" in out
+        assert "`batch_micro_shards`" not in out
+        assert "## constraints" not in out
 
 
 def test_violation_message_is_field_prefixed():

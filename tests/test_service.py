@@ -16,6 +16,7 @@ import pytest
 
 from repro import cli
 from repro.benchgen.generator import generate_benchmark
+from repro.core.legalizer import legalize
 from repro.io.jsonio import load_design, save_design
 from repro.service import (
     LegalizationServer,
@@ -128,6 +129,27 @@ def test_service_positions_match_offline_state_cli(tmp_path):
         assert [(c.name, c.x, c.y, c.flipped) for c in served.cells] == [
             (c.name, c.x, c.y, c.flipped) for c in offline.cells
         ]
+
+
+def test_lone_cold_request_stores_library_kkt_solution():
+    """A request alone in its batch runs ``legalize()``'s own phases, so
+    the warm state it stores is the library's KKT solution bit for bit
+    (on a blockage design, where a single-component stacked solve would
+    stop its shards elsewhere)."""
+
+    def blocked():
+        return generate_benchmark(
+            "fft_2", scale=0.02, seed=3, blockage_fraction=0.15
+        )
+
+    with running_server() as (server, client, _):
+        r = client.legalize(blocked(), key="blk")
+        assert r.ok and r.cache == "miss"
+        state = server.store.get("blk")
+    want = legalize(blocked())
+    assert state is not None
+    assert state.z.tobytes() == want.kkt_solution.tobytes()
+    assert r.iterations == want.iterations
 
 
 def test_warm_bypass_and_store_opt_out():

@@ -26,7 +26,7 @@ def test_request_round_trip(design):
     req = LegalizeRequest(
         design=design,
         key="top",
-        config={"lam": 500.0, "batch_micro_shards": True},
+        config={"lam": 500.0, "min_shard_variables": 1},
         deadline_seconds=2.5,
         store_state=False,
         warm=False,
@@ -34,7 +34,7 @@ def test_request_round_trip(design):
     data = json.loads(json.dumps(req.to_dict()))
     back = LegalizeRequest.from_dict(data)
     assert back.key == "top"
-    assert back.config == {"lam": 500.0, "batch_micro_shards": True}
+    assert back.config == {"lam": 500.0, "min_shard_variables": 1}
     assert back.deadline_seconds == 2.5
     assert back.store_state is False and back.warm is False
     assert back.design.num_cells == design.num_cells
