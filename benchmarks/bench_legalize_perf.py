@@ -22,7 +22,8 @@ run must come out legal.
   ``setup_ratio`` the CI gate bounds at 25%), then ``perturb_fraction``
   of the cells get their GP x nudged and the design re-runs once more
   with the cache plus the cold run's persisted ``SolverState`` (the real
-  ECO resubmit: dirty components rebuild, the rest ride the cache).
+  ECO resubmit: its matrices differ from the cached run's, so every
+  shard rebuilds — ``cache_perturbed`` counts them as stale or missed).
   Reports land in ``BENCH_legalize_eco.json`` by default so the micro
   baseline is never clobbered.
 
@@ -235,7 +236,6 @@ def _run_eco_scale(
         pert_stats = {
             k: reuse.stats[k] - pre_stats[k] for k in reuse.stats
         }
-        trust = reuse.last_trust
 
         ratio = (
             incremental["setup_s"] / cold["setup_s"]
@@ -258,12 +258,6 @@ def _run_eco_scale(
             "cache_incremental": inc_stats,
             "cache_perturbed": pert_stats,
             "perturbed_cells": perturbed_cells,
-            "perturbed_dirty_components": (
-                int(trust.dirty_components) if trust is not None else None
-            ),
-            "perturbed_clean_components": (
-                int(trust.clean_components) if trust is not None else None
-            ),
             "perturbed_warm_start": pert_result.warm_start,
         }
         if best is None or record["setup_ratio"] < best["setup_ratio"]:
@@ -325,12 +319,6 @@ def run_profile(
                     "cache_incremental": rec["cache_incremental"],
                     "cache_perturbed": rec["cache_perturbed"],
                     "perturbed_cells": rec["perturbed_cells"],
-                    "perturbed_dirty_components": rec[
-                        "perturbed_dirty_components"
-                    ],
-                    "perturbed_clean_components": rec[
-                        "perturbed_clean_components"
-                    ],
                     "perturbed_warm_start": rec["perturbed_warm_start"],
                 }
             )
@@ -341,9 +329,10 @@ def run_profile(
                 f"ratio {rec['setup_ratio']:.3f}  "
                 f"bit-identical "
                 f"{'yes' if rec['reuse_bit_identical'] else 'NO'}  "
-                f"perturbed dirty/clean "
-                f"{rec['perturbed_dirty_components']}/"
-                f"{rec['perturbed_clean_components']}"
+                f"perturbed hit/miss/stale "
+                f"{rec['cache_perturbed']['hit']}/"
+                f"{rec['cache_perturbed']['miss']}/"
+                f"{rec['cache_perturbed']['stale']}"
             )
     else:
         fences = spec.get("fences", 0)

@@ -24,7 +24,7 @@ from repro.core.resilience import (
     solve_shard_resilient,
 )
 from repro.core.row_assign import RowAssignment, assign_rows
-from repro.core.setup_cache import ReuseCache, SetupCache, TrustInfo
+from repro.core.setup_cache import ReuseCache
 from repro.core.state import (
     SolverState,
     StaleWarmStart,
@@ -66,8 +66,6 @@ __all__ = [
     "RowAssignment",
     "InfeasibleAssignment",
     "ReuseCache",
-    "SetupCache",
-    "TrustInfo",
     "SolverState",
     "StaleWarmStart",
     "design_fingerprint",

@@ -58,7 +58,6 @@ class LegalizerConfig:
     lam: float = 1000.0
     beta: float = 0.5
     theta: float = 0.5
-    gamma: float = 2.0
     tol: float = 1e-3
     residual_tol: Optional[float] = 1e-2
     max_iterations: int = 20000
@@ -192,10 +191,6 @@ class LegalizationResult:
     #: :meth:`summary` so a silently discarded state is visible outside
     #: telemetry.
     warm_start_rejected: Optional[str] = None
-    #: Coupling-graph component label per KKT variable (sharded runs
-    #: only).  Persisted with :class:`~repro.core.state.SolverState` so a
-    #: later run's reuse cache can diff component membership against it.
-    component_labels: Optional[np.ndarray] = None
 
     @property
     def runtime(self) -> float:
@@ -392,10 +387,11 @@ class MMSIMLegalizer:
         """Attach the sharded KKT system (one shard when ``shard=False``)
         to *prepared*.
 
-        ``reuse`` carries the previous run's memoized setups (see
-        :mod:`repro.core.setup_cache`): trusted splittings are reused
-        bit-identically instead of being refactorized, with the trust
-        diff recorded under a ``setup_reuse`` child span.
+        ``reuse`` carries the previous run's setups (see
+        :mod:`repro.core.setup_cache`): when this run's matrices and
+        scalars equal that run's, its splittings are reused
+        bit-identically instead of being refactorized, with the decision
+        recorded under a ``setup_reuse`` child span.
         """
         cfg = self.config
         metrics = current_session().metrics
@@ -440,7 +436,6 @@ class MMSIMLegalizer:
         cfg = self.config
         tel = tel if tel is not None else current_session()
         return MMSIMOptions(
-            gamma=cfg.gamma,
             tol=cfg.tol,
             residual_tol=cfg.residual_tol,
             max_iterations=cfg.max_iterations,
@@ -567,20 +562,19 @@ class MMSIMLegalizer:
             legality=legality,
             warm_start=prepared.warm_start,
             warm_start_rejected=prepared.warm_start_rejected,
-            component_labels=getattr(prepared.sharded, "labels", None),
         )
 
     # ------------------------------------------------------------------
     def _warm_start(self, legal_qp: LegalizationQP) -> np.ndarray:
         """Warm start s⁰ from the GP targets.
 
-        For s >= 0, z = (|s|+s)/γ = 2s/γ, so s⁰ = γ/2 · [max(x_gp, 0); 0]
-        makes the first modulus iterate start at the GP positions with zero
-        multipliers.
+        For s >= 0, z = (|s|+s)/γ = 2s/γ, so with the solver's γ = 2,
+        s⁰ = [max(x_gp, 0); 0] makes the first modulus iterate start at
+        the GP positions with zero multipliers.
         """
         x0 = np.maximum(-legal_qp.qp.p, 0.0)
         s0 = np.zeros(legal_qp.num_variables + legal_qp.num_constraints)
-        s0[: legal_qp.num_variables] = 0.5 * self.config.gamma * x0
+        s0[: legal_qp.num_variables] = x0
         return s0
 
 
@@ -602,9 +596,10 @@ def legalize(
     crashing mid-sweep or silently warping the start point.
 
     ``reuse`` carries a :class:`~repro.core.setup_cache.ReuseCache` across
-    runs: unchanged shards reuse their memoized Woodbury/pttrf setup
-    bit-identically instead of refactorizing.  The cache holds mutable
-    sweep buffers, so never share one ReuseCache between concurrent runs.
+    runs: a re-run whose matrices and scalars equal the previous run's
+    reuses its Woodbury/pttrf setups bit-identically instead of
+    refactorizing.  The cache holds mutable sweep buffers, so never share
+    one ReuseCache between concurrent runs.
     """
     return MMSIMLegalizer(config).legalize(
         design, warm_start_z=warm_start_z, reuse=reuse

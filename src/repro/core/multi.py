@@ -94,7 +94,6 @@ def _solver_key(cfg: LegalizerConfig, prepared: PreparedLegalization) -> Tuple:
         cfg.lam,
         cfg.beta,
         cfg.theta,
-        cfg.gamma,
         cfg.tol,
         cfg.residual_tol,
         cfg.max_iterations,

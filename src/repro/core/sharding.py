@@ -41,7 +41,7 @@ order, and ``pttrf`` restarts exactly at the zero couplings between
 shards: the blocks equal a per-shard build bit for bit, without its
 dozens of scipy constructor calls per shard.  A design whose stacked
 kernels the probe gate declines, or a run with a setup-reuse cache
-(whose unit of trust is the shard), builds each shard on its own.
+(which keeps its setups per shard), builds each shard on its own.
 
 For a stack of several designs (:mod:`repro.core.multi`),
 :mod:`repro.core.batched` keeps the components as *micro-shards*
@@ -70,12 +70,7 @@ from repro.core.resilience import (
     record_escalations,
     solve_shard_resilient,
 )
-from repro.core.setup_cache import (
-    ReuseCache,
-    SetupCache,
-    index_key,
-    scalar_setup_key,
-)
+from repro.core.setup_cache import ReuseCache, index_key, scalar_setup_key
 from repro.core.splitting import LegalizationSplitting, SplittingParameters
 from repro.lcp.mmsim import MMSIMOptions
 from repro.lcp.problem import LCP, LCPResult, kkt_block, make_kkt_lcp
@@ -98,8 +93,6 @@ class ShardSource:
     E: sp.csr_matrix
     lam: float
     params: Optional[SplittingParameters]
-    #: Memoized setups for incremental (ECO) re-runs; None disables reuse.
-    cache: Optional[SetupCache] = None
     #: Sweep-kernel backend every materialized splitting arms (see
     #: repro.kernels); part of the setup-cache identity.
     kernel_backend: str = "reference"
@@ -171,10 +164,6 @@ class Shard:
     source: Optional[ShardSource] = None
     _lcp: Optional[LCP] = None
     _splitting: Optional[LegalizationSplitting] = None
-    #: Index-set digest into the :class:`SetupCache` (None without reuse).
-    cache_key: Optional[bytes] = None
-    #: Whether this run's trust diff cleared the shard for cache reuse.
-    trusted: bool = False
 
     @property
     def num_variables(self) -> int:
@@ -184,44 +173,21 @@ class Shard:
     def num_constraints(self) -> int:
         return len(self.b_rows)
 
-    def _cache_entry(self):
-        """``(cache, entry)`` for this shard's key; (None, None) without
-        reuse.  The entry may belong to a previous generation — only a
-        ``trusted`` shard may consume it."""
-        src = self.source
-        cache = getattr(src, "cache", None) if src is not None else None
-        if cache is None or self.cache_key is None:
-            return None, None
-        return cache, cache.get(self.cache_key)
-
     @property
     def lcp(self) -> LCP:
         if self._lcp is None:
             src = self.source
             if src is None:
                 raise RuntimeError("lazy shard has no ShardSource")
-            cache, entry = self._cache_entry()
-            if self.trusted and entry is not None and entry.A is not None:
-                # A depends only on (H, B) content — trusted means those
-                # slices are bitwise unchanged.  q rebuilds fresh.
-                q = np.concatenate(
-                    [src.p[self.variables], -src.b[self.b_rows]]
-                )
-                self._lcp = LCP(A=entry.A, q=q)
-            else:
-                Hs = src.H[self.variables][:, self.variables]
-                Bs = (
-                    src.B[self.b_rows][:, self.variables]
-                    if len(self.b_rows)
-                    else sp.csr_matrix((0, self.num_variables))
-                )
-                self._lcp = make_kkt_lcp(
-                    Hs, src.p[self.variables], Bs, src.b[self.b_rows]
-                )
-                if entry is not None and (
-                    self.trusted or entry.splitting is self._splitting
-                ):
-                    entry.A = self._lcp.A
+            Hs = src.H[self.variables][:, self.variables]
+            Bs = (
+                src.B[self.b_rows][:, self.variables]
+                if len(self.b_rows)
+                else sp.csr_matrix((0, self.num_variables))
+            )
+            self._lcp = make_kkt_lcp(
+                Hs, src.p[self.variables], Bs, src.b[self.b_rows]
+            )
         return self._lcp
 
     @property
@@ -230,31 +196,13 @@ class Shard:
             src = self.source
             if src is None:
                 raise RuntimeError("lazy shard has no ShardSource")
-            cache, entry = self._cache_entry()
-            if (
-                self.trusted
-                and entry is not None
-                and entry.splitting is not None
-            ):
-                cache.record("hit")
-                self._splitting = entry.splitting
-            else:
-                Hs, Bs, Es = src.slice_blocks(
-                    self.variables, self.b_rows, self.e_rows
-                )
-                self._splitting = LegalizationSplitting(
-                    Hs, Bs, Es, src.lam,
-                    params=src.params, kernel_backend=src.kernel_backend,
-                )
-                if cache is not None:
-                    cache.record(
-                        "miss" if entry is None or self.trusted else "stale"
-                    )
-                    cache.store(
-                        self.cache_key,
-                        splitting=self._splitting,
-                        A=self._lcp.A if self._lcp is not None else None,
-                    )
+            Hs, Bs, Es = src.slice_blocks(
+                self.variables, self.b_rows, self.e_rows
+            )
+            self._splitting = LegalizationSplitting(
+                Hs, Bs, Es, src.lam,
+                params=src.params, kernel_backend=src.kernel_backend,
+            )
         return self._splitting
 
 
@@ -269,9 +217,8 @@ class ShardedKKT:
     num_components: int
     source: Optional[ShardSource] = None
     shards: List[Shard] = field(default_factory=list)
-    #: Per-variable coupling-component labels (the dirty-diff baseline,
-    #: persisted alongside warm-start state; see repro.core.state).  None
-    #: for the one-shard partition.
+    #: Per-variable coupling-component labels; None for the one-shard
+    #: partition.
     labels: Optional[np.ndarray] = None
 
     @property
@@ -381,20 +328,20 @@ def build_shards(
     With ``lazy=True`` only the index sets are computed here; per-shard
     matrices materialize on first attribute access (the batched engine's
     mode of operation on cross-design stacks — it slices whole groups at
-    once instead).
+    once instead), and ``reuse`` is not consulted.
 
     With ``reuse`` set (a :class:`~repro.core.setup_cache.ReuseCache`
-    carried over from a previous run of the same design), the global
-    blocks are diffed against the previous generation under a
-    ``setup_reuse`` span and every shard whose coupling components are
-    clean is marked *trusted*: its cached splitting and KKT matrix are
-    reused bit-identically instead of being sliced and refactorized.
-    Dirty shards rebuild, each on its own (and refresh the cache for the
-    next run).
+    carried over from a previous run of the same design), a
+    ``setup_reuse`` span decides whether the run is *trusted* (``H``,
+    ``B``, ``E`` bitwise identical to the previous run's, scalars
+    equal).  In a trusted run a shard whose index key the previous run
+    also built takes that splitting and KKT matrix bit-identically
+    instead of being sliced and refactorized; every other shard builds
+    on its own.  The run's setups then replace the cache's.
 
     ``single_shard=True`` (``LegalizerConfig(shard=False)``) puts every
-    variable in one shard in global order: no coupling-component pass, no
-    split at fence groups, and reuse trust is all-or-nothing.
+    variable in one shard in global order: no coupling-component pass and
+    no split at fence groups.
     """
     H = sp.csr_matrix(H)
     B = sp.csr_matrix(B)
@@ -422,24 +369,8 @@ def build_shards(
         b_shard = shard_of_comp[_rows_to_components(B, labels)]
         e_shard = shard_of_comp[_rows_to_components(E, labels)]
 
-    trust = None
-    if reuse is not None:
-        with active_tracer().span("setup_reuse") as span:
-            trust = reuse.begin_run(
-                H, B, E,
-                scalar_key=scalar_setup_key(lam, params, kernel_backend),
-                labels=labels,
-                num_components=num_comp,
-            )
-            span.set_attributes(
-                all_trusted=trust.all_trusted,
-                dirty_components=trust.dirty_components,
-                clean_components=trust.clean_components,
-            )
-
     source = ShardSource(
         H=H, p=p, B=B, b=b, E=E, lam=lam, params=params,
-        cache=reuse.setups if reuse is not None else None,
         kernel_backend=kernel_backend,
     )
     sharded = ShardedKKT(
@@ -455,22 +386,47 @@ def build_shards(
         vi = np.sort(var_order[var_starts[si]:var_starts[si + 1]])
         bi = np.sort(b_order[b_starts[si]:b_starts[si + 1]])
         ei = np.sort(e_order[e_starts[si]:e_starts[si + 1]])
-        shard = Shard(
-            index=si,
-            variables=vi,
-            b_rows=bi,
-            e_rows=ei,
-            source=source,
+        sharded.shards.append(
+            Shard(index=si, variables=vi, b_rows=bi, e_rows=ei, source=source)
         )
-        if reuse is not None:
-            shard.cache_key = index_key(vi, bi, ei)
-            shard.trusted = trust.shard_trusted(vi)
-        sharded.shards.append(shard)
-    if not lazy and (reuse is not None or not _attach_blocks(sharded)):
+    if lazy:
+        return sharded
+    if reuse is not None:
+        _reuse_setups(sharded, reuse)
+    elif not _attach_blocks(sharded):
         for shard in sharded.shards:
             shard.lcp          # noqa: B018 - materialize eagerly
             shard.splitting    # noqa: B018
     return sharded
+
+
+def _reuse_setups(sharded: ShardedKKT, reuse: ReuseCache) -> None:
+    """Give every shard its setup through *reuse*: the previous run's
+    under the same index key when the run is trusted, its own build
+    otherwise; then keep this run's setups as the cache's generation."""
+    src = sharded.source
+    scalar_key = scalar_setup_key(src.lam, src.params, src.kernel_backend)
+    with active_tracer().span("setup_reuse") as span:
+        trusted = reuse.begin_run(src.H, src.B, src.E, scalar_key)
+        span.set_attribute("trusted", trusted)
+    setups = {}
+    for shard in sharded.shards:
+        key = index_key(shard.variables, shard.b_rows, shard.e_rows)
+        previous = reuse.setups.get(key)
+        if trusted and previous is not None:
+            # q is the only right-hand side; it always rebuilds fresh.
+            shard._splitting, A = previous
+            q = np.concatenate(
+                [src.p[shard.variables], -src.b[shard.b_rows]]
+            )
+            shard._lcp = LCP(A=A, q=q)
+            reuse.record("hit")
+        else:
+            shard.lcp          # noqa: B018 - build on its own
+            shard.splitting    # noqa: B018
+            reuse.record("miss" if previous is None else "stale")
+        setups[key] = (shard.splitting, shard.lcp.A)
+    reuse.end_run(src.H, src.B, src.E, scalar_key, setups)
 
 
 def _attach_blocks(sharded: ShardedKKT) -> bool:

@@ -17,7 +17,10 @@ exactly the ECO use case a warm start exists for — but anything that could
 change the constraint layout or variable ordering is covered.
 
 ``load_solver_state`` also reads the legacy bare ``.npy`` format (a raw
-array, no fingerprint); such states are only dimension-checked.
+array, no fingerprint); such states are only dimension-checked.  It reads
+only ``z`` and the metadata from an ``.npz``, so an archive that carries
+further arrays (older versions also wrote per-variable
+``component_labels``) still loads.
 """
 
 from __future__ import annotations
@@ -97,27 +100,18 @@ class SolverState:
     num_constraints: Optional[int] = None
     design_name: Optional[str] = None
     version: int = STATE_VERSION
-    #: Coupling-graph component label per KKT variable from the run that
-    #: produced ``z`` (sharded runs only; None otherwise).  A later run's
-    #: setup-reuse layer diffs its fresh labels against these to find
-    #: components whose membership changed (see repro.core.setup_cache).
-    component_labels: Optional[np.ndarray] = None
 
     @classmethod
     def from_result(cls, design: Design, result) -> "SolverState":
         """Capture a :class:`LegalizationResult`'s solution for *design*."""
         if result.kkt_solution is None:
             raise ValueError("result carries no kkt_solution to persist")
-        labels = getattr(result, "component_labels", None)
         return cls(
             z=np.asarray(result.kkt_solution, dtype=float),
             fingerprint=design_fingerprint(design),
             num_variables=result.num_variables,
             num_constraints=result.num_constraints,
             design_name=design.name,
-            component_labels=(
-                None if labels is None else np.asarray(labels)
-            ),
         )
 
     def matches(self, design: Design, expected_dim: Optional[int] = None) -> Optional[str]:
@@ -169,8 +163,6 @@ def save_solver_state(path: str, state: SolverState) -> None:
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
     )
     arrays = {"z": state.z, _META_KEY: np.asarray(meta)}
-    if state.component_labels is not None:
-        arrays["component_labels"] = state.component_labels
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, **arrays)
@@ -196,11 +188,6 @@ def load_solver_state(path: str) -> SolverState:
     try:
         z = np.asarray(loaded["z"], dtype=float)
         meta = json.loads(str(loaded[_META_KEY]))
-        labels = (
-            np.asarray(loaded["component_labels"])
-            if "component_labels" in loaded.files
-            else None
-        )
     finally:
         loaded.close()
     return SolverState(
@@ -210,5 +197,4 @@ def load_solver_state(path: str) -> SolverState:
         num_constraints=meta.get("num_constraints"),
         design_name=meta.get("design_name"),
         version=int(meta.get("version", STATE_VERSION)),
-        component_labels=labels,
     )

@@ -89,7 +89,6 @@ MATRIX_EXEMPT: Dict[str, str] = {
     "beta": "splitting parameter: changing it changes the iteration, not "
             "the optimum; covered by Theorem-2 unit tests",
     "theta": "splitting parameter: same as beta",
-    "gamma": "regularization weight: same as beta",
     "balance_rows": "extension that changes the target placement — no "
                     "differential group applies",
     "enforce_right_boundary": "extension that changes the QP itself — no "

@@ -61,11 +61,6 @@ LEGALIZER_SPEC = ScenarioSpec(
             Range(0.0, 1.0, lo_open=True, hi_open=True),
         ),
         ConfigVar(
-            "gamma", (float,), 2.0,
-            "Regularization weight of the splitting's diagonal shift.",
-            Range(0.0, lo_open=True),
-        ),
-        ConfigVar(
             "tol", (float,), 1e-3,
             "MMSIM stopping tolerance on the iterate delta (site-snapped "
             "output cannot resolve below ~1e-3 site widths).",

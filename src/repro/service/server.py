@@ -337,9 +337,10 @@ class LegalizationServer:
             snapshot = tel.metrics.snapshot()
         self.metrics.merge_snapshot(snapshot)
         # Check every borrowed (or freshly created) reuse cache back in —
-        # even after a poisoned batch: the trust diff re-validates cached
-        # setups against the fresh matrices on every run, so a cache from
-        # a failed solve can only produce misses, never wrong reuse.
+        # even after a poisoned batch: a cache keeps a run's setups only
+        # once all of them are built, together with the matrices they
+        # came from, and every run re-checks its own matrices against
+        # those, so a cache from a failed solve never serves wrong setups.
         for key, cache in reuse_by_key.items():
             self.store.give_reuse(key, cache)
 

@@ -141,8 +141,8 @@ class WarmStateStore:
     # ``take_reuse`` removes the cache from the store (the borrower owns
     # it exclusively) and ``give_reuse`` returns it when the batch is
     # done; a cache in flight when its key is invalidated is simply not
-    # re-accepted as authoritative — the trust diff re-validates against
-    # the fresh matrices on every run anyway.
+    # re-accepted as authoritative — every run re-checks its matrices
+    # against the cached ones before taking a setup anyway.
     def take_reuse(self, key: str) -> Optional[ReuseCache]:
         """Check out (remove and return) the reuse cache under *key*."""
         with self._lock:

@@ -60,7 +60,7 @@ def test_one_shard_matches_monolithic_oracle(design_name, mode):
 
 
 def test_one_shard_partition_has_no_component_pass():
-    """One shard in global order; no component labels to persist."""
+    """One shard in global order, with no coupling-component pass."""
     design = _design("fences")
     legalizer = MMSIMLegalizer(LegalizerConfig(shard=False))
     prepared = legalizer.prepare(design)
@@ -72,5 +72,4 @@ def test_one_shard_partition_has_no_component_pass():
     np.testing.assert_array_equal(shard.variables, np.arange(sharded.n))
     np.testing.assert_array_equal(shard.b_rows, np.arange(sharded.m))
     assert len(shard.e_rows) == prepared.legal_qp.E.shape[0]
-    result = legalizer.finish(prepared, *legalizer.solve_prepared(prepared))
-    assert result.component_labels is None
+    legalizer.finish(prepared, *legalizer.solve_prepared(prepared))

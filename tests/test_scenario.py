@@ -219,7 +219,7 @@ class TestProperties:
 REMOVED_KNOBS = frozenset(
     {
         "parallel", "max_workers", "batch_signature_buckets", "fallback",
-        "warm_start", "validate_theorem2", "batch_micro_shards",
+        "warm_start", "validate_theorem2", "batch_micro_shards", "gamma",
     }
 )
 #: Knobs deleted from ServiceConfig: the same three outcomes, with
@@ -268,6 +268,7 @@ INVALID_CONFIGS = [
         ["legalize", "missing.json", "--batch"],
         id="batch-micro-shards-removed",
     ),
+    pytest.param({"gamma": 2.0}, "gamma", None, id="gamma-removed"),
     pytest.param(
         {"lam": 0.0}, "lam: must be > 0",
         ["legalize", "missing.json", "--lam", "0"],
@@ -562,7 +563,7 @@ class TestSweep:
         assert main(["spec", "check"]) == 0
         out = capsys.readouterr().out
         assert "spec check: ok" in out
-        assert "(13 legalizer + 12 service + 6 benchgen knobs" in out
+        assert "(12 legalizer + 12 service + 6 benchgen knobs" in out
         assert f"{len(oracle_matrix())}-point oracle matrix" in out
         assert "constraint" not in out
 
@@ -571,6 +572,7 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "`kernel_backend`" in out
         assert "`batch_micro_shards`" not in out
+        assert "`gamma`" not in out
         assert "## constraints" not in out
 
 

@@ -1,11 +1,12 @@
-"""Incremental setup reuse (repro.core.setup_cache).
+"""Setup reuse (repro.core.setup_cache).
 
 The cache's contract is *bit-identity or rebuild*: a reused splitting
-must be provably identical to what a cold build would produce (trusted
-global blocks + matching index key), and anything the trust diff cannot
-prove identical is rebuilt — a structural edit misses, a numeric edit
-under the same sharding goes stale, and a right-hand-side-only edit
-(GP targets, bounds) rides free because ``q`` is never cached.
+must be provably identical to what a cold build would produce (bitwise
+identical global blocks and scalars + matching index key from the one
+kept generation), and anything else is rebuilt — a structural edit
+misses, a numeric edit under the same sharding goes stale, and a
+right-hand-side-only edit (GP targets, bounds) rides free because ``q``
+is never cached.
 """
 
 from __future__ import annotations
@@ -17,20 +18,8 @@ import scipy.sparse as sp
 from repro import telemetry
 from repro.benchgen import generate_benchmark
 from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
-from repro.core.setup_cache import (
-    ReuseCache,
-    SetupCache,
-    changed_rows,
-    index_key,
-    membership_dirty_components,
-    scalar_setup_key,
-)
+from repro.core.setup_cache import ReuseCache, index_key, scalar_setup_key
 from repro.core.splitting import SplittingParameters
-from repro.core.state import (
-    SolverState,
-    load_solver_state,
-    save_solver_state,
-)
 from repro.service.store import WarmStateStore
 from repro.telemetry import prometheus_text
 
@@ -79,85 +68,6 @@ class TestKeys:
 
 
 # ----------------------------------------------------------------------
-# SetupCache mechanics
-# ----------------------------------------------------------------------
-class TestSetupCache:
-    def test_store_get_and_lru_eviction(self):
-        cache = SetupCache(max_entries=2)
-        cache.store(b"a", splitting="A")
-        cache.store(b"b", splitting="B")
-        assert cache.get(b"a").splitting == "A"  # freshens a
-        cache.store(b"c", splitting="C")
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") is not None and cache.get(b"c") is not None
-        assert len(cache) == 2
-
-    def test_record_counts_locally(self):
-        cache = SetupCache()
-        cache.record("hit")
-        cache.record("miss")
-        cache.record("miss")
-        assert cache.stats == {"hit": 1, "miss": 2, "stale": 0}
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            SetupCache(max_entries=0)
-
-
-# ----------------------------------------------------------------------
-# Trust diff primitives
-# ----------------------------------------------------------------------
-class TestChangedRows:
-    def test_identical_is_empty(self):
-        M = sp.csr_matrix(np.eye(4))
-        assert changed_rows(M, M.copy()).size == 0
-
-    def test_single_value_change_marks_row(self):
-        old = sp.csr_matrix(np.eye(4))
-        new = old.copy()
-        new[2, 2] = 5.0
-        assert changed_rows(new, old).tolist() == [2]
-
-    def test_added_entry_marks_row(self):
-        old = sp.csr_matrix(np.eye(4))
-        dense = old.toarray()
-        dense[1, 3] = 1.0
-        assert changed_rows(sp.csr_matrix(dense), old).tolist() == [1]
-
-    def test_row_count_growth_marks_new_rows_only(self):
-        old = sp.csr_matrix(np.eye(3))
-        new = sp.csr_matrix(np.vstack([np.eye(3), [[0, 0, 1.0]]]))
-        assert changed_rows(new, old).tolist() == [3]
-
-    def test_column_count_mismatch_is_incomparable(self):
-        assert changed_rows(
-            sp.csr_matrix((2, 3)), sp.csr_matrix((2, 4))
-        ) is None
-
-
-class TestMembershipDiff:
-    def test_equal_labels_all_clean(self):
-        labels = np.array([0, 0, 1, 1, 2])
-        assert not membership_dirty_components(labels, labels, 3).any()
-
-    def test_none_previous_all_dirty(self):
-        labels = np.array([0, 1])
-        assert membership_dirty_components(None, labels, 2).all()
-
-    def test_split_component_dirty_others_clean(self):
-        prev = np.array([0, 0, 0, 1, 1])
-        new = np.array([0, 0, 2, 1, 1])  # one variable split off 0 -> 2
-        dirty = membership_dirty_components(prev, new, 3)
-        assert dirty[0] and dirty[2]
-        assert not dirty[1]
-
-    def test_merge_dirty(self):
-        prev = np.array([0, 0, 1, 1])
-        new = np.array([0, 0, 0, 0])
-        assert membership_dirty_components(prev, new, 1).all()
-
-
-# ----------------------------------------------------------------------
 # ReuseCache trust decisions on synthetic systems
 # ----------------------------------------------------------------------
 def _system(n=6):
@@ -166,91 +76,52 @@ def _system(n=6):
         ([1.0, -1.0, 1.0, -1.0], ([0, 0, 1, 1], [0, 1, 3, 4])), shape=(2, n)
     )
     E = sp.csr_matrix((0, n))
-    labels = np.array([0, 0, 1, 2, 2, 3])
-    return H, B, E, labels
+    return H, B, E
 
 
 class TestReuseCacheTrust:
-    KEY = (1000.0, 0.5, 0.5, True)
+    KEY = (1000.0, 0.5, 0.5, "reference")
+
+    def _primed(self, H, B, E):
+        reuse = ReuseCache()
+        reuse.end_run(H, B, E, self.KEY, {})
+        return reuse
 
     def test_first_run_nothing_trusted(self):
-        H, B, E, labels = _system()
-        trust = ReuseCache().begin_run(
-            H, B, E, scalar_key=self.KEY, labels=labels, num_components=4
-        )
-        assert not trust.all_trusted
-        assert not trust.shard_trusted(np.array([0]))
-        assert trust.dirty_components == 4
+        H, B, E = _system()
+        assert not ReuseCache().begin_run(H, B, E, self.KEY)
 
     def test_identical_rerun_all_trusted(self):
-        H, B, E, labels = _system()
-        reuse = ReuseCache()
-        reuse.begin_run(
-            H, B, E, scalar_key=self.KEY, labels=labels, num_components=4
-        )
-        trust = reuse.begin_run(
-            H.copy(), B.copy(), E.copy(),
-            scalar_key=self.KEY, labels=labels.copy(), num_components=4,
-        )
-        assert trust.all_trusted
-        assert trust.clean_components == 4
+        H, B, E = _system()
+        reuse = self._primed(H, B, E)
+        assert reuse.begin_run(H.copy(), B.copy(), E.copy(), self.KEY)
 
     def test_scalar_change_untrusts_everything(self):
-        H, B, E, labels = _system()
-        reuse = ReuseCache()
-        reuse.begin_run(
-            H, B, E, scalar_key=self.KEY, labels=labels, num_components=4
-        )
-        trust = reuse.begin_run(
-            H, B, E, scalar_key=(999.0, 0.5, 0.5, True),
-            labels=labels, num_components=4,
-        )
-        assert not trust.all_trusted
-        assert not trust.shard_trusted(np.array([2]))
-
-    def test_dirty_rows_scope_to_their_component(self):
-        H, B, E, labels = _system()
-        reuse = ReuseCache()
-        reuse.begin_run(
-            H, B, E, scalar_key=self.KEY, labels=labels, num_components=4
-        )
-        H2 = H.copy()
-        H2[0, 0] = 7.0  # dirties variable 0 -> component 0 only
-        trust = reuse.begin_run(
-            H2, B, E, scalar_key=self.KEY, labels=labels, num_components=4
-        )
-        assert not trust.all_trusted
-        assert not trust.shard_trusted(np.array([0, 1]))
-        assert trust.shard_trusted(np.array([2]))
-        assert trust.shard_trusted(np.array([3, 4]))
-        assert trust.dirty_components == 1 and trust.clean_components == 3
-
-    def test_b_row_change_dirties_both_generations_columns(self):
-        H, B, E, labels = _system()
-        reuse = ReuseCache()
-        reuse.begin_run(
-            H, B, E, scalar_key=self.KEY, labels=labels, num_components=4
-        )
-        B2 = B.copy()
-        B2[1, 3] = 2.0  # touches variables 3, 4 -> component 2
-        trust = reuse.begin_run(
-            H, B2, E, scalar_key=self.KEY, labels=labels, num_components=4
-        )
-        assert not trust.shard_trusted(np.array([3, 4]))
-        assert trust.shard_trusted(np.array([0, 1]))
+        H, B, E = _system()
+        reuse = self._primed(H, B, E)
+        assert not reuse.begin_run(H, B, E, (999.0, 0.5, 0.5, "reference"))
 
     def test_monolithic_labels_none_is_all_or_nothing(self):
-        H, B, E, _ = _system()
-        reuse = ReuseCache()
-        reuse.begin_run(H, B, E, scalar_key=self.KEY, labels=None)
-        assert reuse.begin_run(
-            H, B, E, scalar_key=self.KEY, labels=None
-        ).all_trusted
+        """Any one changed entry, in any matrix, untrusts the whole run."""
+        H, B, E = _system()
+        reuse = self._primed(H, B, E)
         H2 = H.copy()
         H2[5, 5] = 3.0
-        trust = reuse.begin_run(H2, B, E, scalar_key=self.KEY, labels=None)
-        assert not trust.all_trusted
-        assert not trust.shard_trusted(np.array([0]))
+        B2 = B.copy()
+        B2[1, 3] = 2.0
+        assert not reuse.begin_run(H2, B, E, self.KEY)
+        assert not reuse.begin_run(H, B2, E, self.KEY)
+        assert not reuse.begin_run(H, B, sp.csr_matrix((1, 6)), self.KEY)
+
+    def test_begin_run_keeps_the_previous_generation(self):
+        """Only end_run replaces the generation, so a run that fails
+        before its setups are built leaves the cache as it was."""
+        H, B, E = _system()
+        reuse = self._primed(H, B, E)
+        H2 = H.copy()
+        H2[0, 0] = 7.0
+        assert not reuse.begin_run(H2, B, E, self.KEY)
+        assert reuse.begin_run(H, B, E, self.KEY)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +143,6 @@ class TestLegalizeWithReuse:
         assert reuse.stats["stale"] == 0
         assert np.array_equal(_positions(d1), _positions(d2))
         assert r1.iterations == r2.iterations
-        assert reuse.last_trust.all_trusted
 
     def test_monolithic_rerun_hits(self):
         cfg = LegalizerConfig(shard=False)
@@ -351,33 +221,41 @@ class TestLegalizeWithReuse:
         text = prometheus_text(tel)
         assert "# TYPE repro_setup_cache_hit counter" in text
         assert "# TYPE repro_setup_cache_miss counter" in text
-        assert "repro_setup_dirty_components" in text
         hits = reuse.stats["hit"]
         assert f"repro_setup_cache_hit {hits}" in text
 
 
-# ----------------------------------------------------------------------
-# Component labels persist with SolverState
-# ----------------------------------------------------------------------
-class TestLabelPersistence:
-    def test_result_carries_labels_and_state_round_trips(self, tmp_path):
-        design = _design(scale=0.02)
-        result = _run(LegalizerConfig(), design)
-        assert result.component_labels is not None
-        state = SolverState.from_result(design, result)
-        assert state.component_labels is not None
+@pytest.mark.parametrize("seed", [5, 6])
+def test_partition_change_never_serves_an_older_generation(seed):
+    """Runs at min_shard_variables 256 → 1 → 1 (3 cells moved) → 256
+    under one cache.  The last run's matrices equal the third's, so it
+    is trusted, and its shard keys are the first run's — whose setups
+    were built from the unmoved design.  It must take none of them and
+    answer exactly as a cold run does."""
 
-        path = str(tmp_path / "state.npz")
-        save_solver_state(path, state)
-        loaded = load_solver_state(path)
-        np.testing.assert_array_equal(
-            loaded.component_labels, state.component_labels
-        )
+    def moved():
+        design = generate_benchmark("fft_2", scale=0.05, seed=1)
+        rng = np.random.default_rng(seed)
+        cells = design.movable_cells
+        for i in rng.choice(len(cells), size=3, replace=False):
+            cells[int(i)].gp_x += (
+                float(rng.uniform(-40.0, 40.0)) * design.core.site_width
+            )
+        return design
 
-    def test_state_without_labels_loads_as_none(self, tmp_path):
-        path = str(tmp_path / "state.npz")
-        save_solver_state(path, SolverState(z=np.zeros(4), fingerprint="f"))
-        assert load_solver_state(path).component_labels is None
+    reuse = ReuseCache()
+    for msv, design in (
+        (256, generate_benchmark("fft_2", scale=0.05, seed=1)),
+        (1, generate_benchmark("fft_2", scale=0.05, seed=1)),
+        (1, moved()),
+    ):
+        _run(LegalizerConfig(min_shard_variables=msv), design, reuse=reuse)
+
+    warm, cold = moved(), moved()
+    r_warm = _run(LegalizerConfig(), warm, reuse=reuse)
+    r_cold = _run(LegalizerConfig(), cold)
+    assert r_warm.kkt_solution.tobytes() == r_cold.kkt_solution.tobytes()
+    assert np.array_equal(_positions(warm), _positions(cold))
 
 
 # ----------------------------------------------------------------------

@@ -96,3 +96,25 @@ def test_legacy_bare_npy_still_loads(tmp_path):
     loaded = load_solver_state(str(path))
     np.testing.assert_array_equal(loaded.z, np.arange(4.0))
     assert loaded.fingerprint is None
+
+
+def test_archive_with_component_labels_still_loads(tmp_path):
+    """Older versions also wrote per-variable coupling-component labels
+    into the archive; such a state must still load, labels ignored."""
+    path = tmp_path / "old.npz"
+    meta = (
+        '{"version": 1, "fingerprint": "abc123", "num_variables": 10, '
+        '"num_constraints": 6, "design_name": "d"}'
+    )
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            z=np.full(16, 2.5),
+            meta=np.asarray(meta),
+            component_labels=np.arange(10),
+        )
+    loaded = load_solver_state(str(path))
+    np.testing.assert_array_equal(loaded.z, np.full(16, 2.5))
+    assert loaded.fingerprint == "abc123"
+    assert loaded.num_variables == 10 and loaded.num_constraints == 6
+    assert not hasattr(loaded, "component_labels")
