@@ -60,6 +60,7 @@ from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
 from repro.core.setup_cache import ReuseCache
 from repro.core.state import SolverState
 from repro.legality import check_legality
+from repro.scenario.specs import LEGALIZER_SPEC
 
 BENCH = "fft_2"
 SEED = 3
@@ -399,10 +400,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--profile", choices=sorted(PROFILES), default="micro")
     parser.add_argument(
-        "--backend", choices=["reference", "fused", "numba"],
+        "--backend",
+        choices=LEGALIZER_SPEC.var("kernel_backend").domain.choices,
         default="reference",
-        help="sweep-kernel backend for both the sharded and the "
-             "monolithic config (the eco profile always runs "
+        help="kernel backend (convergence-check cadence) for both the "
+             "sharded and the monolithic config (the eco profile always runs "
              "'reference'); the report records it so the regression "
              "gate only compares like-for-like backends",
     )

@@ -48,6 +48,7 @@ from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
 from repro.io import load_design, read_design, save_design, write_design
 from repro.legality import check_legality
 from repro.netlist.design import Design
+from repro.scenario.specs import LEGALIZER_SPEC
 from repro.viz import save_svg
 
 ALGORITHMS = {
@@ -383,12 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_spec(args: argparse.Namespace) -> int:
     from repro.core.legalizer import LegalizerConfig as _LegalizerConfig
-    from repro.scenario import (
-        BENCHGEN_SPEC,
-        LEGALIZER_SPEC,
-        SERVICE_SPEC,
-        SWEEP_SPEC,
-    )
+    from repro.scenario import BENCHGEN_SPEC, SERVICE_SPEC, SWEEP_SPEC
     from repro.scenario.matrix import matrix_self_check, oracle_matrix
     from repro.service.server import ServiceConfig
 
@@ -510,14 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "it into independent coupling-graph components "
                         "(mmsim only; sharding is exact and on by default)")
     p.add_argument("--kernel-backend", default="reference",
-                   choices=["reference", "fused", "numba"],
-                   help="sweep-kernel backend for the MMSIM inner loops "
-                        "(mmsim only): 'reference' is the bit-identical "
-                        "default, 'fused' runs blocked pure-numpy sweeps, "
-                        "'numba' JIT-compiles them when numba is installed "
-                        "(silently reference otherwise); non-reference "
-                        "backends are probe-verified per splitting and "
-                        "fall back to reference on any mismatch")
+                   choices=LEGALIZER_SPEC.var("kernel_backend").domain.choices,
+                   help="MMSIM convergence-check cadence (mmsim only): "
+                        "'reference' tests after every sweep (the default), "
+                        "'fused' every 8 sweeps")
     p.add_argument("--state", default=None, metavar="PATH",
                    help="solver-state file: if PATH exists, warm-start the "
                         "MMSIM from its KKT solution; afterwards the run's "

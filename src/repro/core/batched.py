@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.sharding import StackDeclined
-from repro.kernels import ReferenceSweepRunner
+from repro.kernels.reference import ReferenceSweepRunner
 from repro.lcp.mmsim import MMSIMOptions, warm_start_from_z
 from repro.lcp.problem import LCPResult
 from repro.telemetry import current_session
@@ -325,23 +325,22 @@ class _GroupPack:
         """The batched sweep: the drive of :func:`repro.lcp.mmsim.mmsim_solve`
         over the stacked state.
 
-        Each step runs ``span`` sweeps through the stack's armed runner
-        (or :class:`~repro.kernels.reference.ReferenceSweepRunner`, one
-        sweep per step): ``span − 1`` blind, a ``z`` recomputation at the
-        penultimate iterate, one measured sweep, so every convergence
-        decision sees a true single-iteration z-step.  ``span`` ramps
-        geometrically up to the runner's block, is clamped to the budget
-        and, while any shard remains rescue-eligible, to the next
-        ``stall_window`` multiple, so the per-shard rescue samples its
-        checkpoints at the same iterates at any block length.
-        Freeze/repack/rescue bookkeeping happens at step boundaries, so
-        entry accounting is exact.  A repack that lands on a stack whose
-        armed runner declined continues on the reference runner.
+        Each step runs ``span`` sweeps through
+        :class:`~repro.kernels.reference.ReferenceSweepRunner`:
+        ``span − 1`` blind, a ``z`` recomputation at the penultimate
+        iterate, one measured sweep, so every convergence decision sees
+        a true single-iteration z-step.  ``span`` ramps geometrically up
+        to ``opts.block``, is clamped to the budget and, while any shard
+        remains rescue-eligible, to the next ``stall_window`` multiple,
+        so the per-shard rescue samples its checkpoints at the same
+        iterates at any block length.  Freeze/repack/rescue bookkeeping
+        happens at step boundaries, so entry accounting is exact.
         """
         opts = self.opts
         gamma = self.gamma
+        block = opts.block
         emit = opts.telemetry.emit if opts.telemetry is not None else None
-        runner = self._runner()
+        run = ReferenceSweepRunner(self.splitting).run
         s = self.s
         z_prev = (np.abs(s) + s) / gamma
         last_pack_k = 0
@@ -359,13 +358,13 @@ class _GroupPack:
                 ):
                     span = min(span, next_rescue - k)
                 if span > 1:
-                    s = runner.run(s, span - 1, self.gq, self.omega_entry)
+                    s = run(s, span - 1, self.gq, self.omega_entry)
                     z_prev = (np.abs(s) + s) / gamma
-            if ramp < runner.block:
-                ramp = min(2 * ramp, runner.block)
+            if ramp < block:
+                ramp = min(2 * ramp, block)
             self.swept_entries += span * (self.N + self.M)
             self.wasted_entries += span * self.inactive_entries
-            s = runner.run(s, 1, self.gq, self.omega_entry)
+            s = run(s, 1, self.gq, self.omega_entry)
             k += span
             z = np.abs(s)
             z += s
@@ -440,8 +439,7 @@ class _GroupPack:
                     s = self.s
                     z_prev = z_new
                     last_pack_k = k
-                    runner = self._runner()
-                    ramp = min(ramp, runner.block)
+                    run = ReferenceSweepRunner(self.splitting).run
         # Shards still active at max_iterations: not converged, final
         # residual at the last iterate.
         leftovers = np.where(self.active)[0]
@@ -462,11 +460,6 @@ class _GroupPack:
                 ),
             )
         return self.results
-
-    def _runner(self):
-        return self.splitting.sweep_runner or ReferenceSweepRunner(
-            self.splitting
-        )
 
 
 def solve_shards_batched(

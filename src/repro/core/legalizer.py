@@ -42,6 +42,11 @@ from repro.metrics.hpwl import WirelengthStats, wirelength_stats
 from repro.netlist.design import Design
 from repro.telemetry import active_tracer, current_session
 
+#: Sweeps per convergence test under ``kernel_backend="fused"``: 8
+#: amortizes most of the per-test Python overhead while keeping the
+#: worst-case overshoot (converging mid-block) a handful of cheap sweeps.
+FUSED_BLOCK = 8
+
 
 @dataclass
 class LegalizerConfig:
@@ -87,12 +92,11 @@ class LegalizerConfig:
     #: None uses the :class:`~repro.core.resilience.ResilienceConfig`
     #: defaults.
     resilience: Optional[ResilienceConfig] = None
-    #: Sweep-kernel backend for the MMSIM inner loops (see
-    #: :mod:`repro.kernels`): ``"reference"`` (default, bit-identical
-    #: numpy/LAPACK path), ``"fused"`` (blocked pure-numpy sweeps), or
-    #: ``"numba"`` (optional JIT; silently reference when numba is
-    #: absent).  Non-reference backends are probe-verified per splitting
-    #: and degrade to reference on any mismatch.
+    #: How often the MMSIM tests convergence on its one sweep:
+    #: ``"reference"`` (default) after every sweep, the paper's plain
+    #: iteration; ``"fused"`` every :data:`FUSED_BLOCK` sweeps
+    #: (``MMSIMOptions.block``), which saves the per-test overhead and
+    #: may stop a few sweeps later.
     kernel_backend: str = "reference"
 
     def __post_init__(self) -> None:
@@ -403,7 +407,6 @@ class MMSIMLegalizer:
                 params=prepared.params,
                 min_shard_variables=cfg.min_shard_variables,
                 reuse=reuse,
-                kernel_backend=cfg.kernel_backend,
                 single_shard=not cfg.shard,
             )
             span.set_attributes(
@@ -439,6 +442,7 @@ class MMSIMLegalizer:
             tol=cfg.tol,
             residual_tol=cfg.residual_tol,
             max_iterations=cfg.max_iterations,
+            block=FUSED_BLOCK if cfg.kernel_backend == "fused" else 1,
             telemetry=tel.solver_events,
         )
 

@@ -97,7 +97,7 @@ def _solver_key(cfg: LegalizerConfig, prepared: PreparedLegalization) -> Tuple:
         cfg.tol,
         cfg.residual_tol,
         cfg.max_iterations,
-        cfg.kernel_backend,
+        cfg.kernel_backend,  # the check cadence decides where a solve stops
         prepared.z0 is not None,
     )
 
@@ -164,7 +164,6 @@ def _solve_group(
             params=preps[0].params,
             min_shard_variables=1,
             lazy=True,
-            kernel_backend=cfg.kernel_backend,
         )
         if tel.enabled:
             tel.metrics.gauge("shard.components").set(sharded.num_components)

@@ -14,8 +14,8 @@ This module re-solves *only the failing shard* down an escalation ladder:
 1. ``mmsim``       — the primary solve (the paper's Eq. (16) splitting
                      with the fast Woodbury/LAPACK kernels);
 2. ``mmsim_safe``  — the same iteration on SuperLU factorizations of
-                     both block solves, with no sweep backend and a fixed
-                     conservative damping (ω = 0.5): rules out
+                     both block solves, tested after every sweep, with a
+                     fixed conservative damping (ω = 0.5): rules out
                      fast-kernel numerics and collapses the 2-cycles the
                      plain iteration can enter;
 3. ``psor``        — projected SOR on the *dual* Schur-complement LCP
@@ -297,7 +297,8 @@ def solve_shard_resilient(
         )
         return replace(result, converged=True) if status == "won" else None
 
-    # Rung 2: safe kernels + fixed conservative damping.
+    # Rung 2: safe kernels + fixed conservative damping, tested after
+    # every sweep whatever the primary's cadence.
     def run_safe() -> LCPResult:
         safe_opts = replace(
             opts,
@@ -306,6 +307,7 @@ def solve_shard_resilient(
             max_iterations=max(
                 1, int(opts.max_iterations * cfg.safe_iteration_factor)
             ),
+            block=1,
         )
         return mmsim_solve(
             lcp,

@@ -4,9 +4,9 @@ A warm-started ECO re-run needs few sweeps; what then dominates it is
 *setup*: slicing the per-shard blocks out of the global matrices, the
 Woodbury/``pttrf`` factorizations of every splitting, and assembling the
 per-shard KKT matrices.  All of that depends only on the
-matrices ``(H, B, E)``, the scalars ``(λ, β*, θ*)``, and the kernel
-backend — not on the right-hand sides ``(p, b)`` that a position-only ECO
-perturbs.
+matrices ``(H, B, E)`` and the scalars ``(λ, β*, θ*)`` — not on the
+right-hand sides ``(p, b)`` that a position-only ECO perturbs, nor on the
+kernel backend, which only sets how often the solve tests convergence.
 
 :class:`ReuseCache` is the caller-facing handle threaded through
 ``legalize(..., reuse=)``.  It keeps **one generation**: the previous
@@ -139,15 +139,8 @@ class ReuseCache:
         self.setups = setups
 
 
-def scalar_setup_key(
-    lam: float, params, kernel_backend: str = "reference"
-) -> tuple:
-    """The scalar inputs a splitting's setup depends on.
-
-    ``kernel_backend`` joins the identity because a cached splitting
-    carries its armed sweep runner: a cache built under one backend must
-    never serve a run requesting another.
-    """
+def scalar_setup_key(lam: float, params) -> tuple:
+    """The scalar inputs a splitting's setup depends on."""
     beta = params.beta if params is not None else 0.5
     theta = params.theta if params is not None else 0.5
-    return (float(lam), float(beta), float(theta), str(kernel_backend))
+    return (float(lam), float(beta), float(theta))

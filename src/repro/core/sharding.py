@@ -93,9 +93,6 @@ class ShardSource:
     E: sp.csr_matrix
     lam: float
     params: Optional[SplittingParameters]
-    #: Sweep-kernel backend every materialized splitting arms (see
-    #: repro.kernels); part of the setup-cache identity.
-    kernel_backend: str = "reference"
 
     def slice_blocks(
         self, vi: np.ndarray, bi: np.ndarray, ei: np.ndarray
@@ -113,29 +110,32 @@ class ShardSource:
         Es = self.E[ei][:, vi] if len(ei) else sp.csr_matrix((0, nv))
         return Hs, Bs, Es
 
+    def build(
+        self, vi: np.ndarray, bi: np.ndarray, ei: np.ndarray
+    ) -> Tuple[LegalizationSplitting, LCP]:
+        """The splitting and KKT LCP of the system restricted to these
+        indices, both from one :meth:`slice_blocks` call."""
+        Hs, Bs, Es = self.slice_blocks(vi, bi, ei)
+        splitting = LegalizationSplitting(
+            Hs, Bs, Es, self.lam, params=self.params
+        )
+        return splitting, make_kkt_lcp(Hs, self.p[vi], Bs, self.b[bi])
+
     def stack(
-        self, shards: List["Shard"], kernel_backend: Optional[str] = None
+        self, shards: List["Shard"]
     ) -> Tuple[LegalizationSplitting, LCP]:
         """One splitting and KKT LCP over *shards* stacked in order.
 
         The blocks come from one :meth:`slice_blocks` permutation, so the
-        stacked system is block diagonal over the shards.  The splitting
-        arms *kernel_backend* (the source's when None).  Raises
+        stacked system is block diagonal over the shards.  Raises
         :class:`StackDeclined` when the probe gate leaves a kernel with
         no per-shard block form: a top kernel other than ``woodbury``, or
         a bottom one other than ``pttrs``, ``scalar`` or ``none``.
         """
-        vi = np.concatenate([sh.variables for sh in shards])
-        bi = np.concatenate([sh.b_rows for sh in shards])
-        ei = np.concatenate([sh.e_rows for sh in shards])
-        Hs, Bs, Es = self.slice_blocks(vi, bi, ei)
-        splitting = LegalizationSplitting(
-            Hs, Bs, Es, self.lam,
-            params=self.params,
-            kernel_backend=(
-                self.kernel_backend if kernel_backend is None
-                else kernel_backend
-            ),
+        splitting, lcp = self.build(
+            np.concatenate([sh.variables for sh in shards]),
+            np.concatenate([sh.b_rows for sh in shards]),
+            np.concatenate([sh.e_rows for sh in shards]),
         )
         if splitting.top_kernel != "woodbury":
             raise StackDeclined("stacked top kernel fell back to SuperLU")
@@ -143,7 +143,7 @@ class ShardSource:
             raise StackDeclined(
                 f"stacked bottom kernel is {splitting.bottom_kernel}"
             )
-        return splitting, make_kkt_lcp(Hs, self.p[vi], Bs, self.b[bi])
+        return splitting, lcp
 
 
 @dataclass
@@ -152,9 +152,10 @@ class Shard:
 
     ``lcp`` and ``splitting`` are set at build time (blocks of one
     design-wide build, see :func:`build_shards`) unless
-    ``build_shards(..., lazy=True)``; a lazy shard materializes them from
-    ``source`` on first access, so the batched engine never pays
-    per-shard construction for shards it solves in a stacked group.
+    ``build_shards(..., lazy=True)``; a lazy shard materializes both
+    from one :meth:`ShardSource.build` on first access to either, so the
+    batched engine never pays per-shard construction for shards it
+    solves in a stacked group.
     """
 
     index: int
@@ -176,34 +177,21 @@ class Shard:
     @property
     def lcp(self) -> LCP:
         if self._lcp is None:
-            src = self.source
-            if src is None:
-                raise RuntimeError("lazy shard has no ShardSource")
-            Hs = src.H[self.variables][:, self.variables]
-            Bs = (
-                src.B[self.b_rows][:, self.variables]
-                if len(self.b_rows)
-                else sp.csr_matrix((0, self.num_variables))
-            )
-            self._lcp = make_kkt_lcp(
-                Hs, src.p[self.variables], Bs, src.b[self.b_rows]
-            )
+            self._materialize()
         return self._lcp
 
     @property
     def splitting(self) -> LegalizationSplitting:
         if self._splitting is None:
-            src = self.source
-            if src is None:
-                raise RuntimeError("lazy shard has no ShardSource")
-            Hs, Bs, Es = src.slice_blocks(
-                self.variables, self.b_rows, self.e_rows
-            )
-            self._splitting = LegalizationSplitting(
-                Hs, Bs, Es, src.lam,
-                params=src.params, kernel_backend=src.kernel_backend,
-            )
+            self._materialize()
         return self._splitting
+
+    def _materialize(self) -> None:
+        if self.source is None:
+            raise RuntimeError("lazy shard has no ShardSource")
+        self._splitting, self._lcp = self.source.build(
+            self.variables, self.b_rows, self.e_rows
+        )
 
 
 @dataclass
@@ -305,7 +293,6 @@ def build_shards(
     lazy: bool = False,
     reuse: Optional[ReuseCache] = None,
     var_groups: Optional[np.ndarray] = None,
-    kernel_backend: str = "reference",
     single_shard: bool = False,
 ) -> ShardedKKT:
     """Partition the legalization KKT LCP into independent shards.
@@ -369,10 +356,7 @@ def build_shards(
         b_shard = shard_of_comp[_rows_to_components(B, labels)]
         e_shard = shard_of_comp[_rows_to_components(E, labels)]
 
-    source = ShardSource(
-        H=H, p=p, B=B, b=b, E=E, lam=lam, params=params,
-        kernel_backend=kernel_backend,
-    )
+    source = ShardSource(H=H, p=p, B=B, b=b, E=E, lam=lam, params=params)
     sharded = ShardedKKT(
         n=n, m=m, num_components=num_comp, source=source, labels=labels
     )
@@ -395,8 +379,7 @@ def build_shards(
         _reuse_setups(sharded, reuse)
     elif not _attach_blocks(sharded):
         for shard in sharded.shards:
-            shard.lcp          # noqa: B018 - materialize eagerly
-            shard.splitting    # noqa: B018
+            shard._materialize()
     return sharded
 
 
@@ -405,7 +388,7 @@ def _reuse_setups(sharded: ShardedKKT, reuse: ReuseCache) -> None:
     under the same index key when the run is trusted, its own build
     otherwise; then keep this run's setups as the cache's generation."""
     src = sharded.source
-    scalar_key = scalar_setup_key(src.lam, src.params, src.kernel_backend)
+    scalar_key = scalar_setup_key(src.lam, src.params)
     with active_tracer().span("setup_reuse") as span:
         trusted = reuse.begin_run(src.H, src.B, src.E, scalar_key)
         span.set_attribute("trusted", trusted)
@@ -422,8 +405,7 @@ def _reuse_setups(sharded: ShardedKKT, reuse: ReuseCache) -> None:
             shard._lcp = LCP(A=A, q=q)
             reuse.record("hit")
         else:
-            shard.lcp          # noqa: B018 - build on its own
-            shard.splitting    # noqa: B018
+            shard._materialize()
             reuse.record("miss" if previous is None else "stale")
         setups[key] = (shard.splitting, shard.lcp.A)
     reuse.end_run(src.H, src.B, src.E, scalar_key, setups)
@@ -438,7 +420,7 @@ def _attach_blocks(sharded: ShardedKKT) -> bool:
     if sharded.num_shards == 1:
         return False
     try:
-        splitting, lcp = source.stack(sharded.shards, "reference")
+        splitting, lcp = source.stack(sharded.shards)
     except StackDeclined:
         return False
     v0 = c0 = e0 = 0
@@ -446,9 +428,7 @@ def _attach_blocks(sharded: ShardedKKT) -> bool:
         rows = slice(v0, v0 + shard.num_variables)
         cons = slice(c0, c0 + shard.num_constraints)
         ties = slice(e0, e0 + len(shard.e_rows))
-        shard._splitting = splitting.block(
-            rows, cons, ties, source.kernel_backend
-        )
+        shard._splitting = splitting.block(rows, cons, ties)
         shard._lcp = kkt_block(lcp, splitting.n, rows, cons)
         v0, c0, e0 = rows.stop, cons.stop, ties.stop
     return True
@@ -461,7 +441,6 @@ def shard_legalization_qp(
     lazy: bool = False,
     reuse: Optional[ReuseCache] = None,
     var_groups: Optional[np.ndarray] = None,
-    kernel_backend: str = "reference",
     single_shard: bool = False,
 ) -> ShardedKKT:
     """Shard a :class:`repro.core.qp_builder.LegalizationQP`.
@@ -485,7 +464,6 @@ def shard_legalization_qp(
         lazy=lazy,
         reuse=reuse,
         var_groups=var_groups,
-        kernel_backend=kernel_backend,
         single_shard=single_shard,
     )
 

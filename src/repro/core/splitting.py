@@ -55,15 +55,11 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
-from repro.kernels import arm_backend, csr_matvec_into, probe_vector
+from repro.kernels import csr_matvec_into, probe_vector
 from repro.telemetry import current_tracer
 
 #: Relative probe-vector tolerance for accepting a specialized kernel.
 _KERNEL_VERIFY_TOL = 1e-9
-
-# The direct-sparsetools matvec now lives in the kernel-backend package
-# (repro.kernels.reference); keep the historical private name importable.
-_csr_matvec_into = csr_matvec_into
 
 
 def woodbury_h_inverse(E: sp.spmatrix, lam: float) -> sp.csr_matrix:
@@ -191,13 +187,6 @@ class LegalizationSplitting:
         Equality structure and penalty, used for the Woodbury H⁻¹.
     params:
         β*, θ* constants.
-    kernel_backend:
-        Sweep-kernel backend name from the :mod:`repro.kernels` registry.
-        Non-reference backends are probe-gated at setup and arm
-        ``self.sweep_runner`` (consumed by the solver drives); any
-        rejection degrades to the reference runner with a telemetry
-        counter.  ``self.kernel_backend`` records the *effective* backend
-        after gating.
     """
 
     def __init__(
@@ -207,7 +196,6 @@ class LegalizationSplitting:
         E: sp.spmatrix,
         lam: float,
         params: Optional[SplittingParameters] = None,
-        kernel_backend: str = "reference",
     ) -> None:
         self.params = params or SplittingParameters()
         self.H = sp.csr_matrix(H)
@@ -221,19 +209,19 @@ class LegalizationSplitting:
             self.H_inv = woodbury_h_inverse(E, lam)
         with tracer.span("splitting.schur", m=self.m):
             self.D = schur_tridiagonal(self.B, self.H_inv)
-        self._setup_solvers(kernel_backend)
+        self._setup_solvers()
 
     @classmethod
     def _superlu(
         cls, splitting: "LegalizationSplitting"
     ) -> "LegalizationSplitting":
         """*splitting*'s blocks with SuperLU factorizations of ``H/β* + I``
-        and ``D/θ* + I`` and no armed sweep backend.
+        and ``D/θ* + I``.
 
         Only the solver fallback ladder (:mod:`repro.core.resilience`)
         builds one, for its safe-kernel MMSIM rung: a retry on general
-        factorizations rules the Woodbury/LAPACK kernels and any backend
-        runner out as the cause of the primary solve's failure.
+        factorizations rules the Woodbury/LAPACK kernels out as the cause
+        of the primary solve's failure.
         """
         safe = cls.__new__(cls)
         for name in ("params", "H", "B", "E", "lam", "n", "m", "H_inv", "D"):
@@ -246,16 +234,10 @@ class LegalizationSplitting:
             spla.factorized(safe._bottom_block().tocsc()) if safe.m else None
         )
         safe._allocate_sweep_state()
-        safe.sweep_runner = None
-        safe.kernel_backend = "reference"
         return safe
 
     def block(
-        self,
-        rows: slice,
-        cons: slice,
-        ties: slice,
-        kernel_backend: str = "reference",
+        self, rows: slice, cons: slice, ties: slice
     ) -> "LegalizationSplitting":
         """The splitting of one diagonal block of this stacked splitting.
 
@@ -269,8 +251,7 @@ class LegalizationSplitting:
         of this one's with rebased columns, which keeps each stored value
         and each row's entry order, and ``pttrf``'s recurrence restarts
         exactly at the zero coupling between blocks, so the block's
-        factors are a slice of the stacked ones.  The block arms
-        *kernel_backend* on its own arithmetic, like any splitting.
+        factors are a slice of the stacked ones.
         """
         view = self.__class__.__new__(self.__class__)
         n = rows.stop - rows.start
@@ -313,15 +294,13 @@ class LegalizationSplitting:
                 lambda r, _d=df, _e=ef: lapack.dpttrs(_d, _e, r)[0]
             )
         view._allocate_buffers()
-        view._arm(kernel_backend)
         return view
 
     # ------------------------------------------------------------------
     # Solver setup (shared with GeneralSplitting)
     # ------------------------------------------------------------------
-    def _setup_solvers(self, kernel_backend: str = "reference") -> None:
-        """Prefactorize the block solves, allocate sweep buffers and arm
-        the sweep-kernel backend.
+    def _setup_solvers(self) -> None:
+        """Prefactorize the block solves and allocate sweep buffers.
 
         Expects ``self.H``, ``self.B``, ``self.D``, ``self.params`` (and,
         for the Woodbury top-block shortcut, ``self.E``/``self.lam``) to
@@ -341,20 +320,6 @@ class LegalizationSplitting:
                 self._build_bottom_solver() if self.m else None
             )
         self._allocate_sweep_state()
-        self._arm(kernel_backend)
-
-    def _arm(self, kernel_backend: Optional[str]) -> None:
-        """Sweep-kernel backend (repro.kernels): probe-gated at setup;
-        anything but a verified non-reference backend leaves
-        ``sweep_runner`` None and the solver drives on the reference
-        runner.  GeneralSplitting (which shares this setup) never
-        requests one."""
-        self.sweep_runner = None
-        self.kernel_backend = "reference"
-        if kernel_backend not in (None, "reference"):
-            self.sweep_runner, self.kernel_backend = arm_backend(
-                self, kernel_backend
-            )
 
     def _allocate_sweep_state(self) -> None:
         """Prescaled matrices plus buffers, so one :meth:`apply_rhs`
@@ -448,8 +413,7 @@ class LegalizationSplitting:
                         <= _KERNEL_VERIFY_TOL * scale
                     ):
                         self.bottom_kernel = "pttrs"
-                        # Raw factors for JIT backends that re-run the
-                        # pttrs recurrences themselves.
+                        # Raw factors, which block() slices per shard.
                         self._pttrf_factors = (df, ef)
                         return (
                             lambda r, _d=df, _e=ef:
@@ -472,9 +436,7 @@ class LegalizationSplitting:
 
     @staticmethod
     def _probe_vector(size: int) -> np.ndarray:
-        # The capped probe cache lives with the backend registry now
-        # (repro.kernels.reference.probe_vector) so block-solver probes
-        # and backend probe gates share one bounded store.
+        # One bounded probe store (repro.kernels.reference.probe_vector).
         return probe_vector(size)
 
     # ------------------------------------------------------------------
@@ -525,17 +487,17 @@ class LegalizationSplitting:
         out = self._rhs_buf
         top = out[:n]
         np.subtract(t1, gq[:n], out=top)
-        _csr_matvec_into(self.H, u, top)
+        csr_matvec_into(self.H, u, top)
         if self.m:
             s2 = s[n:]
             t2 = s_abs[n:]
             w = self._w_buf
             np.add(s2, t2, out=w)
-            _csr_matvec_into(self.BT, w, top)
+            csr_matvec_into(self.BT, w, top)
             bottom = out[n:]
             np.subtract(t2, gq[n:], out=bottom)
-            _csr_matvec_into(self._D_theta, s2, bottom)
-            _csr_matvec_into(self._B_neg, t1, bottom)
+            csr_matvec_into(self._D_theta, s2, bottom)
+            csr_matvec_into(self._B_neg, t1, bottom)
         return out
 
     def solve_M_plus_omega(self, rhs: np.ndarray) -> np.ndarray:
@@ -543,13 +505,13 @@ class LegalizationSplitting:
         out = np.zeros(n + self.m)
         s1 = out[:n]
         if self._H_inv_top is not None:
-            _csr_matvec_into(self._H_inv_top, rhs[:n], s1)
+            csr_matvec_into(self._H_inv_top, rhs[:n], s1)
         else:
             s1[:] = self._solve_top(rhs[:n])
         if self.m:
             w = self._w_buf
             np.copyto(w, rhs[n:])
-            _csr_matvec_into(self._B_neg, s1, w)
+            csr_matvec_into(self._B_neg, s1, w)
             out[n:] = self._solve_bottom(w)
         return out
 

@@ -1,38 +1,24 @@
-"""Reference sweep primitives: the numpy/LAPACK path, owned here.
-
-This module is the registry's home for the primitives that used to be
-inlined in :mod:`repro.core.splitting`:
+"""The MMSIM sweep and the primitives it builds on.
 
 * :func:`csr_matvec_into` — the direct ``scipy.sparse._sparsetools``
-  matvec (``y += M @ x``) that every fast sweep builds on;
+  matvec (``y += M @ x``) that every sweep builds on;
 * :func:`probe_vector` — the capped cache of deterministic probe vectors
-  used by kernel verification (both the per-block-solver probes inside
-  ``LegalizationSplitting`` and the registry's backend probe gate);
-* :class:`ReferenceSweepRunner` — the reference modulus sweep, expressed
-  over any :class:`repro.lcp.mmsim.Splitting`, as a one-sweep
-  (``block = 1``) runner.  The solver drives use it whenever a splitting
-  has no armed backend runner — the reference backend, generic splittings
-  and repacks whose backend declined;
-* :func:`reference_sweeps` — the same arithmetic as a function, the
-  oracle every other backend is probe-verified against.
-
-The reference *backend* itself arms no runner: the drives fall back to
-:class:`ReferenceSweepRunner`, and with one sweep per step they test
-convergence and stall rescue after every sweep, which is what keeps the
-reference backend bit-identical to the plain per-sweep iteration (and the
-default).
+  that ``LegalizationSplitting`` verifies its block solvers with;
+* :class:`ReferenceSweepRunner` — the modulus sweep, Eq. (3), over any
+  :class:`repro.lcp.mmsim.Splitting`.  Both solver drives
+  (:func:`repro.lcp.mmsim.mmsim_solve` and the batched engine in
+  :mod:`repro.core.batched`) run it; how many sweeps they run between
+  convergence tests is ``MMSIMOptions.block``, not a property of the
+  runner.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-
-from repro.kernels.base import KernelBackend, SweepRunner
 
 try:  # pragma: no cover - exercised indirectly by every fast solve
     from scipy.sparse import _sparsetools as _spt
@@ -42,8 +28,7 @@ try:  # pragma: no cover - exercised indirectly by every fast solve
 
         At legalization sizes the Python dispatch around ``M @ x`` costs
         several times the C kernel itself; this calls the kernel directly
-        and accumulates into a caller-owned buffer (what the fused sweep
-        wants anyway).
+        and accumulates into a caller-owned buffer.
         """
         _spt.csr_matvec(
             M.shape[0], M.shape[1], M.indptr, M.indices, M.data, x, y
@@ -58,11 +43,11 @@ except ImportError:  # pragma: no cover - scipy always ships _sparsetools
 # ----------------------------------------------------------------------
 # Probe vectors
 # ----------------------------------------------------------------------
-#: Cap on cached probe vectors.  The cache used to be an unbounded dict in
-#: core.splitting: a long-lived service legalizing designs of ever-new
-#: sizes grew one entry per distinct (sub)system size, forever.  Probe
-#: sizes cluster heavily (micro-shards bucket by structure), so a small
-#: LRU keeps the hit rate while bounding residency.
+#: Cap on cached probe vectors: a long-lived service legalizing designs
+#: of ever-new sizes would otherwise grow one entry per distinct
+#: (sub)system size, forever.  Probe sizes cluster heavily (micro-shards
+#: bucket by structure), so a small LRU keeps the hit rate while
+#: bounding residency.
 PROBE_CACHE_CAP = 256
 
 _PROBE_SEED = 20170618
@@ -78,7 +63,7 @@ def probe_vector(size: int, salt: int = 0) -> np.ndarray:
     LRU-capped at :data:`PROBE_CACHE_CAP`.  The cached array is marked
     read-only; every LAPACK wrapper used on it copies (``overwrite_b``
     defaults off).  ``salt`` selects an independent vector of the same
-    size (the backend probe gate needs two: an iterate and a q).
+    size.
     """
     key = (int(size), int(salt))
     with _PROBE_LOCK:
@@ -103,22 +88,20 @@ def probe_cache_size() -> int:
 
 
 # ----------------------------------------------------------------------
-# The reference sweep
+# The sweep
 # ----------------------------------------------------------------------
-class ReferenceSweepRunner(SweepRunner):
-    """The reference per-sweep arithmetic as a one-sweep runner.
+class ReferenceSweepRunner:
+    """The per-sweep arithmetic, resolved once per solve.
 
     Each sweep is the fused rhs when the splitting provides one (else
     ``N s + (Ω − A)|s| − γq`` from the separate products),
     ``solve_M_plus_omega``, then the damping form matching *omega*'s
-    shape (see :mod:`repro.kernels.base`).  The splitting's callables are
-    resolved once here, so a step costs one method call over the sweep
-    itself.  ``block = 1`` keeps the drives' geometric ramp at one sweep
-    per step: every sweep is measured, so the iterate stream, stopping
-    sweep and rescue schedule are those of the plain iteration.
+    shape: ``None`` for the plain iteration, a scalar ω for the
+    per-shard drive, or a per-entry array for the batched drive's
+    per-shard damping (``np.where(ω == 1, ŝ, ω·ŝ + (1−ω)·s)``).  The
+    splitting's callables are resolved here, so a step costs one method
+    call over the sweep itself.
     """
-
-    block = 1
 
     def __init__(self, splitting) -> None:
         self._solve = splitting.solve_M_plus_omega
@@ -133,6 +116,7 @@ class ReferenceSweepRunner(SweepRunner):
         self._rhs = fused
 
     def run(self, s, count, gq, omega=None):
+        """Advance ``count`` modulus sweeps from iterate ``s``."""
         rhs = self._rhs
         solve = self._solve
         if isinstance(omega, np.ndarray):
@@ -148,29 +132,3 @@ class ReferenceSweepRunner(SweepRunner):
                 s_hat = solve(rhs(s, np.abs(s), gq))
                 s = omega * s_hat + (1.0 - omega) * s
         return s
-
-
-def reference_sweeps(
-    splitting, s: np.ndarray, count: int, gq: np.ndarray, omega=None
-) -> np.ndarray:
-    """``count`` modulus sweeps with the reference per-sweep arithmetic.
-
-    The probe-gate oracle every other backend is verified against; see
-    :class:`ReferenceSweepRunner`.
-    """
-    return ReferenceSweepRunner(splitting).run(s, count, gq, omega)
-
-
-class ReferenceBackend(KernelBackend):
-    """The default backend: arm nothing, probe-gate nothing.
-
-    ``build_runner`` returns None, so the splitting's ``sweep_runner``
-    stays None and the drives run :class:`ReferenceSweepRunner` — the
-    reference arithmetic is never probe-gated against itself.
-    """
-
-    name = "reference"
-    tolerance_class = "bitwise"
-
-    def build_runner(self, splitting) -> Optional[None]:
-        return None

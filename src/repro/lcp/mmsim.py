@@ -49,8 +49,7 @@ class Splitting(Protocol):
 # buffer that the solver must consume before the next call).  When the
 # attribute is present and not None the reference runner prefers it over
 # the separate apply_N / apply_omega_minus_A calls; the two paths compute
-# the same iterate (see tests/test_splitting.py kernel-parity tests).  A
-# splitting may also carry an armed ``sweep_runner`` (see repro.kernels).
+# the same iterate (see tests/test_splitting.py kernel-parity tests).
 
 
 @dataclass
@@ -77,11 +76,18 @@ class MMSIMOptions:
     ``tests/test_mmsim_vs_lemke.py``).  A run that never stalls is
     bit-identical to the plain iteration.
 
+    ``block`` is the most sweeps run per convergence test (the paper's
+    Eq. (4) test on ‖zᵏ − zᵏ⁻¹‖).  With 1 (default) every sweep is
+    tested: the plain per-sweep iteration.  A larger block ramps up to
+    ``block`` sweeps between tests, so a run stops at the first tested
+    iterate past convergence — a later iterate of the same contraction
+    (``LegalizerConfig(kernel_backend="fused")`` sets 8).
+
     ``telemetry`` is an optional event sink (anything with an
     ``emit(solver, type, **fields)`` method, normally a
     :class:`repro.telemetry.EventSink`): when set, the solver emits one
     ``iteration`` event per convergence check (z-step norm, damping ω,
-    residual when computed) — one per sweep on the reference path — a
+    residual when computed) — one per sweep at ``block = 1`` — a
     ``stall_rescue`` event if the rescue fires, and a final ``done``
     event.  When None (the default) the loop pays a single pointer
     comparison per step.
@@ -96,6 +102,7 @@ class MMSIMOptions:
     stall_window: int = 500
     rescue_damping: float = 0.7
     min_damping: float = 0.2
+    block: int = 1
     telemetry: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -115,6 +122,8 @@ class MMSIMOptions:
             raise ValueError("rescue_damping must be in (0, 1)")
         if not 0.0 < self.min_damping <= 1.0:
             raise ValueError("min_damping must be in (0, 1]")
+        if self.block < 1:
+            raise ValueError("block must be >= 1")
 
 
 def warm_start_from_z(lcp: LCP, z0: np.ndarray, gamma: float) -> np.ndarray:
@@ -147,21 +156,18 @@ def mmsim_solve(
     ``s0`` is given).  Returns an :class:`LCPResult` whose ``z`` satisfies
     the LCP to the requested tolerance when ``converged`` is True.
 
-    Sweeps run through the splitting's armed sweep-kernel runner
-    (``splitting.sweep_runner``, see :mod:`repro.kernels`) or, without
-    one, through the one-sweep
+    Sweeps run through
     :class:`~repro.kernels.reference.ReferenceSweepRunner`.  Each
     Python-level step runs ``span`` sweeps: ``span − 1`` blind ones, a
     recomputation of ``z`` at the penultimate iterate, then one measured
     sweep, so the convergence test at every step boundary sees a *true*
     single-iteration z-step.  ``span`` ramps geometrically (1, 2, 4, ...
-    up to ``runner.block``), is clamped to the remaining budget, and —
+    up to ``options.block``), is clamped to the remaining budget, and —
     while the stall rescue is eligible — to the next ``stall_window``
     multiple, so rescue checkpoints sample the same iterates at any block
     length.  With ``block = 1`` every sweep is measured: that is the plain
-    per-sweep iteration.  Runners with larger blocks stop at a later
-    iterate of the same contraction, hence their "reordered" tolerance
-    class.
+    per-sweep iteration.  Larger blocks stop at a later iterate of the
+    same contraction, hence the "tolerance" comparison class.
     """
     opts = options or MMSIMOptions()
     n = lcp.n
@@ -175,11 +181,8 @@ def mmsim_solve(
     if s.shape != (n,):
         raise ValueError(f"s0 has shape {s.shape}, expected ({n},)")
 
-    runner = getattr(splitting, "sweep_runner", None) or ReferenceSweepRunner(
-        splitting
-    )
-    run = runner.run
-    block = runner.block
+    run = ReferenceSweepRunner(splitting).run
+    block = opts.block
     emit = opts.telemetry.emit if opts.telemetry is not None else None
     gq = gamma * lcp.q
     tol = opts.tol

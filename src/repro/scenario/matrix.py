@@ -97,12 +97,7 @@ MATRIX_EXEMPT: Dict[str, str] = {
 
 
 def oracle_matrix() -> List[OraclePoint]:
-    """The live oracle matrix, baseline first.
-
-    The ``numba_kernel`` point appears only when the numba backend
-    reports itself available, mirroring what the oracle can actually
-    run.
-    """
+    """The live oracle matrix, baseline first."""
     matrix: List[OraclePoint] = [OraclePoint("baseline", "baseline")]
     matrix.extend(
         OraclePoint(name, group, _one(axes))
@@ -111,26 +106,14 @@ def oracle_matrix() -> List[OraclePoint]:
     for name, rungs in _LADDER:
         point = _one({"resilience": (_inject(*rungs),)})
         matrix.append(OraclePoint(name, "tolerance", point))
-    # Non-reference sweep-kernel backends on the default flow.  Only the
-    # stock optional backends: test suites register throwaway backends
-    # at runtime, and those must not leak into the differential matrix.
-    from repro.kernels import get_backend
-
-    kernel_backends = ["fused"]
-    if get_backend("numba").available():  # pragma: no cover - needs numba
-        kernel_backends.append("numba")
-    kernel_points = [
+    # The blocked convergence-check cadence on the default flow.
+    matrix.append(
         OraclePoint(
-            f"{backend}_kernel",
-            "tolerance",
-            _one({"kernel_backend": (backend,)}),
+            "fused_kernel", "tolerance", _one({"kernel_backend": ("fused",)})
         )
-        for backend in kernel_backends
-    ]
-    matrix.append(kernel_points[0])
+    )
     matrix.append(OraclePoint("reuse", "identity", {}, pseudo=True))
     matrix.append(OraclePoint("fence_slices", "sliced", {}, pseudo=True))
-    matrix.extend(kernel_points[1:])
     return matrix
 
 

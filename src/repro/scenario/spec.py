@@ -73,7 +73,7 @@ class Anything(Domain):
 @dataclass(frozen=True)
 class Choice(Domain):
     """A finite enumeration; ``choices`` may be a callable for domains
-    that grow at runtime (e.g. the kernel-backend registry)."""
+    that grow at runtime."""
 
     choices: Any  # tuple | Callable[[], Sequence]
 

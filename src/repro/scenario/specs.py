@@ -15,8 +15,7 @@ surface:
 
 This module must not import :mod:`repro.core.legalizer` at module level:
 ``LegalizerConfig.__post_init__`` imports *us* for validation, so the
-dependency has to stay one-way (kernel-backend names are resolved
-through a lazy callable for the same reason).
+dependency has to stay one-way.
 """
 
 from __future__ import annotations
@@ -29,14 +28,6 @@ from repro.scenario.spec import (
     ScenarioSpec,
     combine_specs,
 )
-
-
-def _kernel_backend_names():
-    # Lazy: the registry is mutable at runtime (tests register throwaway
-    # backends) and repro.kernels must not be imported at spec-import time.
-    from repro.kernels import known_backend_names
-
-    return known_backend_names()
 
 
 LEGALIZER_SPEC = ScenarioSpec(
@@ -108,9 +99,10 @@ LEGALIZER_SPEC = ScenarioSpec(
         ),
         ConfigVar(
             "kernel_backend", (str,), "reference",
-            "Sweep-kernel backend for the MMSIM inner loops (see "
-            "repro.kernels; non-reference backends are probe-verified).",
-            Choice(_kernel_backend_names),
+            "How often the MMSIM tests convergence on its one sweep: "
+            "`reference` after every sweep (the paper's iteration), "
+            "`fused` every 8 sweeps.",
+            Choice(("reference", "fused")),
         ),
     ],
 )

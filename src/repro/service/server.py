@@ -168,8 +168,6 @@ class LegalizationServer:
             "setup.cache_hit",
             "setup.cache_miss",
             "setup.cache_stale",
-            "kernel.backend_rejected",
-            "kernel.backend_unavailable",
             "resilience.escalated_shards",
             "batch.shards",
         ):

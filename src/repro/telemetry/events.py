@@ -4,8 +4,8 @@ The LCP solvers (MMSIM, PSOR, Lemke) accept an optional ``telemetry`` sink
 in their options and, when it is set, emit one structured event per sweep /
 pivot — residual, z-step norm, damping ω, pivot column — plus lifecycle
 events (``stall_rescue``, ``done``).  The MMSIM emits its ``iteration``
-event at each convergence check: every sweep on the reference path, every
-block boundary for a blocked kernel backend.
+event at each convergence check: every sweep at ``MMSIMOptions.block = 1``
+(the reference backend), every block boundary at larger blocks (fused).
 
 Zero-overhead contract: solvers hoist ``emit = opts.telemetry.emit if
 opts.telemetry is not None else None`` before the loop and guard each emit

@@ -39,7 +39,6 @@ def legalize_monolithic_oracle(
         legal_qp.E,
         legal_qp.lam,
         prepared.params,
-        kernel_backend=config.kernel_backend,
     )
     result, escalation = solve_shard_resilient(
         lcp,

@@ -48,10 +48,7 @@ def per_shard_setup(source, shard):
     """The per-shard construction: slice the shard's own blocks and build
     its splitting and KKT LCP from them."""
     H, B, E = source.slice_blocks(shard.variables, shard.b_rows, shard.e_rows)
-    splitting = LegalizationSplitting(
-        H, B, E, source.lam,
-        params=source.params, kernel_backend=source.kernel_backend,
-    )
+    splitting = LegalizationSplitting(H, B, E, source.lam, params=source.params)
     lcp = make_kkt_lcp(
         H, source.p[shard.variables], B, source.b[shard.b_rows]
     )
@@ -79,9 +76,7 @@ def _setup_bits(splitting, lcp, theorem2=True):
     out["pivot"] = getattr(splitting, "_bottom_pivot", None)
     out["A"] = _bits(lcp.A)
     out["q"] = _bits(lcp.q)
-    out["kernels"] = (
-        splitting.top_kernel, splitting.bottom_kernel, splitting.kernel_backend,
-    )
+    out["kernels"] = (splitting.top_kernel, splitting.bottom_kernel)
     out["n, m"] = (splitting.n, splitting.m)
     if theorem2:
         out["theorem2"] = splitting.parameters_satisfy_theorem2()
@@ -134,15 +129,6 @@ def test_micro_shards_cover_every_bottom_kernel():
     kernels = {shard.splitting.bottom_kernel for shard in sharded.shards}
     assert kernels == {"none", "scalar", "pttrs"}
     assert {len(shard.e_rows) > 0 for shard in sharded.shards} == {True, False}
-
-
-def test_fused_backend_arms_each_block():
-    sharded = _built(
-        _benchmark("fences-macros"),
-        kernel_backend="fused", min_shard_variables=1,
-    )
-    assert {sh.splitting.kernel_backend for sh in sharded.shards} == {"fused"}
-    _assert_shards_match_oracle(sharded, theorem2_shards=0)
 
 
 def test_single_shard_blocks_match_per_shard_build():

@@ -1,67 +1,60 @@
-"""Tests for the pluggable sweep-kernel backend registry (repro.kernels).
+"""Tests for the kernel backends: one sweep, two convergence-check cadences.
 
-The registry's load-bearing contracts:
+``LegalizerConfig.kernel_backend`` sets ``MMSIMOptions.block``:
+``reference`` tests convergence after every sweep, ``fused`` every
+``FUSED_BLOCK`` sweeps.  Both drives run the one
+:class:`~repro.kernels.reference.ReferenceSweepRunner`.  The contracts:
 
-* ``reference`` is the default, arms no runner, and stays bit-identical
-  to the pre-registry solver loops.
-* Every non-reference backend is probe-gated at arm time: a runner whose
-  sweep disagrees with the reference arithmetic is rejected (counted by
-  ``kernel.backend_rejected``) and the run silently continues on the
-  reference path with identical results.
-* An unavailable backend (numba absent) degrades the same way via
-  ``kernel.backend_unavailable`` — never an exception.
-* The fused (and, when importable, numba) runners reproduce the
-  reference sweep arithmetic to ``KERNEL_VERIFY_TOL`` and land final
-  placements within the documented "reordered" tolerance class.
+* the preallocated fused sweep (:mod:`fused_oracle`) equals the
+  reference sweep bit for bit, for one sweep or many and every damping
+  shape;
+* ``kernel_backend="fused"`` reproduces a whole flow run on that fused
+  sweep bit for bit (``kkt_solution``, ``iterations``, positions):
+  sharded, ``shard=False``, on a ``ReuseCache`` hit and in a stacked
+  ``legalize_many`` solve;
+* the backend is not part of a splitting, so a ``ReuseCache`` serves a
+  run under either backend;
+* the domain is exactly ``reference`` and ``fused``: the config, the
+  service and the CLI reject anything else.
 """
+
+import os
 
 import numpy as np
 import pytest
 
-from repro import telemetry
+from fused_oracle import FusedSweepRunner, install
+from repro import cli, telemetry
 from repro.benchgen import generate_benchmark
-from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
+from repro.core.legalizer import FUSED_BLOCK, LegalizerConfig, MMSIMLegalizer
 from repro.core.multi import DesignJob, legalize_many
 from repro.core.qp_builder import build_legalization_qp
 from repro.core.row_assign import assign_rows
-from repro.core.setup_cache import scalar_setup_key
+from repro.core.setup_cache import ReuseCache
 from repro.core.splitting import LegalizationSplitting, SplittingParameters
 from repro.core.subcells import split_cells
+from repro.io.jsonio import save_design
 from repro.kernels import (
-    DEFAULT_BLOCK,
-    KERNEL_VERIFY_TOL,
     PROBE_CACHE_CAP,
-    FusedBackend,
-    KernelBackend,
-    NumbaBackend,
-    SweepRunner,
-    arm_backend,
-    available_backends,
-    get_backend,
-    known_backend_names,
+    ReferenceSweepRunner,
     probe_cache_size,
     probe_vector,
-    reference_sweeps,
-    register_backend,
-    unregister_backend,
 )
-from repro.kernels.numba_backend import _sweep_kernel
+from repro.scenario.specs import LEGALIZER_SPEC
 from repro.service.protocol import LegalizeRequest, ProtocolError
+from test_service import running_server
+
+DOMAIN = ("reference", "fused")
 
 
-def _legal_qp(scale=0.03, seed=2, **genkw):
-    design = generate_benchmark("fft_2", scale=scale, seed=seed, **genkw)
-    model = split_cells(design, assign_rows(design))
-    return design, build_legalization_qp(design, model)
-
-
-def _splitting(backend="reference", scale=0.03, seed=2, **genkw):
-    _, legal_qp = _legal_qp(scale=scale, seed=seed, **genkw)
+def _splitting():
+    design = generate_benchmark("fft_2", scale=0.03, seed=2)
+    legal_qp = build_legalization_qp(
+        design, split_cells(design, assign_rows(design))
+    )
     qp = legal_qp.qp
     return LegalizationSplitting(
-        qp.H, qp.B, legal_qp.E, legal_qp.lam,
-        params=SplittingParameters(),
-        kernel_backend=backend,
+        qp.H, qp.B, legal_qp.E, legal_qp.lam, params=SplittingParameters()
     )
 
 
@@ -71,51 +64,41 @@ def _positions(design):
     )
 
 
+def _assert_same_run(a, b):
+    """Two (design, result) runs with equal bits."""
+    (da, ra), (db, rb) = a, b
+    assert ra.kkt_solution.tobytes() == rb.kkt_solution.tobytes()
+    assert ra.iterations == rb.iterations
+    assert _positions(da).tobytes() == _positions(db).tobytes()
+
+
+def _blocked(seed=3, scale=0.05):
+    return generate_benchmark(
+        "fft_2", scale=scale, seed=seed, blockage_fraction=0.15
+    )
+
+
 # ----------------------------------------------------------------------
-# Registry
+# The domain
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert known_backend_names() == ["fused", "numba", "reference"]
-
-    def test_always_available_backends(self):
-        avail = available_backends()
-        assert "reference" in avail and "fused" in avail
-        # numba availability depends on the environment; the name is
-        # selectable either way and must degrade, not raise (tested
-        # below in TestDegradation).
+        domain = LEGALIZER_SPEC.var("kernel_backend").domain
+        assert domain.choices == DOMAIN
 
     def test_get_backend_unknown_name_lists_known(self):
-        with pytest.raises(ValueError, match="fused"):
-            get_backend("nope")
-
-    def test_register_refuses_shadowing(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(FusedBackend())
-
-    def test_register_unregister_roundtrip(self):
-        class Custom(KernelBackend):
-            name = "custom-test"
-
-            def build_runner(self, splitting):
-                return None
-
-        register_backend(Custom())
-        try:
-            assert "custom-test" in known_backend_names()
-            assert get_backend("custom-test").tolerance_class == "reordered"
-        finally:
-            unregister_backend("custom-test")
-        assert "custom-test" not in known_backend_names()
+        with pytest.raises(ValueError, match="fused.*reference"):
+            LegalizerConfig(kernel_backend="nope")
 
     def test_reference_arms_no_runner(self):
-        sp_ = _splitting("reference")
-        assert getattr(sp_, "sweep_runner", None) is None
+        assert not hasattr(_splitting(), "sweep_runner")
+        assert MMSIMLegalizer(LegalizerConfig()).solver_options().block == 1
 
-    def test_fused_arms_a_runner(self):
-        sp_ = _splitting("fused")
-        assert sp_.sweep_runner is not None
-        assert sp_.sweep_runner.block == DEFAULT_BLOCK
+    def test_fused_checks_every_block(self):
+        opts = MMSIMLegalizer(
+            LegalizerConfig(kernel_backend="fused")
+        ).solver_options()
+        assert opts.block == FUSED_BLOCK == 8
 
 
 # ----------------------------------------------------------------------
@@ -124,151 +107,99 @@ class TestRegistry:
 class TestSweepParity:
     @pytest.mark.parametrize("omega", [None, 1.0, 0.7])
     def test_fused_single_sweep_matches_reference(self, omega):
-        sp_ = _splitting("fused")
+        sp_ = _splitting()
         size = sp_.n + sp_.m
         s = probe_vector(size)
         gq = probe_vector(size, salt=3)
-        want = reference_sweeps(sp_, s, 1, gq, omega=omega)
-        got = sp_.sweep_runner.run(s, 1, gq, omega)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert float(np.max(np.abs(got - want))) <= KERNEL_VERIFY_TOL * scale
+        want = ReferenceSweepRunner(sp_).run(s, 1, gq, omega)
+        got = FusedSweepRunner(sp_).run(s, 1, gq, omega)
+        assert got.tobytes() == want.tobytes()
 
     def test_fused_multi_sweep_matches_iterated_reference(self):
-        sp_ = _splitting("fused")
+        sp_ = _splitting()
         size = sp_.n + sp_.m
         s = probe_vector(size)
         gq = probe_vector(size, salt=3)
-        want = reference_sweeps(sp_, s, 5, gq)
-        got = sp_.sweep_runner.run(s, 5, gq)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert float(np.max(np.abs(got - want))) <= KERNEL_VERIFY_TOL * scale
+        want = ReferenceSweepRunner(sp_).run(s, 5, gq)
+        got = FusedSweepRunner(sp_).run(s, 5, gq)
+        assert got.tobytes() == want.tobytes()
 
     def test_fused_array_omega_matches_reference(self):
-        sp_ = _splitting("fused")
+        sp_ = _splitting()
         size = sp_.n + sp_.m
         rng = np.random.default_rng(5)
         omega = np.where(rng.random(size) < 0.5, 1.0, 0.6)
         s = probe_vector(size)
         gq = probe_vector(size, salt=3)
-        want = reference_sweeps(sp_, s, 3, gq, omega=omega)
-        got = sp_.sweep_runner.run(s, 3, gq, omega)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert float(np.max(np.abs(got - want))) <= KERNEL_VERIFY_TOL * scale
-
-    @pytest.mark.parametrize("omega", [None, 0.7])
-    def test_numba_kernel_python_math_matches_reference(self, omega):
-        # The njit-compatible kernel is plain Python until numba compiles
-        # it, so its arithmetic is testable with or without numba.
-        sp_ = _splitting("reference")
-        runner = __import__(
-            "repro.kernels.numba_backend", fromlist=["NumbaSweepRunner"]
-        ).NumbaSweepRunner(sp_, _sweep_kernel)
-        size = sp_.n + sp_.m
-        s = probe_vector(size)
-        gq = probe_vector(size, salt=3)
-        want = reference_sweeps(sp_, s, 4, gq, omega=omega)
-        got = runner.run(s, 4, gq, omega)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert float(np.max(np.abs(got - want))) <= KERNEL_VERIFY_TOL * scale
+        want = ReferenceSweepRunner(sp_).run(s, 3, gq, omega)
+        got = FusedSweepRunner(sp_).run(s, 3, gq, omega)
+        assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
-# Probe gate and degradation
+# Whole flows against the fused-sweep oracle
 # ----------------------------------------------------------------------
-class _BrokenRunner(SweepRunner):
-    def __init__(self, splitting):
-        self._sp = splitting
+class TestFusedOracle:
+    @pytest.mark.parametrize("shard", [True, False])
+    def test_legalize_equals_oracle(self, shard, monkeypatch):
+        cfg = LegalizerConfig(kernel_backend="fused", shard=shard)
 
-    def run(self, s, count, gq, omega=None):
-        out = reference_sweeps(self._sp, s, count, gq, omega=omega)
-        return out + 1e-3  # wrong arithmetic: must be probe-rejected
+        def run():
+            design = _blocked()
+            return design, MMSIMLegalizer(cfg).legalize(design)
 
+        got = run()
+        install(monkeypatch)
+        _assert_same_run(got, run())
 
-class _BrokenBackend(KernelBackend):
-    name = "broken-test"
+    def test_reuse_hit_equals_oracle(self, monkeypatch):
+        legalizer = MMSIMLegalizer(LegalizerConfig(kernel_backend="fused"))
 
-    def build_runner(self, splitting):
-        return _BrokenRunner(splitting)
+        def rerun():
+            reuse = ReuseCache()
+            legalizer.legalize(_blocked(), reuse=reuse)
+            design = _blocked()
+            result = legalizer.legalize(design, reuse=reuse)
+            assert reuse.stats["hit"] > 0 and reuse.stats["stale"] == 0
+            return design, result
 
+        got = rerun()
+        install(monkeypatch)
+        _assert_same_run(got, rerun())
 
-class TestProbeGate:
-    def test_broken_backend_rejected_at_setup_with_counter(self):
-        register_backend(_BrokenBackend())
-        try:
-            with telemetry.session() as tel:
-                sp_ = _splitting("broken-test")
-            assert getattr(sp_, "sweep_runner", None) is None
-            assert tel.metrics.counter("kernel.backend_rejected").value == 1
-        finally:
-            unregister_backend("broken-test")
+    def test_stack_equals_oracle(self, monkeypatch):
+        cfg = LegalizerConfig(kernel_backend="fused")
 
-    def test_broken_backend_positions_identical_to_reference(self):
-        # End-to-end: a rejected backend must not perturb the flow at
-        # all — the placement is bit-identical to an explicit reference
-        # run, and the rejection is visible in the metrics.
-        register_backend(_BrokenBackend())
-        try:
-            d_ref = generate_benchmark("fft_2", scale=0.03, seed=4)
-            d_bad = generate_benchmark("fft_2", scale=0.03, seed=4)
-            MMSIMLegalizer(
-                LegalizerConfig(kernel_backend="reference")
-            ).legalize(d_ref)
-            with telemetry.session() as tel:
-                MMSIMLegalizer(
-                    LegalizerConfig(kernel_backend="broken-test")
-                ).legalize(d_bad)
-            np.testing.assert_array_equal(
-                _positions(d_ref), _positions(d_bad)
+        def run():
+            designs = [_blocked(seed) for seed in (3, 4)]
+            results = legalize_many(
+                [DesignJob(design=d, config=cfg) for d in designs]
             )
-            assert tel.metrics.counter("kernel.backend_rejected").value >= 1
-        finally:
-            unregister_backend("broken-test")
+            return list(zip(designs, results))
 
-    def test_raising_backend_degrades_not_raises(self):
-        class Raising(KernelBackend):
-            name = "raising-test"
+        got = run()
+        install(monkeypatch)
+        for a, b in zip(got, run()):
+            _assert_same_run(a, b)
 
-            def build_runner(self, splitting):
-                raise RuntimeError("boom")
-
-        register_backend(Raising())
-        try:
-            with telemetry.session() as tel:
-                sp_ = _splitting("raising-test")
-            assert getattr(sp_, "sweep_runner", None) is None
-            assert tel.metrics.counter("kernel.backend_rejected").value == 1
-        finally:
-            unregister_backend("raising-test")
-
-
-class TestDegradation:
-    def test_numba_absent_degrades_with_counter(self):
-        backend = NumbaBackend()
-        if backend.available():
-            pytest.skip("numba importable here; absence path not testable")
-        assert backend.unavailable_reason()
-        with telemetry.session() as tel:
-            sp_ = _splitting("numba")
-        assert getattr(sp_, "sweep_runner", None) is None
-        assert tel.metrics.counter("kernel.backend_unavailable").value == 1
-
-    def test_numba_cli_config_never_raises(self):
-        # Selecting numba must legalize fine whether or not numba is
-        # installed (falling back to reference when absent).
-        design = generate_benchmark("fft_2", scale=0.03, seed=4)
-        result = MMSIMLegalizer(
-            LegalizerConfig(kernel_backend="numba")
-        ).legalize(design)
-        assert result.audit_clean
-
-    def test_arm_backend_unknown_name_is_a_caller_bug(self):
-        sp_ = _splitting("reference")
-        with pytest.raises(ValueError):
-            arm_backend(sp_, "definitely-not-registered")
+    def test_fused_rerun_after_reference_hits_every_shard(self):
+        """A splitting carries no backend: a fused run takes the setups a
+        reference run left in the cache, and lands on a cold fused run's
+        bits."""
+        reuse = ReuseCache()
+        MMSIMLegalizer(LegalizerConfig()).legalize(_blocked(), reuse=reuse)
+        misses = reuse.stats["miss"]
+        fused = MMSIMLegalizer(LegalizerConfig(kernel_backend="fused"))
+        design = _blocked()
+        result = fused.legalize(design, reuse=reuse)
+        assert reuse.stats["hit"] == misses
+        assert reuse.stats["miss"] == misses and reuse.stats["stale"] == 0
+        cold = _blocked()
+        _assert_same_run((design, result), (cold, fused.legalize(cold)))
 
 
 # ----------------------------------------------------------------------
-# Config / protocol / cache plumbing
+# Config / protocol / CLI plumbing
 # ----------------------------------------------------------------------
 class TestPlumbing:
     def test_config_validates_backend_name(self):
@@ -276,7 +207,7 @@ class TestPlumbing:
             LegalizerConfig(kernel_backend="bogus")
 
     def test_config_accepts_all_registered_names(self):
-        for name in known_backend_names():
+        for name in DOMAIN:
             assert LegalizerConfig(kernel_backend=name).kernel_backend == name
 
     def test_protocol_rejects_unknown_backend(self):
@@ -285,18 +216,30 @@ class TestPlumbing:
                 {"design": {}, "config": {"kernel_backend": "bogus"}}
             )
 
-    def test_setup_key_separates_backends(self):
-        params = SplittingParameters()
-        k_ref = scalar_setup_key(1000.0, params, "reference")
-        k_fused = scalar_setup_key(1000.0, params, "fused")
-        assert k_ref != k_fused
-        assert k_ref == scalar_setup_key(1000.0, params, "reference")
+    def test_numba_rejected_by_config(self):
+        with pytest.raises(ValueError, match="kernel_backend: must be one of"):
+            LegalizerConfig(kernel_backend="numba")
 
-    def test_setup_key_default_is_reference(self):
-        params = SplittingParameters()
-        assert scalar_setup_key(1000.0, params) == scalar_setup_key(
-            1000.0, params, "reference"
+    def test_numba_rejected_by_service_before_queueing(self):
+        request = LegalizeRequest(
+            design=generate_benchmark("fft_2", scale=0.01, seed=7),
+            config={"kernel_backend": "numba"},
         )
+        with running_server() as (server, client, _):
+            status, payload, _ = client._http(
+                "POST", "/legalize", request.to_dict()
+            )
+            assert status == 400 and "kernel_backend" in payload["error"]
+            assert server.metrics.counter("service.batches").value == 0
+            assert server._queue.qsize() == 0
+
+    def test_numba_rejected_by_cli(self, tmp_path, capsys):
+        path = os.path.join(tmp_path, "d.json")
+        save_design(generate_benchmark("fft_2", scale=0.01, seed=7), path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["legalize", path, "--kernel-backend", "numba"])
+        assert exc.value.code == 2
+        assert "--kernel-backend" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -351,9 +294,9 @@ class TestEndToEnd:
         d_fused, r_fused = run("fused")
         site = d_ref[0].core.site_width
         assert all(r.audit_clean for r in r_ref + r_fused)
-        # "reordered" tolerance class: identical per-sweep arithmetic,
-        # block-sampled stopping — after site snapping a borderline cell
-        # may land one site over (docs/PERFORMANCE.md §5).
+        # Tolerance class: the same sweeps, convergence tested every
+        # FUSED_BLOCK sweeps — after site snapping a borderline cell may
+        # land one site over (docs/PERFORMANCE.md §5).
         for a, b in zip(d_ref, d_fused):
             diff = np.max(np.abs(_positions(a) - _positions(b)))
             assert diff <= site + 1e-9
@@ -370,7 +313,7 @@ class TestEndToEnd:
         assert r_fused.converged == r_ref.converged
         # Blocked stopping may overshoot by at most one block per
         # rescue window boundary; in practice a handful of sweeps.
-        assert abs(r_fused.iterations - r_ref.iterations) <= 2 * DEFAULT_BLOCK
+        assert abs(r_fused.iterations - r_ref.iterations) <= 2 * FUSED_BLOCK
 
     def test_backend_recorded_in_telemetry(self):
         design = generate_benchmark("fft_2", scale=0.03, seed=4)

@@ -30,7 +30,6 @@ from repro.core.qp_builder import build_legalization_qp
 from repro.core.row_assign import assign_rows
 from repro.core.splitting import LegalizationSplitting
 from repro.core.subcells import split_cells
-from repro.kernels import ReferenceSweepRunner
 from repro.lcp.fixed_point import estimate_lambda_max
 from repro.lcp.mmsim import warm_start_from_z
 from repro.telemetry import EventSink
@@ -207,6 +206,8 @@ class TestGenericMMSIM:
             MMSIMOptions(residual_tol=-1.0)
         with pytest.raises(ValueError, match="tol"):
             MMSIMOptions(tol=float("nan"))
+        with pytest.raises(ValueError, match="block"):
+            MMSIMOptions(block=0)
         # tol=0 stays valid: fixed-sweep runs never converge.
         assert MMSIMOptions(tol=0.0, residual_tol=None).tol == 0.0
         assert MMSIMOptions(residual_tol=0.0).residual_tol == 0.0
@@ -216,13 +217,12 @@ class TestGenericMMSIM:
         tests convergence on its final sweep: the block-8 schedule here
         is 1, 3, 7, then 13 (clamped from 15)."""
         lcp = random_hplus_lcp(10, 19)
-        splitting = JacobiSplitting(lcp.A)
-        splitting.sweep_runner = _Block8Runner(splitting)
         sink = EventSink()
         opts = MMSIMOptions(
-            tol=1e-5, residual_tol=1e-4, max_iterations=13, telemetry=sink
+            tol=1e-5, residual_tol=1e-4, max_iterations=13, block=8,
+            telemetry=sink,
         )
-        res = mmsim_solve(lcp, splitting, opts)
+        res = mmsim_solve(lcp, JacobiSplitting(lcp.A), opts)
         checks = [e["iteration"] for e in sink.events("mmsim", "iteration")]
         assert checks == [1, 3, 7, 13]
         assert res.converged
@@ -238,10 +238,6 @@ class TestGenericMMSIM:
 # ----------------------------------------------------------------------
 # The one MMSIM drive against the plain per-sweep iteration
 # ----------------------------------------------------------------------
-class _Block8Runner(ReferenceSweepRunner):
-    block = 8
-
-
 def per_sweep_oracle(lcp, splitting, opts, s0=None, z0=None):
     """The plain per-sweep MMSIM (one convergence test and one stall
     check per sweep) — the arithmetic the shared drive must reproduce on

@@ -300,43 +300,44 @@ class TestShardLadder:
     @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_safe_rung_runs_superlu_without_runner(self, backend, monkeypatch):
         """Rung 2 retries on SuperLU factorizations of both block solves
-        with no sweep backend, whatever the primary splitting armed."""
+        and tests convergence after every sweep, whatever the primary's
+        cadence."""
         import repro.core.resilience as resilience
 
         seen = []
         real = resilience.mmsim_solve
 
         def spy(lcp, splitting, opts, s0=None, z0=None):
-            seen.append(splitting)
+            seen.append((splitting, opts))
             return real(lcp, splitting, opts, s0=s0, z0=z0)
 
         monkeypatch.setattr(resilience, "mmsim_solve", spy)
         design = _design()
         model = split_cells(design, assign_rows(design))
         lq = build_legalization_qp(design, model)
-        sk = shard_legalization_qp(
-            lq, min_shard_variables=32, kernel_backend=backend
-        )
+        sk = shard_legalization_qp(lq, min_shard_variables=32)
         shard = max(sk.shards, key=lambda sh: sh.num_constraints)
         primary = shard.splitting
         assert (primary.top_kernel, primary.bottom_kernel) == (
             "woodbury", "pttrs"
         )
-        assert primary.kernel_backend == backend
-        assert (primary.sweep_runner is not None) == (backend == "fused")
+        opts = MMSIMLegalizer(
+            LegalizerConfig(kernel_backend=backend)
+        ).solver_options()
+        assert opts.block == (8 if backend == "fused" else 1)
         result, escalation = solve_shard_resilient(
             shard.lcp,
             primary,
+            opts,
             config=ResilienceConfig(inject={0: ("mmsim",)}),
         )
         assert escalation.winner == "mmsim_safe"
         assert result.converged
-        (safe,) = seen
+        ((safe, safe_opts),) = seen
         assert safe is not primary
         assert safe.top_kernel == safe.bottom_kernel == "superlu"
         assert safe._H_inv_top is None
-        assert safe.sweep_runner is None
-        assert safe.kernel_backend == "reference"
+        assert safe_opts.block == 1
 
 
 # ----------------------------------------------------------------------

@@ -455,8 +455,7 @@ class TestOracleMatrix:
         assert [(p.name, p.group) for p in matrix] == [
             (n, g) for n, _, g in live
         ]
-        # 9 stock points (+1 when numba is present).
-        assert len(live) >= 9
+        assert len(live) == 9
         assert "batch" not in [n for n, _, _ in live]
 
     def test_every_point_is_spec_valid(self):

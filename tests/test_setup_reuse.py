@@ -19,6 +19,7 @@ from repro import telemetry
 from repro.benchgen import generate_benchmark
 from repro.core.legalizer import LegalizerConfig, MMSIMLegalizer
 from repro.core.setup_cache import ReuseCache, index_key, scalar_setup_key
+from repro.core.sharding import ShardSource
 from repro.core.splitting import SplittingParameters
 from repro.service.store import WarmStateStore
 from repro.telemetry import prometheus_text
@@ -62,7 +63,6 @@ class TestKeys:
         p = SplittingParameters(beta=0.5, theta=0.5)
         base = scalar_setup_key(1000.0, p)
         assert scalar_setup_key(999.0, p) != base
-        assert scalar_setup_key(1000.0, p, "fused") != base
         q = SplittingParameters(beta=0.4, theta=0.5)
         assert scalar_setup_key(1000.0, q) != base
 
@@ -143,6 +143,40 @@ class TestLegalizeWithReuse:
         assert reuse.stats["stale"] == 0
         assert np.array_equal(_positions(d1), _positions(d2))
         assert r1.iterations == r2.iterations
+
+    @pytest.mark.parametrize("shard", [True, False])
+    def test_fresh_cache_slices_each_shard_once(self, shard, monkeypatch):
+        """A miss builds a shard's splitting and KKT LCP from one
+        ``slice_blocks`` call, the only indexing of the design's H, and
+        lands on the cache-free run's bits."""
+        cfg = LegalizerConfig(shard=shard)
+        d_plain = _design()
+        r_plain = _run(cfg, d_plain)
+        sources = []
+        indexed = []  # every indexed matrix, kept alive so ids stay unique
+        real_slice = ShardSource.slice_blocks
+        real_getitem = sp.csr_matrix.__getitem__
+
+        def slice_blocks(self, vi, bi, ei):
+            sources.append(self)
+            return real_slice(self, vi, bi, ei)
+
+        def getitem(self, key):
+            indexed.append(self)
+            return real_getitem(self, key)
+
+        monkeypatch.setattr(ShardSource, "slice_blocks", slice_blocks)
+        monkeypatch.setattr(sp.csr_matrix, "__getitem__", getitem)
+        reuse = ReuseCache()
+        d = _design()
+        r = _run(cfg, d, reuse=reuse)
+        monkeypatch.undo()
+        shards = len(reuse.setups)
+        assert len(sources) == shards == reuse.stats["miss"]
+        assert sum(m is sources[0].H for m in indexed) == shards
+        assert r.kkt_solution.tobytes() == r_plain.kkt_solution.tobytes()
+        assert r.iterations == r_plain.iterations
+        assert _positions(d).tobytes() == _positions(d_plain).tobytes()
 
     def test_monolithic_rerun_hits(self):
         cfg = LegalizerConfig(shard=False)
