@@ -31,14 +31,15 @@ This module re-solves *only the failing shard* down an escalation ladder:
                      stage absorbs every remaining overlap.
 
 Every rung's candidate is *audited* against the shard's own KKT LCP (the
-natural residual must clear ``accept_tol``) before it is accepted, so a
-fallback can never hand the flow a solution worse than it claims; a
-candidate that clears the audit wins even when its rung stopped at a
-sweep cap.  The terminal clamp makes the chain total: combined with the
-Tetris stage's totality (compaction + eviction) and the flow's mandatory
-post-flow legality audit, ``repro legalize`` always terminates with a
-legal placement whose displacement is no worse than legalizing the
-pre-solve positions directly — the *no-worse contract*.
+natural residual must clear the MMSIM options' ``residual_tol``, else
+their ``tol``) before it is accepted, so a fallback can never hand the
+flow a solution worse than it claims; a candidate that clears the audit
+wins even when its rung stopped at a sweep cap.  The terminal clamp
+makes the chain total: combined with the Tetris stage's totality
+(compaction + eviction) and the flow's mandatory post-flow legality
+audit, ``repro legalize`` always terminates with a legal placement whose
+displacement is no worse than legalizing the pre-solve positions
+directly — the *no-worse contract*.
 
 Deterministic fault injection (:attr:`ResilienceConfig.inject`) forces
 chosen rungs to fail on chosen shards, so every rung and the terminal
@@ -75,11 +76,27 @@ RUNGS = ("mmsim", "mmsim_safe", "psor", "lemke", "clamp")
 #: ``inject`` key selecting every shard.
 ALL_SHARDS = "*"
 
+#: Fixed damping for the safe-kernel MMSIM retry (collapses the
+#: 2-cycles that survive the in-solver auto rescue).
+SAFE_DAMPING = 0.5
+
+#: PSOR rung parameters: relaxation, stopping tolerance and sweep cap.
+PSOR_RELAX = 1.2
+PSOR_TOL = 1e-10
+PSOR_MAX_ITERATIONS = 50000
+
 #: Row updates one PSOR attempt may spend: rung 3 sweeps at most
-#: ``min(psor_max_iterations, PSOR_WORK_BUDGET // m)`` times.  Each sweep
+#: ``min(PSOR_MAX_ITERATIONS, PSOR_WORK_BUDGET // m)`` times.  Each sweep
 #: is a pure-Python pass over the m dual rows (~5–6 µs a row on a 2-vCPU
 #: x86 container), so the budget holds one attempt to under ~10 s.
 PSOR_WORK_BUDGET = 1_500_000
+
+#: The dual LCP densifies to m × m; skip PSOR on larger shards.
+PSOR_MAX_CONSTRAINTS = 4000
+
+#: Lemke's dense tableau is (n+m) × 2(n+m); skip on larger shards.
+LEMKE_MAX_VARIABLES = 800
+LEMKE_MAX_PIVOTS = 20000
 
 
 class FaultInjected(RuntimeError):
@@ -90,32 +107,18 @@ class FaultInjected(RuntimeError):
 class ResilienceConfig:
     """Controls for the per-shard solver fallback chain.
 
-    ``accept_tol`` is the natural-residual bound a fallback rung's
-    candidate must clear to be accepted; ``None`` derives it from the
-    MMSIM options (``residual_tol``, else ``tol``) at solve time.
-
     ``inject`` is the deterministic fault-injection hook: a mapping from
     shard index (or ``"*"`` for every shard) to an iterable of rung names
     that must fail on that shard.  An injected rung is skipped without
     running and recorded with status ``"injected"`` — CI uses this to
     exercise every rung of the ladder on healthy designs.
+
+    The rungs' other parameters are the module constants above.
     """
 
-    accept_tol: Optional[float] = None
-    #: Fixed damping for the safe-kernel MMSIM retry (collapses the
-    #: 2-cycles that survive the in-solver auto rescue).
-    safe_damping: float = 0.5
+    inject: Optional[Mapping[Union[int, str], Tuple[str, ...]]] = None
     #: ``max_iterations`` multiplier for the safe retry.
     safe_iteration_factor: float = 2.0
-    psor_relax: float = 1.2
-    psor_tol: float = 1e-10
-    psor_max_iterations: int = 50000
-    #: The dual LCP densifies to m × m; skip PSOR on larger shards.
-    psor_max_constraints: int = 4000
-    #: Lemke's dense tableau is (n+m) × 2(n+m); skip on larger shards.
-    lemke_max_variables: int = 800
-    lemke_max_pivots: int = 20000
-    inject: Optional[Mapping[Union[int, str], Tuple[str, ...]]] = None
 
     def __post_init__(self) -> None:
         if self.inject is None:
@@ -227,9 +230,9 @@ def solve_shard_resilient(
     cfg = config or ResilienceConfig()
     n = splitting.n
     m = splitting.m
-    accept_tol = cfg.accept_tol
-    if accept_tol is None:
-        accept_tol = opts.residual_tol if opts.residual_tol is not None else opts.tol
+    accept_bound = (
+        opts.residual_tol if opts.residual_tol is not None else opts.tol
+    )
 
     escalation = ShardEscalation(
         shard_index=shard_index, num_variables=n, num_constraints=m
@@ -264,7 +267,7 @@ def solve_shard_resilient(
     def try_rung(rung: str, runner, note: str = "") -> Optional[LCPResult]:
         """Run one fallback rung; audit, record, and return a win or None.
 
-        The candidate wins when its assembled z clears ``accept_tol`` on
+        The candidate wins when its assembled z clears ``accept_bound`` on
         this shard's own KKT LCP — the audit that makes the no-worse
         contract hold — whether or not the rung's own stopping test
         fired: a rung stopped at its sweep cap below the bound is as good
@@ -282,7 +285,7 @@ def solve_shard_resilient(
             attempts.append(RungAttempt(rung, "raised", detail=repr(exc)))
             return None
         residual = lcp.natural_residual(result.z)
-        if residual <= accept_tol:
+        if residual <= accept_bound:
             status = "won"
         else:
             status = "rejected" if result.converged else "failed"
@@ -302,7 +305,7 @@ def solve_shard_resilient(
     def run_safe() -> LCPResult:
         safe_opts = replace(
             opts,
-            damping=cfg.safe_damping,
+            damping=SAFE_DAMPING,
             auto_damping=False,
             max_iterations=max(
                 1, int(opts.max_iterations * cfg.safe_iteration_factor)
@@ -324,38 +327,35 @@ def solve_shard_resilient(
     # Rung 3: PSOR on the dual Schur-complement LCP.  A different
     # algorithm on a different (positive-diagonal) system; the recovered
     # primal is audited against the original KKT LCP.
-    if m > cfg.psor_max_constraints:
+    if m > PSOR_MAX_CONSTRAINTS:
         attempts.append(
             RungAttempt(
                 "psor",
                 "skipped",
-                detail=f"m={m} > psor_max_constraints={cfg.psor_max_constraints}",
+                detail=f"m={m} > PSOR_MAX_CONSTRAINTS={PSOR_MAX_CONSTRAINTS}",
             )
         )
     else:
-        sweeps = min(cfg.psor_max_iterations, PSOR_WORK_BUDGET // max(m, 1))
+        sweeps = min(PSOR_MAX_ITERATIONS, PSOR_WORK_BUDGET // max(m, 1))
         result = try_rung(
             "psor",
-            lambda: _psor_rung(
-                lcp, splitting, n, replace(cfg, psor_max_iterations=sweeps)
-            ),
+            lambda: _psor_rung(lcp, splitting, n, sweeps),
             note=(
-                f"sweep cap {sweeps} = min(psor_max_iterations="
-                f"{cfg.psor_max_iterations}, {PSOR_WORK_BUDGET} // m={m})"
+                f"sweep cap {sweeps} = min(PSOR_MAX_ITERATIONS="
+                f"{PSOR_MAX_ITERATIONS}, {PSOR_WORK_BUDGET} // m={m})"
             ),
         )
         if result is not None:
             return _won(result, escalation), escalation
 
     # Rung 4: exact Lemke pivoting (small shards only: dense tableau).
-    if n + m > cfg.lemke_max_variables:
+    if n + m > LEMKE_MAX_VARIABLES:
         attempts.append(
             RungAttempt(
                 "lemke",
                 "skipped",
                 detail=(
-                    f"n+m={n + m} > lemke_max_variables="
-                    f"{cfg.lemke_max_variables}"
+                    f"n+m={n + m} > LEMKE_MAX_VARIABLES={LEMKE_MAX_VARIABLES}"
                 ),
             )
         )
@@ -363,7 +363,7 @@ def solve_shard_resilient(
         result = try_rung(
             "lemke",
             lambda: lemke_solve(
-                lcp, LemkeOptions(max_pivots=cfg.lemke_max_pivots)
+                lcp, LemkeOptions(max_pivots=LEMKE_MAX_PIVOTS)
             ),
         )
         if result is not None:
@@ -400,7 +400,7 @@ def _psor_rung(
     lcp: LCP,
     splitting: LegalizationSplitting,
     n: int,
-    cfg: ResilienceConfig,
+    max_iterations: int,
 ) -> LCPResult:
     """PSOR on the dual LCP of the shard's QP, mapped back to KKT form.
 
@@ -421,9 +421,7 @@ def _psor_rung(
     dual = psor_solve(
         dual_lcp,
         PSOROptions(
-            relax=cfg.psor_relax,
-            tol=cfg.psor_tol,
-            max_iterations=cfg.psor_max_iterations,
+            relax=PSOR_RELAX, tol=PSOR_TOL, max_iterations=max_iterations
         ),
     )
     y = np.maximum(recover(dual.z), 0.0)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from types import FunctionType, ModuleType
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -137,6 +138,39 @@ class ReuseCache:
         """
         self.inputs = (H, B, E, scalar_key)
         self.setups = setups
+
+    def nbytes(self) -> int:
+        """Bytes of the distinct numpy buffers the cache keeps alive.
+
+        Walks the kept matrices and setups (attributes, containers and
+        the arrays bound into solver closures' defaults) and counts each
+        underlying buffer once, so a view charges the whole array it
+        keeps alive.  Factorization objects that hide their arrays are
+        not counted.
+        """
+        buffers: Dict[int, int] = {}
+        seen = set()
+        stack: list = [self.inputs, self.setups]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                buffers[id(obj)] = obj.nbytes
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple)):
+                stack.extend(obj)
+            elif isinstance(obj, FunctionType):
+                stack.extend(obj.__defaults__ or ())
+            elif hasattr(obj, "__dict__") and not isinstance(
+                obj, (type, ModuleType)
+            ):
+                stack.extend(vars(obj).values())
+        return sum(buffers.values())
 
 
 def scalar_setup_key(lam: float, params) -> tuple:

@@ -17,7 +17,7 @@ event per failing case.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -42,14 +42,12 @@ class FuzzOptions:
     #: cases and passed down to the shrinker.
     time_budget: Optional[float] = None
     shrink: bool = True
-    max_shrink_evals: int = 150
     #: Where minimized repros are written; None disables persistence.
     corpus_dir: Optional[str] = None
     #: Stop the campaign after this many failing cases.
     max_failures: int = 10
     #: Restrict scenario sampling to these kinds (None = full mix).
     kinds: Optional[List[str]] = None
-    oracle: OracleOptions = field(default_factory=OracleOptions)
 
 
 @dataclass
@@ -115,32 +113,22 @@ def case_seeds(campaign_seed: int, cases: int) -> List[int]:
     return [int(s) for s in state]
 
 
-def _shrink_options(
-    failure: InvariantFailure, opts: OracleOptions
-) -> OracleOptions:
+def _shrink_options(failure: InvariantFailure) -> OracleOptions:
     """Oracle options reduced to re-checking exactly the failed invariant."""
     config_filter = (
         [failure.config]
         if failure.config not in (None, "baseline")
         else []
     )
-    return replace(
-        opts,
-        configs=config_filter,
-        invariants={failure.invariant},
-        metamorphic=failure.invariant in ("translation", "idempotence"),
-        roundtrip=failure.invariant == "roundtrip",
-        reference=failure.invariant == "reference",
-    )
+    return OracleOptions(configs=config_filter, invariants={failure.invariant})
 
 
 def _make_predicate(
     failure: InvariantFailure,
-    opts: OracleOptions,
     expect_infeasible: bool,
     stale_state: Optional[SolverState],
 ) -> Callable[[Design], bool]:
-    sub = _shrink_options(failure, opts)
+    sub = _shrink_options(failure)
 
     def predicate(design: Design) -> bool:
         if design.num_cells == 0 or not design.movable_cells:
@@ -183,18 +171,13 @@ def _shrink_and_persist(
     if deadline is not None:
         budget = max(deadline - time.monotonic(), 5.0)
     predicate = _make_predicate(
-        failure, opts.oracle, scenario.expect_infeasible, stale_state
+        failure, scenario.expect_infeasible, stale_state
     )
     design = scenario.build()
     shrunk = design
     if opts.shrink:
         try:
-            result = shrink_design(
-                design,
-                predicate,
-                max_evals=opts.max_shrink_evals,
-                time_budget=budget,
-            )
+            result = shrink_design(design, predicate, time_budget=budget)
             shrunk = result.design
             outcome.shrunk_cells = shrunk.num_cells
         except Exception:  # noqa: BLE001 — shrink is best-effort
@@ -237,7 +220,7 @@ def run_fuzz(opts: Optional[FuzzOptions] = None) -> FuzzReport:
         case_start = time.monotonic()
         scenario = generate_scenario(seed, kinds=opts.kinds)
         metrics.counter("fuzz.cases").inc()
-        case_report = run_oracle(scenario, opts.oracle, stale_state=stale_state)
+        case_report = run_oracle(scenario, stale_state=stale_state)
         outcome = CaseOutcome(
             index=index,
             seed=seed,

@@ -49,46 +49,43 @@ from repro.fuzz.invariants import (
 from repro.io import read_design, write_design
 from repro.lcp.problem import split_kkt_solution
 from repro.netlist.design import Design
-from repro.qp.reference import solve_reference
+from repro.qp.reference import ACTIVE_SET_LIMIT, solve_reference
 from repro.rows import InfeasibleAssignment
 from repro.telemetry import current_session
+
+#: Solver tolerances used for every config — much tighter than the
+#: production default so tolerance-group comparisons are meaningful.
+TOL = 1e-6
+RESIDUAL_TOL = 1e-5
+#: Deliberately modest: a design that needs more sweeps escalates to
+#: the (fast, exact) PSOR/Lemke rungs, which both exercises the
+#: ladder and keeps the campaign's worst-case wall clock bounded.
+MAX_ITERATIONS = 2000
+LAM = 1000.0
+#: KKT-certificate bound on converged solutions, scaled by (1 + |z|∞).
+RESIDUAL_BOUND = 1e-4
+#: QP-stage constraint violation bound (order/boundary rows), in DB
+#: units scaled by the site width.
+FEASIBILITY_SITES = 1e-3
+#: Tolerance-group agreement: |y - y_base|∞ bound in site widths.
+AGREEMENT_SITES = 0.02
+#: Relative objective-gap bound vs the baseline / exact reference.
+#: Calibrated to the solver promise, not to zero: at tolerance ``TOL``
+#: the λ-weighted penalty terms (λ = 1000) let a converged iterate
+#: sit ~λ·tol·|Δy| away from the exact optimum — observed gaps on
+#: healthy designs reach ~5e-5, real bugs show up orders above that.
+OBJECTIVE_RTOL = 3e-4
 
 
 @dataclass
 class OracleOptions:
-    """Tolerances and switches of the differential oracle."""
+    """Which configs and invariants the differential oracle checks."""
 
-    #: Solver tolerances used for every config — much tighter than the
-    #: production default so tolerance-group comparisons are meaningful.
-    tol: float = 1e-6
-    residual_tol: float = 1e-5
-    #: Deliberately modest: a design that needs more sweeps escalates to
-    #: the (fast, exact) PSOR/Lemke rungs, which both exercises the
-    #: ladder and keeps the campaign's worst-case wall clock bounded.
-    max_iterations: int = 2000
-    lam: float = 1000.0
-    #: KKT-certificate bound on converged solutions, scaled by (1 + |z|∞).
-    residual_bound: float = 1e-4
-    #: QP-stage constraint violation bound (order/boundary rows), in DB
-    #: units scaled by the site width.
-    feasibility_sites: float = 1e-3
-    #: Tolerance-group agreement: |y - y_base|∞ bound in site widths.
-    agreement_sites: float = 0.02
-    #: Relative objective-gap bound vs the baseline / exact reference.
-    #: Calibrated to the solver promise, not to zero: at tolerance ``tol``
-    #: the λ-weighted penalty terms (λ = 1000) let a converged iterate
-    #: sit ~λ·tol·|Δy| away from the exact optimum — observed gaps on
-    #: healthy designs reach ~5e-5, real bugs show up orders above that.
-    objective_rtol: float = 3e-4
-    #: Run the exact reference QP when the variable count is below this.
-    reference_limit: int = 400
-    reference: bool = True
-    metamorphic: bool = True
-    roundtrip: bool = True
     #: Restrict to these config names (None = all).  The shrinker uses
     #: this to re-check only the configs involved in the original failure.
     configs: Optional[Sequence[str]] = None
-    #: Restrict to these invariants (None = all).
+    #: Restrict to these invariants (None = all); the metamorphic,
+    #: round-trip and exact-reference checks run only when selected.
     invariants: Optional[Set[str]] = None
 
     def wants(self, invariant: str) -> bool:
@@ -129,7 +126,7 @@ class RunRecord:
         return y
 
 
-def _base_config(opts: OracleOptions, overrides: dict) -> LegalizerConfig:
+def _base_config(overrides: dict) -> LegalizerConfig:
     """One matrix point's config: oracle base + the point's overrides.
 
     The base pins min_shard_variables=1 — single-component granularity,
@@ -145,11 +142,8 @@ def _base_config(opts: OracleOptions, overrides: dict) -> LegalizerConfig:
     kw.setdefault("min_shard_variables", 1)
     kw.setdefault("resilience", ResilienceConfig(safe_iteration_factor=1.0))
     return LegalizerConfig(
-        lam=opts.lam,
-        tol=opts.tol,
-        residual_tol=opts.residual_tol,
-        max_iterations=opts.max_iterations,
-        **kw,
+        lam=LAM, tol=TOL, residual_tol=RESIDUAL_TOL,
+        max_iterations=MAX_ITERATIONS, **kw,
     )
 
 
@@ -174,7 +168,7 @@ def oracle_configs(opts: OracleOptions) -> List[Tuple[str, LegalizerConfig, str]
     from repro.scenario.matrix import oracle_matrix
 
     matrix = [
-        (point.name, _base_config(opts, dict(point.overrides)), point.group)
+        (point.name, _base_config(dict(point.overrides)), point.group)
         for point in oracle_matrix()
     ]
     if opts.configs is not None:
@@ -209,10 +203,10 @@ def _execute(
     return rec
 
 
-def _build_qp(design: Design, opts: OracleOptions) -> LegalizationQP:
+def _build_qp(design: Design) -> LegalizationQP:
     assignment = assign_rows(design)
     model = split_cells(design, assignment)
-    return build_legalization_qp(design, model, lam=opts.lam)
+    return build_legalization_qp(design, model, lam=LAM)
 
 
 def run_oracle(
@@ -294,10 +288,9 @@ def run_oracle_design(
     qp = _check_certificates(runs, base, factory, opts, report)
     _check_tolerance_group(runs, base, qp, opts, report)
     _check_accounting(runs, opts, report)
-    if opts.metamorphic:
-        _check_translation(factory, base, opts, report, meta_seed)
-        _check_idempotence(base, opts, report)
-    if opts.roundtrip and opts.wants("roundtrip"):
+    _check_translation(factory, base, opts, report, meta_seed)
+    _check_idempotence(base, opts, report)
+    if opts.wants("roundtrip"):
         _check_roundtrip(base, opts, report)
     if any(name == "fence_slices" for name, _, _ in oracle_configs(opts)):
         _check_fence_slices(factory, base, opts, report)
@@ -404,14 +397,12 @@ def _check_certificates(
     )
     if not needed:
         return None
-    qp = _build_qp(factory(), opts)
+    qp = _build_qp(factory())
     n = qp.num_variables
     # The converged solution honors constraints only to within the
     # solver's absolute tolerance, so the slack cannot shrink below it
     # even when the site width (and with it the site-relative term) does.
-    feas_tol = max(
-        opts.feasibility_sites * base.design.core.site_width, 10.0 * opts.tol
-    )
+    feas_tol = max(FEASIBILITY_SITES * base.design.core.site_width, 10.0 * TOL)
 
     for rec in runs.values():
         if not rec.comparable or rec.result.kkt_solution is None:
@@ -419,7 +410,7 @@ def _check_certificates(
         z = rec.result.kkt_solution
         y, r = split_kkt_solution(z, n)
         if opts.wants("kkt_residual"):
-            bound = opts.residual_bound * (1.0 + float(np.abs(z).max(initial=0.0)))
+            bound = RESIDUAL_BOUND * (1.0 + float(np.abs(z).max(initial=0.0)))
             res = qp.qp.kkt_residual(y, r)
             if res > bound:
                 report.add(
@@ -435,18 +426,17 @@ def _check_certificates(
                 )
 
     if (
-        opts.reference
-        and opts.wants("reference")
+        opts.wants("reference")
         and base.comparable
         and not base.result.solver_escalations
-        and 0 < n <= opts.reference_limit
+        and 0 < n <= ACTIVE_SET_LIMIT
     ):
         y_base = base.y(n)
         ref = solve_reference(qp.qp)
         if ref.converged:
             obj = qp.qp.objective(y_base)
             gap = abs(obj - ref.objective) / (1.0 + abs(ref.objective))
-            if gap > opts.objective_rtol:
+            if gap > OBJECTIVE_RTOL:
                 report.add(
                     "reference", "baseline",
                     f"objective {obj:.9g} vs exact reference "
@@ -468,7 +458,7 @@ def _check_tolerance_group(
     n = qp.num_variables
     y_base = base.y(n)
     obj_base = qp.qp.objective(y_base)
-    y_tol = opts.agreement_sites * base.design.core.site_width
+    y_tol = AGREEMENT_SITES * base.design.core.site_width
     for rec in runs.values():
         if rec.group != "tolerance" or not rec.comparable:
             continue
@@ -477,7 +467,7 @@ def _check_tolerance_group(
             continue
         dy = float(np.abs(y - y_base).max(initial=0.0))
         gap = abs(qp.qp.objective(y) - obj_base) / (1.0 + abs(obj_base))
-        if dy > y_tol or gap > opts.objective_rtol:
+        if dy > y_tol or gap > OBJECTIVE_RTOL:
             report.add(
                 "solver_agreement", rec.name,
                 f"|y - y_base|inf = {dy:.3g} (tol {y_tol:.3g}), "

@@ -14,8 +14,7 @@
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,10 +50,9 @@ except ImportError:  # pragma: no cover - scipy always ships _sparsetools
 PROBE_CACHE_CAP = 256
 
 _PROBE_SEED = 20170618
-_PROBE_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_PROBE_LOCK = threading.Lock()
 
 
+@functools.lru_cache(maxsize=PROBE_CACHE_CAP)
 def probe_vector(size: int, salt: int = 0) -> np.ndarray:
     """Deterministic standard-normal probe of ``size`` entries.
 
@@ -65,26 +63,14 @@ def probe_vector(size: int, salt: int = 0) -> np.ndarray:
     defaults off).  ``salt`` selects an independent vector of the same
     size.
     """
-    key = (int(size), int(salt))
-    with _PROBE_LOCK:
-        probe = _PROBE_CACHE.get(key)
-        if probe is not None:
-            _PROBE_CACHE.move_to_end(key)
-            return probe
     probe = np.random.default_rng(_PROBE_SEED + salt).standard_normal(size)
     probe.setflags(write=False)
-    with _PROBE_LOCK:
-        _PROBE_CACHE[key] = probe
-        _PROBE_CACHE.move_to_end(key)
-        while len(_PROBE_CACHE) > PROBE_CACHE_CAP:
-            _PROBE_CACHE.popitem(last=False)
     return probe
 
 
 def probe_cache_size() -> int:
     """Current number of cached probe vectors (for tests/diagnostics)."""
-    with _PROBE_LOCK:
-        return len(_PROBE_CACHE)
+    return probe_vector.cache_info().currsize
 
 
 # ----------------------------------------------------------------------

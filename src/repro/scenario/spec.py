@@ -72,23 +72,20 @@ class Anything(Domain):
 
 @dataclass(frozen=True)
 class Choice(Domain):
-    """A finite enumeration; ``choices`` may be a callable for domains
-    that grow at runtime."""
+    """A finite enumeration."""
 
-    choices: Any  # tuple | Callable[[], Sequence]
-
-    def _values(self) -> Tuple[Any, ...]:
-        raw = self.choices() if callable(self.choices) else self.choices
-        return tuple(raw)
+    choices: Tuple[Any, ...]
 
     def check(self, value: Any) -> Optional[str]:
-        values = self._values()
-        if value not in values:
-            return f"must be one of {sorted(map(repr, values))}, got {value!r}"
+        if value not in self.choices:
+            return (
+                f"must be one of {sorted(map(repr, self.choices))}, "
+                f"got {value!r}"
+            )
         return None
 
     def describe(self) -> str:
-        return "one of " + ", ".join(f"`{v}`" for v in self._values())
+        return "one of " + ", ".join(f"`{v}`" for v in self.choices)
 
 
 @dataclass(frozen=True)

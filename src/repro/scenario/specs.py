@@ -92,9 +92,9 @@ LEGALIZER_SPEC = ScenarioSpec(
         ),
         ConfigVar(
             "resilience", (ResilienceConfig,), None,
-            "Tunables and the fault-injection hook of the per-shard "
-            "solver ladder (safe MMSIM → PSOR → Lemke → clamp) that "
-            "re-solves shards that fail to converge.",
+            "Fault-injection hook and safe-retry sweep factor of the "
+            "per-shard solver ladder (safe MMSIM → PSOR → Lemke → clamp) "
+            "that re-solves shards that fail to converge.",
             nullable=True,
         ),
         ConfigVar(
@@ -146,29 +146,20 @@ SERVICE_SPEC = ScenarioSpec(
             Range(0.0, lo_open=True), nullable=True,
         ),
         ConfigVar(
-            "retry_after_seconds", (float,), 1.0,
-            "Hint sent in 429 responses.",
-            Range(0.0, lo_open=True),
-        ),
-        ConfigVar(
             "store_max_entries", (int,), 1024,
             "Warm-state store entry cap; None = unbounded.",
             Range(1), nullable=True,
         ),
         ConfigVar(
             "store_max_bytes", (int,), 256 * 1024 * 1024,
-            "Warm-state store byte cap; None = unbounded.",
+            "Warm-state store byte cap, counting states and checked-in "
+            "setup caches; None = unbounded.",
             Range(1), nullable=True,
         ),
         ConfigVar(
             "store_ttl_seconds", (float,), None,
             "Warm-state entry time-to-live; None = no expiry.",
             Range(0.0, lo_open=True), nullable=True,
-        ),
-        ConfigVar(
-            "latency_reservoir", (int,), 1024,
-            "Latency samples kept for the /stats percentiles.",
-            Range(1),
         ),
     ],
 )

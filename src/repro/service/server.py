@@ -78,6 +78,12 @@ _REASONS = {
 #: Request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: The ``Retry-After`` hint, in seconds, sent with a 429 (queue full).
+RETRY_AFTER_SECONDS = 1
+
+#: Latency samples kept for the /stats percentiles.
+LATENCY_RESERVOIR = 1024
+
 
 @dataclass
 class ServiceConfig:
@@ -96,14 +102,11 @@ class ServiceConfig:
     workers: int = 2
     #: Deadline applied when a request does not send one; None = none.
     default_deadline_seconds: Optional[float] = None
-    #: Hint sent in 429 responses.
-    retry_after_seconds: float = 1.0
-    #: Warm-state store bounds (see :class:`WarmStateStore`).
+    #: Warm-state store bounds (see :class:`WarmStateStore`); the byte
+    #: cap counts states and checked-in setup caches.
     store_max_entries: Optional[int] = 1024
     store_max_bytes: Optional[int] = 256 * 1024 * 1024
     store_ttl_seconds: Optional[float] = None
-    #: Latency samples kept for the /stats percentiles.
-    latency_reservoir: int = 1024
 
     def __post_init__(self) -> None:
         # One source of truth for the server knobs (domains + defaults):
@@ -174,7 +177,7 @@ class LegalizationServer:
             self.metrics.counter(name)
         self.metrics.histogram("service.request_seconds")
         self.metrics.histogram("service.batch_size")
-        self._latencies: deque = deque(maxlen=self.config.latency_reservoir)
+        self._latencies: deque = deque(maxlen=LATENCY_RESERVOIR)
         self._latency_lock = threading.Lock()
         self._responses_by_status: Dict[int, int] = {}
         self._started_at = time.monotonic()
@@ -522,7 +525,7 @@ class LegalizationServer:
             return (
                 429,
                 {"error": "job queue is full; retry later"},
-                {"Retry-After": f"{self.config.retry_after_seconds:g}"},
+                {"Retry-After": str(RETRY_AFTER_SECONDS)},
             )
         self.metrics.gauge("service.queue_depth").set(self._queue.qsize())
         self._pending.add(job.future)

@@ -11,11 +11,13 @@ identical design warm-starts while a structurally different design under
 a reused key falls back to a cold start with an explicit rejection
 reason.
 
-Eviction is LRU with an optional TTL, bounded both by entry count and by
-total byte size of the stored ``z`` vectors (``sys.getsizeof`` is wrong
-for numpy arrays; ``z.nbytes`` plus a small constant is the honest
-accounting).  All operations are thread-safe — worker threads of the
-service read and write concurrently.
+Eviction is LRU over keys with an optional TTL, bounded both by key
+count and by total byte size: each stored ``z`` vector plus the array
+bytes of each checked-in setup-reuse cache (``sys.getsizeof`` is wrong
+for numpy arrays; ``nbytes`` plus a small constant is the honest
+accounting).  A key's state and cache are evicted together.  All
+operations are thread-safe — worker threads of the service read and
+write concurrently.
 """
 
 from __future__ import annotations
@@ -36,10 +38,13 @@ ENTRY_OVERHEAD_BYTES = 512
 
 @dataclass
 class _Entry:
-    state: SolverState
-    size_bytes: int
-    stored_at: float
-    hits: int = 0
+    """What the store keeps under one key; either half may be absent."""
+
+    state: Optional[SolverState] = None
+    state_bytes: int = 0
+    stored_at: float = 0.0
+    reuse: Optional[ReuseCache] = None
+    reuse_bytes: int = 0
 
 
 def state_size_bytes(state: SolverState) -> int:
@@ -48,11 +53,12 @@ def state_size_bytes(state: SolverState) -> int:
 
 
 class WarmStateStore:
-    """LRU + TTL cache of per-design solver states.
+    """LRU + TTL cache of per-design solver states and setup caches.
 
-    ``max_entries`` and ``max_bytes`` bound the cache (either may be
-    None for unbounded); ``ttl_seconds`` expires entries lazily on
-    access (an expired entry counts as a miss and is dropped).  The
+    ``max_entries`` (keys) and ``max_bytes`` (states plus checked-in
+    caches) bound the cache (either may be None for unbounded);
+    ``ttl_seconds`` expires states lazily on access (an expired state
+    counts as a miss and is dropped with its key's cache).  The
     ``clock`` is injectable for deterministic TTL tests.
     """
 
@@ -73,7 +79,6 @@ class WarmStateStore:
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._reuse: "OrderedDict[str, ReuseCache]" = OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -87,7 +92,7 @@ class WarmStateStore:
         now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or entry.state is None:
                 self.misses += 1
                 return None
             if (
@@ -99,7 +104,6 @@ class WarmStateStore:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            entry.hits += 1
             self.hits += 1
             return entry.state
 
@@ -109,29 +113,23 @@ class WarmStateStore:
         size = state_size_bytes(state)
         now = self._clock()
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.size_bytes
-            self._entries[key] = _Entry(
-                state=state, size_bytes=size, stored_at=now
-            )
-            self._bytes += size
+            entry = self._touch(key)
+            self._bytes += size - entry.state_bytes
+            entry.state, entry.state_bytes, entry.stored_at = state, size, now
             self._evict_locked()
 
     def invalidate(self, key: str) -> bool:
         """Drop *key*; True when it was present."""
         with self._lock:
-            dropped_reuse = self._reuse.pop(key, None) is not None
             entry = self._entries.get(key)
             if entry is None:
-                return dropped_reuse
+                return False
             self._drop(key, entry)
             return True
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._reuse.clear()
             self._bytes = 0
 
     # ------------------------------------------------------------------
@@ -144,27 +142,39 @@ class WarmStateStore:
     # re-accepted as authoritative — every run re-checks its matrices
     # against the cached ones before taking a setup anyway.
     def take_reuse(self, key: str) -> Optional[ReuseCache]:
-        """Check out (remove and return) the reuse cache under *key*."""
+        """Check out (remove and return) the reuse cache under *key*; a
+        checked-out cache no longer counts against ``max_bytes``."""
         with self._lock:
-            return self._reuse.pop(key, None)
+            entry = self._entries.get(key)
+            if entry is None or entry.reuse is None:
+                return None
+            cache = entry.reuse
+            self._bytes -= entry.reuse_bytes
+            entry.reuse, entry.reuse_bytes = None, 0
+            if entry.state is None:
+                del self._entries[key]
+            return cache
 
     def give_reuse(self, key: str, cache: ReuseCache) -> None:
-        """Check a reuse cache back in under *key* (LRU-bounded by
-        ``max_entries``, like the warm states)."""
+        """Check a reuse cache back in under *key*, charge its array
+        bytes, and evict LRU keys until the bounds hold again."""
+        size = cache.nbytes()
         with self._lock:
-            self._reuse.pop(key, None)
-            self._reuse[key] = cache
-            while (
-                self.max_entries is not None
-                and len(self._reuse) > self.max_entries
-            ):
-                self._reuse.popitem(last=False)
+            entry = self._touch(key)
+            self._bytes += size - entry.reuse_bytes
+            entry.reuse, entry.reuse_bytes = cache, size
+            self._evict_locked()
 
     # ------------------------------------------------------------------
+    def _touch(self, key: str) -> _Entry:
+        """*key*'s entry (created empty if absent), made most recent."""
+        entry = self._entries.pop(key, None) or _Entry()
+        self._entries[key] = entry
+        return entry
+
     def _drop(self, key: str, entry: _Entry) -> None:
         del self._entries[key]
-        self._reuse.pop(key, None)
-        self._bytes -= entry.size_bytes
+        self._bytes -= entry.state_bytes + entry.reuse_bytes
 
     def _evict_locked(self) -> None:
         while (
@@ -172,9 +182,9 @@ class WarmStateStore:
             and len(self._entries) > self.max_entries
         ) or (self.max_bytes is not None and self._bytes > self.max_bytes):
             if len(self._entries) <= 1:
-                # A single oversized state simply occupies the whole
-                # byte budget until replaced — never evict the entry
-                # that was just inserted.
+                # A single oversized key simply occupies the whole byte
+                # budget until replaced — never evict the key that was
+                # just written.
                 break
             key, entry = next(iter(self._entries.items()))
             self._drop(key, entry)
@@ -182,11 +192,13 @@ class WarmStateStore:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return sum(e.state is not None for e in self._entries.values())
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            return key in self._entries
+            entry = self._entries.get(key)
+            return entry is not None and entry.state is not None
 
     @property
     def size_bytes(self) -> int:
@@ -194,9 +206,10 @@ class WarmStateStore:
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
+            entries = self._entries.values()
             return {
-                "entries": len(self._entries),
-                "reuse_entries": len(self._reuse),
+                "entries": sum(e.state is not None for e in entries),
+                "reuse_entries": sum(e.reuse is not None for e in entries),
                 "bytes": self._bytes,
                 "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,

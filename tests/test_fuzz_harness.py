@@ -7,6 +7,8 @@ was built to catch is temporarily reverted via monkeypatching and the
 harness must flag the planted bug.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from repro.fuzz import (
     write_repro,
 )
 from repro.fuzz.harness import _make_predicate
+from repro.fuzz.invariants import INVARIANTS
 from repro.geometry import Interval, IntervalSet
 from repro.rows.sitemap import SiteMap
 
@@ -38,8 +41,13 @@ def _gp_arrays(design):
     return np.array([(c.gp_x, c.gp_y) for c in design.cells])
 
 
-FAST = OracleOptions(configs=[], reference=False, metamorphic=False,
-                     roundtrip=False)
+#: Every invariant but the exact-reference and metamorphic checks.
+NO_META = OracleOptions(
+    configs=[],
+    invariants=set(INVARIANTS) - {"reference", "translation", "idempotence"},
+)
+#: ... and without the Bookshelf round trip either.
+FAST = OracleOptions(configs=[], invariants=NO_META.invariants - {"roundtrip"})
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +91,27 @@ class TestGenerator:
 # ----------------------------------------------------------------------
 # Oracle campaigns
 # ----------------------------------------------------------------------
+class TestOptions:
+    def test_only_caller_set_fields_remain(self):
+        assert [f.name for f in dataclasses.fields(OracleOptions)] == [
+            "configs", "invariants",
+        ]
+        assert len(dataclasses.fields(FuzzOptions)) == 7
+        for target, name in (
+            (OracleOptions, "metamorphic"),
+            (OracleOptions, "objective_rtol"),
+            (FuzzOptions, "max_shrink_evals"),
+            (FuzzOptions, "oracle"),
+        ):
+            with pytest.raises(TypeError, match=name):
+                target(**{name: None})
+
+    def test_invariants_gate_the_roundtrip_check(self, monkeypatch):
+        monkeypatch.setattr(writer, "_num", lambda v: f"{float(v):.6f}")
+        report = run_oracle(generate_scenario(2), FAST)
+        assert "roundtrip" not in report.invariant_names()
+
+
 class TestOracle:
     def test_small_campaign_clean(self):
         with telemetry.session() as tel:
@@ -109,8 +138,7 @@ class TestRevertDetection:
     def test_writer_precision_revert_detected(self, monkeypatch):
         """Satellite 3: fixed-precision writer breaks round-trip fidelity."""
         monkeypatch.setattr(writer, "_num", lambda v: f"{float(v):.6f}")
-        opts = OracleOptions(configs=[], reference=False, metamorphic=False)
-        report = run_oracle(generate_scenario(2), opts)
+        report = run_oracle(generate_scenario(2), NO_META)
         assert "roundtrip" in report.invariant_names()
 
     def test_stale_state_revert_detected(self, monkeypatch):
@@ -175,12 +203,11 @@ class TestRevertDetection:
 class TestShrinkAndCorpus:
     def test_shrinks_planted_bug_to_small_repro(self, monkeypatch, tmp_path):
         monkeypatch.setattr(writer, "_num", lambda v: f"{float(v):.6f}")
-        opts = OracleOptions(configs=[], reference=False, metamorphic=False)
         scenario = generate_scenario(2)
-        report = run_oracle(scenario, opts)
+        report = run_oracle(scenario, NO_META)
         failure = next(f for f in report.failures
                        if f.invariant == "roundtrip")
-        predicate = _make_predicate(failure, opts, False, None)
+        predicate = _make_predicate(failure, False, None)
         result = shrink_design(scenario.build(), predicate, max_evals=60)
         assert result.design.num_cells <= 10
         assert result.design.num_cells < result.original_cells
@@ -254,6 +281,5 @@ class TestWriterFidelity:
 
     def test_extreme_origin_roundtrip_clean(self):
         """Huge-origin scenario: write -> read -> legalize stays bitwise."""
-        opts = OracleOptions(configs=[], reference=False, metamorphic=False)
-        report = run_oracle(generate_scenario(0), opts)
+        report = run_oracle(generate_scenario(0), NO_META)
         assert report.ok, report.failures

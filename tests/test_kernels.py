@@ -250,7 +250,7 @@ class TestProbeCache:
         a = probe_vector(17)
         b = probe_vector(17)
         c = probe_vector(17, salt=1)
-        np.testing.assert_array_equal(a, b)
+        assert a is b  # a hit returns the cached array itself
         assert not np.array_equal(a, c)
         assert not a.flags.writeable
 

@@ -14,6 +14,8 @@ hunting for pathological inputs:
   natural-residual audit on the shard's own KKT LCP.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,16 @@ class TestResilienceConfig:
     def test_no_injection_by_default(self):
         cfg = ResilienceConfig()
         assert not any(cfg.should_fail(0, r) for r in RUNGS[:-1])
+
+    def test_only_caller_set_fields_remain(self):
+        # The rungs' other parameters are module constants; the accept
+        # bound always derives from the MMSIM options.
+        assert [f.name for f in dataclasses.fields(ResilienceConfig)] == [
+            "inject", "safe_iteration_factor",
+        ]
+        for name in ("psor_max_constraints", "accept_tol", "safe_damping"):
+            with pytest.raises(TypeError, match=name):
+                ResilienceConfig(**{name: 0})
 
 
 class TestShardEscalation:
@@ -185,12 +197,12 @@ class TestShardLadder:
         assert result.solver == "clamp"
         assert not escalation.solved
 
-    def test_oversize_shard_skips_psor_and_lemke(self, shard):
-        cfg = ResilienceConfig(
-            inject={0: ("mmsim", "mmsim_safe")},
-            psor_max_constraints=0,
-            lemke_max_variables=0,
-        )
+    def test_oversize_shard_skips_psor_and_lemke(self, shard, monkeypatch):
+        import repro.core.resilience as resilience
+
+        monkeypatch.setattr(resilience, "PSOR_MAX_CONSTRAINTS", 0)
+        monkeypatch.setattr(resilience, "LEMKE_MAX_VARIABLES", 0)
+        cfg = ResilienceConfig(inject={0: ("mmsim", "mmsim_safe")})
         result, escalation = solve_shard_resilient(
             shard.lcp, shard.splitting, config=cfg
         )
@@ -202,7 +214,7 @@ class TestShardLadder:
     def test_psor_sweeps_capped_by_work_budget(self, shard, monkeypatch):
         # A sweep is a Python pass over the m dual rows, so rung 3 may
         # sweep at most PSOR_WORK_BUDGET // m times whatever
-        # psor_max_iterations allows.
+        # PSOR_MAX_ITERATIONS allows.
         import repro.core.resilience as resilience
 
         m = shard.num_constraints
@@ -218,22 +230,22 @@ class TestShardLadder:
 
     def test_capped_psor_wins_on_its_audit(self, shard, monkeypatch):
         """A rung stopped at its sweep cap is accepted when its candidate
-        clears accept_tol, and reported converged like any other win."""
+        clears the accept bound (the MMSIM options' residual_tol), and
+        reported converged like any other win."""
         import repro.core.resilience as resilience
 
         m = shard.num_constraints
         monkeypatch.setattr(resilience, "PSOR_WORK_BUDGET", 3 * m + 1)
         capped = resilience._psor_rung(
-            shard.lcp, shard.splitting, shard.splitting.n,
-            ResilienceConfig(psor_max_iterations=3),
+            shard.lcp, shard.splitting, shard.splitting.n, 3
         )
         assert not capped.converged
         residual = shard.lcp.natural_residual(capped.z)
-        inject = {0: ("mmsim", "mmsim_safe")}
+        config = ResilienceConfig(inject={0: ("mmsim", "mmsim_safe")})
 
         result, escalation = solve_shard_resilient(
             shard.lcp, shard.splitting,
-            config=ResilienceConfig(inject=inject, accept_tol=residual),
+            MMSIMOptions(residual_tol=residual), config=config,
         )
         psor = escalation.attempts[-1]
         assert (psor.rung, psor.status, psor.iterations) == ("psor", "won", 3)
@@ -243,13 +255,13 @@ class TestShardLadder:
 
         _, escalation = solve_shard_resilient(
             shard.lcp, shard.splitting,
-            config=ResilienceConfig(inject=inject, accept_tol=0.5 * residual),
+            MMSIMOptions(residual_tol=0.5 * residual), config=config,
         )
         psor = next(a for a in escalation.attempts if a.rung == "psor")
         assert psor.status == "failed"
 
     def test_psor_solves_constraint_free_shard(self):
-        from repro.core.resilience import _psor_rung
+        from repro.core.resilience import PSOR_MAX_ITERATIONS, _psor_rung
 
         design = generate_benchmark(
             "fft_2", scale=0.02, seed=1, blockage_fraction=0.2
@@ -258,7 +270,7 @@ class TestShardLadder:
         sk = shard_legalization_qp(lq, min_shard_variables=1)
         shard = next(s for s in sk.shards if s.num_constraints == 0)
         n = shard.splitting.n
-        result = _psor_rung(shard.lcp, shard.splitting, n, ResilienceConfig())
+        result = _psor_rung(shard.lcp, shard.splitting, n, PSOR_MAX_ITERATIONS)
         assert result.converged
         # No multipliers: the clamped unconstrained minimizer H⁻¹(−p).
         np.testing.assert_allclose(

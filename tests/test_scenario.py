@@ -9,6 +9,7 @@ parametrized table), the spec-generated fuzz-oracle matrix, and the
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from repro.scenario import (
     LEGALIZER_SPEC,
     SERVICE_SPEC,
     SWEEP_SPEC,
-    Choice,
     ConfigVar,
     Range,
     ScenarioSpec,
@@ -79,13 +79,6 @@ class TestConfigVar:
         assert closed.check(10) is None
         assert closed.check(11) is not None
 
-    def test_choice_callable_is_live(self):
-        pool = ["a"]
-        var = ConfigVar("c", (str,), "a", "doc", Choice(lambda: pool))
-        assert var.validate("b") is not None
-        pool.append("b")
-        assert var.validate("b") is None
-
 
 class TestScenarioSpec:
     def test_unknown_field(self):
@@ -122,6 +115,16 @@ class TestScenarioSpec:
         table = LEGALIZER_SPEC.knob_table()
         for name in LEGALIZER_SPEC.variables:
             assert f"`{name}`" in table
+
+    @pytest.mark.parametrize(
+        "spec", [LEGALIZER_SPEC, SERVICE_SPEC, BENCHGEN_SPEC],
+        ids=lambda spec: spec.name,
+    )
+    def test_configuration_doc_carries_the_knob_table(self, spec):
+        # docs/CONFIGURATION.md pastes `repro spec knobs --spec <name>`;
+        # regenerate it there whenever a knob changes.
+        doc = Path(__file__).resolve().parents[1] / "docs" / "CONFIGURATION.md"
+        assert spec.knob_table() in doc.read_text()
 
     def test_enumerate_valid_prunes_invalid_combos(self):
         points = LEGALIZER_SPEC.enumerate_valid(
@@ -224,7 +227,9 @@ REMOVED_KNOBS = frozenset(
 )
 #: Knobs deleted from ServiceConfig: the same three outcomes, with
 #: ServiceConfig and ``repro serve`` as the Python and CLI boundaries.
-REMOVED_SERVICE_KNOBS = frozenset({"merge"})
+REMOVED_SERVICE_KNOBS = frozenset(
+    {"merge", "retry_after_seconds", "latency_reservoir"}
+)
 ALL_REMOVED = REMOVED_KNOBS | REMOVED_SERVICE_KNOBS
 
 # (config overrides, expected message core, CLI argv producing the same
@@ -262,6 +267,15 @@ INVALID_CONFIGS = [
         {"merge": False}, "merge",
         ["serve", "--queue-limit=0", "--no-merge"],
         id="merge-removed",
+    ),
+    # Neither knob ever had a ``repro serve`` flag.
+    pytest.param(
+        {"retry_after_seconds": 2.0}, "retry_after_seconds", None,
+        id="retry-after-removed",
+    ),
+    pytest.param(
+        {"latency_reservoir": 10}, "latency_reservoir", None,
+        id="latency-reservoir-removed",
     ),
     pytest.param(
         {"batch_micro_shards": True}, "batch_micro_shards",
@@ -562,7 +576,7 @@ class TestSweep:
         assert main(["spec", "check"]) == 0
         out = capsys.readouterr().out
         assert "spec check: ok" in out
-        assert "(12 legalizer + 12 service + 6 benchgen knobs" in out
+        assert "(12 legalizer + 10 service + 6 benchgen knobs" in out
         assert f"{len(oracle_matrix())}-point oracle matrix" in out
         assert "constraint" not in out
 

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 
+from repro.core.setup_cache import ReuseCache
 from repro.core.state import SolverState
 from repro.service.store import ENTRY_OVERHEAD_BYTES, WarmStateStore
 
 
 def make_state(n: int = 8, fill: float = 1.0) -> SolverState:
     return SolverState(z=np.full(n, fill), fingerprint=f"fp{n}")
+
+
+def make_cache(n: int = 64) -> ReuseCache:
+    """A reuse cache keeping one n-float64 array alive."""
+    return ReuseCache(setups={b"shard": (np.zeros(n), None)})
 
 
 class FakeClock:
@@ -60,6 +67,25 @@ def test_eviction_by_byte_budget():
     store.put("c", make_state())
     assert len(store) == 2 and "a" not in store
     assert store.size_bytes <= 2 * per_entry
+
+
+def test_checked_in_caches_count_against_max_bytes():
+    per_state = 8 * 8 + ENTRY_OVERHEAD_BYTES
+    per_cache = 64 * 8
+    # Room for two states and one cache, not two states and two caches.
+    store = WarmStateStore(max_entries=None, max_bytes=2 * per_state + per_cache)
+    store.put("a", make_state())
+    store.give_reuse("a", make_cache())
+    store.put("b", make_state())
+    assert "a" in store and "b" in store
+    store.give_reuse("b", make_cache())
+    # The least recently used key goes, its state and cache together.
+    assert "a" not in store and store.take_reuse("a") is None
+    assert "b" in store and store.evictions == 1
+    assert store.size_bytes == store.stats()["bytes"] == per_state + per_cache
+    # A checked-out cache no longer counts.
+    assert store.take_reuse("b") is not None
+    assert store.size_bytes == per_state
 
 
 def test_single_oversized_entry_is_kept():
@@ -117,17 +143,30 @@ def test_concurrent_put_get_is_consistent():
                 key = f"k{(tid * 7 + i) % 24}"
                 if i % 3 == 0:
                     store.put(key, make_state())
+                elif i % 3 == 1:
+                    store.give_reuse(key, store.take_reuse(key) or make_cache())
                 else:
                     store.get(key)
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     per_entry = 8 * 8 + ENTRY_OVERHEAD_BYTES
-    assert len(store) <= 16
-    assert store.size_bytes == len(store) * per_entry
+    stats = store.stats()
+    assert len(store) <= 16 and stats["reuse_entries"] <= 16
+    assert store.size_bytes == (
+        len(store) * per_entry + stats["reuse_entries"] * 64 * 8
+    )

@@ -316,6 +316,26 @@ class TestStoreReuse:
         store.clear()
         assert store.stats()["reuse_entries"] == 0
 
+    def test_nbytes_counts_each_buffer_once(self):
+        base = np.zeros(100)
+        cache = ReuseCache(setups={
+            b"a": (base[:10], base),
+            b"b": (lambda r, _m=base[5:]: _m @ r, None),
+        })
+        assert cache.nbytes() == base.nbytes
+
+    def test_store_charges_a_real_cache(self):
+        design = generate_benchmark("fft_2", scale=0.02, seed=1)
+        cache = ReuseCache()
+        _run(LegalizerConfig(), design, reuse=cache)
+        kkt_bytes = sum(A.data.nbytes for _, A in cache.setups.values())
+        assert cache.nbytes() > kkt_bytes > 0
+        store = WarmStateStore()
+        store.give_reuse("k", cache)
+        assert store.stats()["bytes"] == cache.nbytes()
+        store.take_reuse("k")
+        assert store.stats()["bytes"] == 0
+
     def test_reuse_entries_are_lru_bounded(self):
         store = WarmStateStore(max_entries=2)
         for i in range(3):
