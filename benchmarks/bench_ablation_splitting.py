@@ -71,6 +71,8 @@ def _sweep():
             spl._solve_bottom = spla.factorized(
                 (spl.D / spl.params.theta + sp.identity(m)).tocsc()
             )
+            # N's D/θ* too: the sweep multiplies by this prescaled copy.
+            spl._D_theta = (spl.D / spl.params.theta).tocsr()
         res = mmsim_solve(
             lcp, spl, MMSIMOptions(tol=1e-6, residual_tol=1e-4, max_iterations=8000)
         )

@@ -21,7 +21,7 @@ as a handful of vectorized operations:
   blocks provides the batched Woodbury top solve, the batched
   tridiagonal bottom solve (LAPACK ``pttrf``/``pttrs`` factor the
   concatenated D bands; the zero couplings at shard boundaries decouple
-  the recurrence bitwise), and the fused one-pass sweep;
+  the recurrence bitwise), and the allocation-free sweep;
 * **per-shard convergence masking**: every sweep reduces the z-step per
   shard (segment maxima); a shard that clears its own tolerance is
   audited against its rows of the stacked KKT matrix and its result
@@ -96,19 +96,32 @@ def group_shards(shards) -> Dict[Tuple[str, int], List]:
     return groups
 
 
-def _segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment maximum of contiguous segments tiling ``values``.
+def _segments(offsets: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """The nonempty mask (None when no segment is empty) and the
+    ``reduceat`` starts of the contiguous segments ``offsets`` bounds
+    (one more entry than segments).
 
-    ``offsets`` has one more entry than there are segments; empty
-    segments yield 0.0.  Because the segments tile the array, dropping
-    the empty ones before ``np.maximum.reduceat`` preserves every
-    nonempty segment's boundaries.
+    Because the segments tile the array, dropping the empty ones keeps
+    every nonempty segment's boundaries.
     """
     starts = offsets[:-1]
     nonempty = offsets[1:] > starts
-    out = np.zeros(len(starts))
-    if values.size and nonempty.any():
-        out[nonempty] = np.maximum.reduceat(values, starts[nonempty])
+    if len(starts) and nonempty.all():
+        return None, starts
+    return nonempty, starts[nonempty]
+
+
+def _segment_max(
+    values: np.ndarray, segments: Tuple[Optional[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Per-segment maximum over :func:`_segments`; empty segments yield
+    0.0."""
+    nonempty, starts = segments
+    if nonempty is None:
+        return np.maximum.reduceat(values, starts)
+    out = np.zeros(len(nonempty))
+    if len(starts):
+        out[nonempty] = np.maximum.reduceat(values, starts)
     return out
 
 
@@ -159,6 +172,8 @@ class _GroupPack:
         )
         self.top_off = np.concatenate([[0], np.cumsum(self.top_sizes)])
         self.bot_off = np.concatenate([[0], np.cumsum(self.bot_sizes)])
+        self.top_seg = _segments(self.top_off)
+        self.bot_seg = _segments(self.bot_off)
         self.N = int(self.top_off[-1])
         self.M = int(self.bot_off[-1])
         self.gq = self.gamma * self.lcp.q
@@ -220,8 +235,8 @@ class _GroupPack:
         r = np.minimum(z, w)
         np.abs(r, out=r)
         return np.maximum(
-            _segment_max(r[: self.N], self.top_off),
-            _segment_max(r[self.N:], self.bot_off),
+            _segment_max(r[: self.N], self.top_seg),
+            _segment_max(r[self.N:], self.bot_seg),
         )
 
     def _candidate_residuals(
@@ -262,13 +277,13 @@ class _GroupPack:
                 row_idx,
                 self.lcp.A[row_idx],
                 self.lcp.q[row_idx],
-                np.concatenate([[0], np.cumsum(sizes)]),
+                _segments(np.concatenate([[0], np.cumsum(sizes)])),
             )
-        row_idx, A_sub, q_sub, offsets = self._cand_sub
+        row_idx, A_sub, q_sub, segments = self._cand_sub
         w = A_sub @ z + q_sub
         r = np.minimum(z[row_idx], w)
         np.abs(r, out=r)
-        return _segment_max(r, offsets)
+        return _segment_max(r, segments)
 
     def _finish(
         self, j: int, z: np.ndarray, k: int, converged: bool, residual: float
@@ -340,9 +355,12 @@ class _GroupPack:
         gamma = self.gamma
         block = opts.block
         emit = opts.telemetry.emit if opts.telemetry is not None else None
-        run = ReferenceSweepRunner(self.splitting).run
+        runner = ReferenceSweepRunner(self.splitting)
         s = self.s
         z_prev = (np.abs(s) + s) / gamma
+        # z and z_prev swap between two buffers (new ones on a repack); z
+        # comes from the runner's |s| of the iterate it returned.
+        z_spare = np.empty_like(z_prev)
         last_pack_k = 0
         next_rescue = opts.stall_window
         ramp = 1
@@ -358,24 +376,24 @@ class _GroupPack:
                 ):
                     span = min(span, next_rescue - k)
                 if span > 1:
-                    s = run(s, span - 1, self.gq, self.omega_entry)
-                    z_prev = (np.abs(s) + s) / gamma
+                    s = runner.run(s, span - 1, self.gq, self.omega_entry)
+                    np.add(runner.s_abs, s, out=z_prev)
+                    z_prev /= gamma
             if ramp < block:
                 ramp = min(2 * ramp, block)
             self.swept_entries += span * (self.N + self.M)
             self.wasted_entries += span * self.inactive_entries
-            s = run(s, 1, self.gq, self.omega_entry)
+            s = runner.run(s, 1, self.gq, self.omega_entry)
             k += span
-            z = np.abs(s)
-            z += s
+            z = np.add(runner.s_abs, s, out=z_spare)
             z /= gamma
             np.subtract(z, z_prev, out=z_prev)
             np.abs(z_prev, out=z_prev)
             steps = np.maximum(
-                _segment_max(z_prev[: self.N], self.top_off),
-                _segment_max(z_prev[self.N:], self.bot_off),
+                _segment_max(z_prev[: self.N], self.top_seg),
+                _segment_max(z_prev[self.N:], self.bot_seg),
             )
-            z_prev = z
+            z_spare, z_prev = z_prev, z
             cand = self.active & (steps < opts.tol)
             if cand.any():
                 cand_idx = np.where(cand)[0]
@@ -438,8 +456,9 @@ class _GroupPack:
                 if z_new is not None:
                     s = self.s
                     z_prev = z_new
+                    z_spare = np.empty_like(z_new)
                     last_pack_k = k
-                    run = ReferenceSweepRunner(self.splitting).run
+                    runner = ReferenceSweepRunner(self.splitting)
         # Shards still active at max_iterations: not converged, final
         # residual at the last iterate.
         leftovers = np.where(self.active)[0]

@@ -602,7 +602,9 @@ def legalize(
     ``reuse`` carries a :class:`~repro.core.setup_cache.ReuseCache` across
     runs: a re-run whose matrices and scalars equal the previous run's
     reuses its Woodbury/pttrf setups bit-identically instead of
-    refactorizing.  The cache holds mutable sweep buffers, so never share
+    refactorizing.  A run swaps its own setups in as the cache's one
+    kept generation when it ends, so a concurrent run could take setups
+    from a generation it never compared its matrices with: never share
     one ReuseCache between concurrent runs.
     """
     return MMSIMLegalizer(config).legalize(

@@ -31,11 +31,13 @@ per shard):
 * **stale** — a previous setup exists under the key but the run is not
   trusted (some matrix or scalar changed): rebuilt.
 
-A :class:`ReuseCache` must not be shared by *concurrent* runs — the
-cached splittings carry mutable sweep buffers.  The service checks a
-cache out of the :class:`~repro.service.store.WarmStateStore` for the
-duration of a request and checks it back in afterwards, so concurrent
-requests under one key simply miss.
+A :class:`ReuseCache` must not be shared by *concurrent* runs — each
+run swaps its setups in as the one kept generation when it ends
+(:meth:`ReuseCache.end_run`), so a concurrent run could take setups
+from a generation its trust decision never compared.  The service
+checks a cache out of the :class:`~repro.service.store.WarmStateStore`
+for the duration of a request and checks it back in afterwards, so
+concurrent requests under one key simply miss.
 """
 
 from __future__ import annotations

@@ -29,10 +29,12 @@ SuperLU factorizations:
 * the *bottom* block ``D/θ* + I`` is symmetric tridiagonal, prefactorized
   once with LAPACK ``pttrf`` (Cholesky-like, falling back to ``gttrf``
   then SuperLU if the matrix is not SPD) and solved with ``pttrs``;
-* :meth:`LegalizationSplitting.apply_rhs` fuses ``N s + (Ω−A)|s| − γq``
-  into one pass sharing the ``H@·``, ``B@·``, ``Bᵀ@·`` products and
-  writing into a preallocated buffer, halving the matvec count of the
-  separate :meth:`apply_N` / :meth:`apply_omega_minus_A` calls.
+* :meth:`LegalizationSplitting.solve_into` solves both blocks into a
+  caller's vector, the bottom kernel in place, so the sweep of
+  :class:`repro.kernels.ReferenceSweepRunner` allocates nothing; the
+  runner builds ``N s + (Ω−A)|s| − γq`` from :attr:`H`, :attr:`BT` and
+  the prescaled ``D/θ*`` and ``−B`` kept here.  A splitting holds no
+  per-solve scratch.
 
 Every fast kernel is verified against the assembled block on a probe
 vector at setup and silently falls back to ``spla.factorized`` when the
@@ -160,6 +162,16 @@ def schur_tridiagonal(
     )
 
 
+def _scalar_solver(pivot: float) -> Callable:
+    """The 1×1 bottom solve, in place."""
+    return lambda r: np.divide(r, pivot, out=r)
+
+
+def _pttrs_solver(df: np.ndarray, ef: np.ndarray) -> Callable:
+    """The ``pttrs`` bottom solve on ``pttrf`` factors, in place."""
+    return lambda r: lapack.dpttrs(df, ef, r, overwrite_b=1)[0]
+
+
 @dataclass
 class SplittingParameters:
     """β*, θ* of Eq. (16); the paper uses 0.5 for both in all experiments."""
@@ -233,7 +245,7 @@ class LegalizationSplitting:
         safe._solve_bottom = (
             spla.factorized(safe._bottom_block().tocsc()) if safe.m else None
         )
-        safe._allocate_sweep_state()
+        safe._prescale()
         return safe
 
     def block(
@@ -284,23 +296,20 @@ class LegalizationSplitting:
             )
             view.bottom_kernel = "scalar"
             view._bottom_pivot = pivot
-            view._solve_bottom = lambda r, _p=pivot: r / _p
+            view._solve_bottom = _scalar_solver(pivot)
         elif m:
             df, ef = self._pttrf_factors
             df, ef = df[cons], ef[c0:cons.stop - 1]
             view.bottom_kernel = "pttrs"
             view._pttrf_factors = (df, ef)
-            view._solve_bottom = (
-                lambda r, _d=df, _e=ef: lapack.dpttrs(_d, _e, r)[0]
-            )
-        view._allocate_buffers()
+            view._solve_bottom = _pttrs_solver(df, ef)
         return view
 
     # ------------------------------------------------------------------
     # Solver setup (shared with GeneralSplitting)
     # ------------------------------------------------------------------
     def _setup_solvers(self) -> None:
-        """Prefactorize the block solves and allocate sweep buffers.
+        """Prefactorize the block solves and prescale the sweep matrices.
 
         Expects ``self.H``, ``self.B``, ``self.D``, ``self.params`` (and,
         for the Woodbury top-block shortcut, ``self.E``/``self.lam``) to
@@ -319,20 +328,14 @@ class LegalizationSplitting:
             self._solve_bottom = (
                 self._build_bottom_solver() if self.m else None
             )
-        self._allocate_sweep_state()
+        self._prescale()
 
-    def _allocate_sweep_state(self) -> None:
-        """Prescaled matrices plus buffers, so one :meth:`apply_rhs`
-        allocates nothing."""
+    def _prescale(self) -> None:
+        """``Bᵀ``, ``D/θ*`` and ``−B``, the matrices a sweep multiplies
+        by besides H (:func:`repro.kernels.reference.rhs_operator`)."""
         self.BT = self.B.T.tocsr()
         self._D_theta = (self.D / self.params.theta).tocsr()
         self._B_neg = (-self.B).tocsr()
-        self._allocate_buffers()
-
-    def _allocate_buffers(self) -> None:
-        self._rhs_buf = np.empty(self.n + self.m)
-        self._u_buf = np.empty(self.n)
-        self._w_buf = np.empty(self.m)
 
     def _top_block(self) -> sp.csc_matrix:
         return (self.H / self.params.beta + sp.identity(self.n)).tocsc()
@@ -387,7 +390,9 @@ class LegalizationSplitting:
         LAPACK ``pttrf``/``pttrs`` (symmetric positive definite
         tridiagonal) when it applies — D is the tridiagonal part of the
         SPD Schur complement, so it virtually always does — else
-        ``gttrf``/``gttrs`` (general tridiagonal), else SuperLU.
+        ``gttrf``/``gttrs`` (general tridiagonal), else SuperLU.  The
+        solver returns the solution; every kernel but SuperLU writes it
+        over its argument.
         """
         bottom = self._bottom_block()
         self._pttrf_factors = None
@@ -398,7 +403,7 @@ class LegalizationSplitting:
             if pivot != 0.0:
                 self.bottom_kernel = "scalar"
                 self._bottom_pivot = pivot
-                return lambda r, _p=pivot: r / _p
+                return _scalar_solver(pivot)
         else:
             dl = bottom.diagonal(-1)
             du = bottom.diagonal(1)
@@ -415,10 +420,7 @@ class LegalizationSplitting:
                         self.bottom_kernel = "pttrs"
                         # Raw factors, which block() slices per shard.
                         self._pttrf_factors = (df, ef)
-                        return (
-                            lambda r, _d=df, _e=ef:
-                            lapack.dpttrs(_d, _e, r)[0]
-                        )
+                        return _pttrs_solver(df, ef)
             dlf, df, duf, du2, ipiv, info = lapack.dgttrf(dl, d, du)
             if info == 0:
                 x, _ = lapack.dgttrs(dlf, df, duf, du2, ipiv, probe)
@@ -429,7 +431,7 @@ class LegalizationSplitting:
                     self.bottom_kernel = "gttrs"
                     return (
                         lambda r, _a=dlf, _b=df, _c=duf, _d2=du2, _p=ipiv:
-                        lapack.dgttrs(_a, _b, _c, _d2, _p, r)[0]
+                        lapack.dgttrs(_a, _b, _c, _d2, _p, r, overwrite_b=1)[0]
                     )
         self.bottom_kernel = "superlu"
         return spla.factorized(bottom.tocsc())
@@ -443,8 +445,8 @@ class LegalizationSplitting:
     # Splitting protocol
     # ------------------------------------------------------------------
     def apply_N(self, s: np.ndarray) -> np.ndarray:
-        # The protocol's separate products: the reference the fused
-        # apply_rhs is tested against (the solver drives use apply_rhs).
+        # The protocol's separate products: the reference the runner's
+        # rhs is tested against (the solver drives use the runner's).
         s1, s2 = s[: self.n], s[self.n :]
         beta, theta = self.params.beta, self.params.theta
         top = (1.0 / beta - 1.0) * (self.H @ s1)
@@ -463,56 +465,30 @@ class LegalizationSplitting:
             return np.concatenate([top, bottom])
         return top
 
-    def apply_rhs(
-        self, s: np.ndarray, s_abs: np.ndarray, gq: np.ndarray
-    ) -> np.ndarray:
-        """One-pass ``N s + (Ω − A)|s| − γq`` into a reused buffer.
+    def solve_M_plus_omega(self, rhs: np.ndarray) -> np.ndarray:
+        return self.solve_into(rhs, np.empty(self.n + self.m))
 
-        Folding the two N/(Ω−A) applications shares each sparse product:
+    def solve_into(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Solve ``(M + Ω) out = rhs`` into *out* and return it.
 
-            top    = H @ ((1/β*−1)·s₁ − |s|₁) + Bᵀ @ (s₂ + |s|₂) + |s|₁ − γq₁
-            bottom = (D/θ*) @ s₂ − B @ |s|₁ + |s|₂ − γq₂
-
-        — one matvec per matrix instead of two, every matvec accumulated
-        straight into a preallocated buffer (no ``np.concatenate``, no
-        temporaries).  The returned array is owned by the splitting and
-        overwritten by the next call; the MMSIM consumes it immediately.
+        The top block's solution goes straight into ``out[:n]``; the
+        bottom right-hand side ``rhs₂ − B·out₁`` is accumulated in
+        ``out[n:]`` and solved there in place.  *rhs* is only read.
         """
         n = self.n
-        s1 = s[:n]
-        t1 = s_abs[:n]
-        u = self._u_buf
-        np.multiply(s1, 1.0 / self.params.beta - 1.0, out=u)
-        u -= t1
-        out = self._rhs_buf
-        top = out[:n]
-        np.subtract(t1, gq[:n], out=top)
-        csr_matvec_into(self.H, u, top)
-        if self.m:
-            s2 = s[n:]
-            t2 = s_abs[n:]
-            w = self._w_buf
-            np.add(s2, t2, out=w)
-            csr_matvec_into(self.BT, w, top)
-            bottom = out[n:]
-            np.subtract(t2, gq[n:], out=bottom)
-            csr_matvec_into(self._D_theta, s2, bottom)
-            csr_matvec_into(self._B_neg, t1, bottom)
-        return out
-
-    def solve_M_plus_omega(self, rhs: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = np.zeros(n + self.m)
         s1 = out[:n]
         if self._H_inv_top is not None:
+            s1.fill(0.0)
             csr_matvec_into(self._H_inv_top, rhs[:n], s1)
         else:
             s1[:] = self._solve_top(rhs[:n])
         if self.m:
-            w = self._w_buf
-            np.copyto(w, rhs[n:])
-            csr_matvec_into(self._B_neg, s1, w)
-            out[n:] = self._solve_bottom(w)
+            s2 = out[n:]
+            np.copyto(s2, rhs[n:])
+            csr_matvec_into(self._B_neg, s1, s2)
+            x = self._solve_bottom(s2)
+            if x is not s2:
+                s2[:] = x
         return out
 
     # ------------------------------------------------------------------

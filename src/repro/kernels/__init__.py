@@ -12,6 +12,7 @@ from repro.kernels.reference import (
     csr_matvec_into,
     probe_cache_size,
     probe_vector,
+    rhs_operator,
 )
 
 __all__ = [
@@ -20,4 +21,5 @@ __all__ = [
     "csr_matvec_into",
     "probe_cache_size",
     "probe_vector",
+    "rhs_operator",
 ]

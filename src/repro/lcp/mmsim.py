@@ -44,12 +44,9 @@ class Splitting(Protocol):
         ...
 
 
-# Splittings may additionally expose ``apply_rhs(s, s_abs, gq)`` returning
-# ``N s + (Ω − A)|s| − gq`` in one fused pass (possibly into a reused
-# buffer that the solver must consume before the next call).  When the
-# attribute is present and not None the reference runner prefers it over
-# the separate apply_N / apply_omega_minus_A calls; the two paths compute
-# the same iterate (see tests/test_splitting.py kernel-parity tests).
+# The paper's Eq. (16) splitting (repro.core.splitting) is swept by
+# ReferenceSweepRunner's allocation-free sweep, which reads its matrices
+# directly; the protocol's three methods drive every other splitting.
 
 
 @dataclass
@@ -177,11 +174,13 @@ def mmsim_solve(
         if z0.shape != (n,):
             raise ValueError(f"z0 has shape {z0.shape}, expected ({n},)")
         s0 = warm_start_from_z(lcp, z0, gamma)
-    s = np.zeros(n) if s0 is None else np.asarray(s0, dtype=float).copy()
+    # The runner copies s into its own work vector; s0 is only read.
+    s = np.zeros(n) if s0 is None else np.asarray(s0, dtype=float)
     if s.shape != (n,):
         raise ValueError(f"s0 has shape {s.shape}, expected ({n},)")
 
-    run = ReferenceSweepRunner(splitting).run
+    runner = ReferenceSweepRunner(splitting)
+    run = runner.run
     block = opts.block
     emit = opts.telemetry.emit if opts.telemetry is not None else None
     gq = gamma * lcp.q
@@ -191,6 +190,9 @@ def mmsim_solve(
     auto_damping = opts.auto_damping
     min_damping = opts.min_damping
     z_prev = (np.abs(s) + s) / gamma
+    # z and z_prev swap between two buffers; z comes from the runner's
+    # |s| of the iterate it returned.
+    z_spare = np.empty_like(z_prev)
     converged = False
     omega = opts.damping
     rescued = False
@@ -207,16 +209,16 @@ def mmsim_solve(
                 span = min(span, next_rescue - k)
             if span > 1:
                 s = run(s, span - 1, gq, omega)
-                z_prev = (np.abs(s) + s) / gamma
+                np.add(runner.s_abs, s, out=z_prev)
+                z_prev /= gamma
         if ramp < block:
             ramp = min(2 * ramp, block)
         s = run(s, 1, gq, omega)
         k += span
         # z = (|s| + s)/γ and the inf-norm z-step, in place: the retired
-        # z_prev buffer absorbs the difference, so a step allocates only
-        # z itself.
-        z = np.abs(s)
-        z += s
+        # z_prev buffer absorbs the difference, so a step allocates
+        # nothing.
+        z = np.add(runner.s_abs, s, out=z_spare)
         z /= gamma
         if n:
             np.subtract(z, z_prev, out=z_prev)
@@ -224,7 +226,7 @@ def mmsim_solve(
             step = float(z_prev.max())
         else:
             step = 0.0
-        z_prev = z
+        z_spare, z_prev = z_prev, z
         residual_k: Optional[float] = None
         if step < tol:
             if residual_tol is None:

@@ -56,7 +56,7 @@ class GeneralSplitting(LegalizationSplitting):
         self.B = sp.csr_matrix(B)
         # No (E, λ) structure: the shared solver setup then keeps SuperLU
         # for the top block but still gets the banded bottom solve and the
-        # fused sweep.
+        # runner's allocation-free sweep.
         self.E = None
         self.lam = None
         self.n = self.H.shape[0]

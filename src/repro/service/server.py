@@ -292,9 +292,9 @@ class LegalizationServer:
         """Worker-thread body: warm lookup → stacked solve → respond."""
         jobs: List[DesignJob] = []
         # Setup-reuse caches are *checked out* of the store for the
-        # duration of the batch (they hold mutable sweep buffers, so a
-        # concurrent batch must not share them) and checked back in
-        # below.  Jobs in this batch sharing a key share the cache —
+        # duration of the batch (a run swaps in its own generation of
+        # setups, so a concurrent batch must not share them) and checked
+        # back in below.  Jobs in this batch sharing a key share the cache —
         # jobs that solve alone run sequentially inside legalize_many,
         # and merged groups skip the cache entirely.
         reuse_by_key: Dict[str, ReuseCache] = {}

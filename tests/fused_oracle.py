@@ -96,6 +96,8 @@ class FusedSweepRunner:
         for _ in range(count):
             target = b if s is a else a
             s = self._sweep(s, target, gq, omega)
+        # The drives read |s| of the returned iterate from the runner.
+        self.s_abs = np.abs(s)
         return s
 
 

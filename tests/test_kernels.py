@@ -6,8 +6,10 @@
 :class:`~repro.kernels.reference.ReferenceSweepRunner`.  The contracts:
 
 * the preallocated fused sweep (:mod:`fused_oracle`) equals the
-  reference sweep bit for bit, for one sweep or many and every damping
-  shape;
+  reference sweep bit for bit, for one sweep or many, every damping
+  shape and every block kernel a splitting can carry, across the switch
+  from the first sweep's four matvecs to the stacked operator K, which
+  itself equals those four matvecs bit for bit;
 * ``kernel_backend="fused"`` reproduces a whole flow run on that fused
   sweep bit for bit (``kkt_solution``, ``iterations``, positions):
   sharded, ``shard=False``, on a ``ReuseCache`` hit and in a stacked
@@ -22,6 +24,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fused_oracle import FusedSweepRunner, install
 from repro import cli, telemetry
@@ -31,17 +34,22 @@ from repro.core.multi import DesignJob, legalize_many
 from repro.core.qp_builder import build_legalization_qp
 from repro.core.row_assign import assign_rows
 from repro.core.setup_cache import ReuseCache
+from repro.core.sharding import shard_legalization_qp
 from repro.core.splitting import LegalizationSplitting, SplittingParameters
 from repro.core.subcells import split_cells
 from repro.io.jsonio import save_design
 from repro.kernels import (
     PROBE_CACHE_CAP,
     ReferenceSweepRunner,
+    csr_matvec_into,
     probe_cache_size,
     probe_vector,
+    reference,
 )
+from repro.qp import GeneralSplitting
 from repro.scenario.specs import LEGALIZER_SPEC
 from repro.service.protocol import LegalizeRequest, ProtocolError
+from test_mmsim_stall_rescue import _stall_instance
 from test_service import running_server
 
 DOMAIN = ("reference", "fused")
@@ -56,6 +64,64 @@ def _splitting():
     return LegalizationSplitting(
         qp.H, qp.B, legal_qp.E, legal_qp.lam, params=SplittingParameters()
     )
+
+
+def _shard_splitting(bottom_kernel):
+    """The largest shard of fft_2@0.02 + 15% blockages at
+    ``min_shard_variables=1`` whose bottom kernel is *bottom_kernel*: a
+    block view of the design-wide splitting."""
+    design = _blocked(scale=0.02)
+    legal_qp = build_legalization_qp(
+        design, split_cells(design, assign_rows(design))
+    )
+    shards = shard_legalization_qp(legal_qp, min_shard_variables=1).shards
+    return max(
+        (sh.splitting for sh in shards
+         if sh.splitting.bottom_kernel == bottom_kernel),
+        key=lambda spl: spl.n,
+    )
+
+
+def _foreign_top():
+    """An H the Woodbury probe declines: a SuperLU top over ``pttrs``."""
+    spl = _splitting()
+    H = spl.H + 0.5 * sp.identity(spl.n, format="csr")
+    return LegalizationSplitting(H, spl.B, spl.E, spl.lam)
+
+
+def _gttrs_bottom():
+    """A stall instance whose indefinite D makes ``D/θ* + I``
+    indefinite at θ* = 0.05, so ``pttrf`` fails and ``gttrs`` wins."""
+    lq = _stall_instance(53)
+    return LegalizationSplitting(
+        lq.qp.H, lq.qp.B, lq.E, lq.lam, SplittingParameters(theta=0.05)
+    )
+
+
+def _general():
+    """The generic-QP splitting: no (E, λ), so a SuperLU top."""
+    spl = _splitting()
+    return GeneralSplitting(spl.H, spl.B)
+
+
+#: Every (top, bottom) kernel pair the sweep runs over.
+SPLITTINGS = {
+    "woodbury/pttrs": _splitting,
+    "woodbury/none (m = 0 block)": lambda: _shard_splitting("none"),
+    "woodbury/scalar (m = 1 block)": lambda: _shard_splitting("scalar"),
+    "woodbury/gttrs": _gttrs_bottom,
+    "superlu/pttrs (probe declined the top)": _foreign_top,
+    "superlu/superlu (_superlu)": lambda: LegalizationSplitting._superlu(
+        _splitting()
+    ),
+    "superlu/pttrs (GeneralSplitting)": _general,
+}
+
+
+def _omega(shape, size):
+    if shape == "array":
+        return np.where(np.arange(size) % 2 == 0, 1.0, 0.6)
+    return {"plain": None, "scalar": 0.7}[shape]
 
 
 def _positions(design):
@@ -133,6 +199,87 @@ class TestSweepParity:
         gq = probe_vector(size, salt=3)
         want = ReferenceSweepRunner(sp_).run(s, 3, gq, omega)
         got = FusedSweepRunner(sp_).run(s, 3, gq, omega)
+        assert got.tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The lean sweep: every kernel, the stacked operator, the buffers
+# ----------------------------------------------------------------------
+class TestLeanSweep:
+    @pytest.mark.parametrize("kind", SPLITTINGS)
+    def test_kernels_actually_taken(self, kind):
+        spl = SPLITTINGS[kind]()
+        top, bottom = kind.split(" ")[0].split("/")
+        assert (spl.top_kernel, spl.bottom_kernel) == (top, bottom)
+        assert spl.m == {"none": 0, "scalar": 1}.get(bottom, spl.m)
+
+    @pytest.mark.skipif(
+        reference._csr_hstack is None, reason="scipy without csr_hstack"
+    )
+    @pytest.mark.parametrize("kind", SPLITTINGS)
+    def test_stacked_operator_equals_four_matvecs(self, kind):
+        """The kernel assumption K rests on: ``csr_matvec`` accumulates a
+        row's stored entries in order onto the output's value, so one
+        matvec of K over ``[s, |s|, u, w]`` equals the four sequential
+        ``csr_matvec_into`` calls bit for bit."""
+        spl = SPLITTINGS[kind]()
+        n, size = spl.n, spl.n + spl.m
+        s = probe_vector(size)
+        gq = probe_vector(size, salt=3)
+        t = np.abs(s)
+        u = s[:n] * (1.0 / spl.params.beta - 1.0) - t[:n]
+        w = s[n:] + t[n:]
+        want = t - gq
+        csr_matvec_into(spl.H, u, want[:n])
+        csr_matvec_into(spl.BT, w, want[:n])
+        csr_matvec_into(spl._D_theta, s[n:], want[n:])
+        csr_matvec_into(spl._B_neg, t[:n], want[n:])
+        K = reference.rhs_operator(spl)
+        assert K.shape == (size, 3 * size)
+        assert K.nnz == spl.H.nnz + spl.BT.nnz + spl.D.nnz + spl.B.nnz
+        got = t - gq
+        csr_matvec_into(K, np.concatenate([s, t, u, w]), got)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", ["plain", "scalar", "array"])
+    @pytest.mark.parametrize("kind", SPLITTINGS)
+    def test_sweeps_equal_oracle(self, kind, shape):
+        """Three sweeps (the first on four matvecs, then K) equal the
+        fused oracle bit for bit; the runner's |s| is that of the
+        iterate it returns, and the caller's s is only read."""
+        spl = SPLITTINGS[kind]()
+        size = spl.n + spl.m
+        s = np.array(probe_vector(size))
+        before = s.copy()
+        gq = probe_vector(size, salt=3)
+        omega = _omega(shape, size)
+        runner = ReferenceSweepRunner(spl)
+        got = runner.run(s, 3, gq, omega)
+        want = FusedSweepRunner(spl).run(s, 3, gq, omega)
+        assert got.tobytes() == want.tobytes()
+        assert runner.s_abs.tobytes() == np.abs(want).tobytes()
+        assert s.tobytes() == before.tobytes()
+
+    @pytest.mark.skipif(
+        reference._csr_hstack is None, reason="scipy without csr_hstack"
+    )
+    def test_switch_to_stacked_operator_across_runs(self):
+        """One sweep builds no K; continuing from the runner's own
+        iterate builds it and lands on the oracle's third iterate."""
+        spl = _splitting()
+        size = spl.n + spl.m
+        s = probe_vector(size)
+        gq = probe_vector(size, salt=3)
+        runner = ReferenceSweepRunner(spl)
+        first = runner.run(s, 1, gq, 0.7)
+        assert runner._K is None
+        assert first.tobytes() == FusedSweepRunner(spl).run(
+            s, 1, gq, 0.7
+        ).tobytes()
+        got = runner.run(first, 2, gq, 0.7)
+        assert got is first  # the runner's own buffer, advanced in place
+        assert runner._K is not None
+        want = FusedSweepRunner(spl).run(s, 3, gq, 0.7)
         assert got.tobytes() == want.tobytes()
 
 

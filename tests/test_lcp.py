@@ -33,6 +33,7 @@ from repro.core.subcells import split_cells
 from repro.lcp.fixed_point import estimate_lambda_max
 from repro.lcp.mmsim import warm_start_from_z
 from repro.telemetry import EventSink
+from fused_oracle import FusedSweepRunner
 from test_mmsim_stall_rescue import STALL_SEEDS, _stall_instance
 
 
@@ -241,23 +242,27 @@ class TestGenericMMSIM:
 def per_sweep_oracle(lcp, splitting, opts, s0=None, z0=None):
     """The plain per-sweep MMSIM (one convergence test and one stall
     check per sweep) — the arithmetic the shared drive must reproduce on
-    the reference path.  Returns ``(z, iterations, message)``."""
+    the reference path.  A legalization splitting sweeps with the fused
+    oracle (``tests/fused_oracle.py``), whose arithmetic the runner's
+    sweep matches bit for bit.  Returns ``(z, iterations, message)``."""
     gamma = opts.gamma
     if s0 is None and z0 is not None:
         s0 = warm_start_from_z(lcp, z0, gamma)
     s = np.zeros(lcp.n) if s0 is None else np.array(s0, dtype=float)
     z_prev = (np.abs(s) + s) / gamma
-    fused = getattr(splitting, "apply_rhs", None)
+    fused = None
+    if isinstance(splitting, LegalizationSplitting):
+        fused = FusedSweepRunner(splitting).run
     gq = gamma * lcp.q
     omega, checkpoint, rescued, converged = opts.damping, None, False, False
     for k in range(1, opts.max_iterations + 1):
-        s_abs = np.abs(s)
         if fused is not None:
-            rhs = fused(s, s_abs, gq)
+            s = fused(s, 1, gq, omega)
         else:
+            s_abs = np.abs(s)
             rhs = splitting.apply_N(s) + splitting.apply_omega_minus_A(s_abs) - gq
-        s_hat = splitting.solve_M_plus_omega(rhs)
-        s = s_hat if omega == 1.0 else omega * s_hat + (1.0 - omega) * s
+            s_hat = splitting.solve_M_plus_omega(rhs)
+            s = s_hat if omega == 1.0 else omega * s_hat + (1.0 - omega) * s
         z = (np.abs(s) + s) / gamma
         step = float(np.max(np.abs(z - z_prev))) if lcp.n else 0.0
         z_prev = z

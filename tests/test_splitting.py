@@ -15,6 +15,7 @@ from repro.core.splitting import (
 )
 from repro.core.subcells import split_cells
 from repro.benchgen import generate_benchmark
+from repro.kernels import ReferenceSweepRunner
 
 
 def _mixed_qp(scale=0.01, seed=5, lam=1000.0):
@@ -153,30 +154,34 @@ class TestLegalizationSplitting:
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_fused_rhs_matches_reference(self):
-        """apply_rhs must equal apply_N + apply_omega_minus_A − γq."""
+        """The sweep runner's rhs must equal apply_N + apply_omega_minus_A
+        − γq, in its first-sweep form and in the stacked-operator form of
+        every later call."""
         lq = _mixed_qp(scale=0.01)
         spl = LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam)
-        assert spl.apply_rhs is not None
+        runner = ReferenceSweepRunner(spl)
         rng = np.random.default_rng(7)
         gq = 2.0 * lq.qp.kkt_lcp().q
         for _ in range(5):
             s = rng.standard_normal(spl.n + spl.m)
             s_abs = np.abs(s)
             want = spl.apply_N(s) + spl.apply_omega_minus_A(s_abs) - gq
-            got = spl.apply_rhs(s, s_abs, gq)
+            got = runner.rhs(s, gq)
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_fused_rhs_buffer_reuse_is_consumed_safely(self):
-        """Two successive calls return the same buffer object; the second
-        call's contents must be correct (the first result is retired)."""
+        """Two successive calls return the runner's one scratch buffer;
+        the second call's contents must be correct (the first result is
+        retired)."""
         lq = _mixed_qp(scale=0.005)
         spl = LegalizationSplitting(lq.qp.H, lq.qp.B, lq.E, lq.lam)
         gq = 2.0 * lq.qp.kkt_lcp().q
         rng = np.random.default_rng(11)
         s1 = rng.standard_normal(spl.n + spl.m)
         s2 = rng.standard_normal(spl.n + spl.m)
-        out1 = spl.apply_rhs(s1, np.abs(s1), gq)
-        out2 = spl.apply_rhs(s2, np.abs(s2), gq)
+        runner = ReferenceSweepRunner(spl)
+        out1 = runner.rhs(s1, gq)
+        out2 = runner.rhs(s2, gq)
         assert out1 is out2
         want = spl.apply_N(s2) + spl.apply_omega_minus_A(np.abs(s2)) - gq
         assert np.allclose(out2, want, atol=1e-10)
