@@ -290,7 +290,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             queue_limit=args.queue_limit,
-            batch_window_seconds=args.batch_window,
             max_batch=args.max_batch,
             workers=args.workers,
             default_deadline_seconds=args.deadline,
@@ -305,7 +304,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"repro serve: listening on http://{config.host}:{server.port} "
             f"(workers={config.workers}, queue={config.queue_limit}, "
-            f"batch window={config.batch_window_seconds:g}s)",
+            f"max batch={config.max_batch})",
             flush=True,
         )
 
@@ -565,13 +564,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=int, default=64,
                    help="bounded job queue; a full queue answers 429 "
                         "with Retry-After (default 64)")
-    p.add_argument("--batch-window", type=float, default=0.02, metavar="SEC",
-                   help="how long to wait for more requests to stack "
-                        "into one batched solve (default 0.02)")
     p.add_argument("--max-batch", type=int, default=16,
-                   help="max designs per stacked solve (default 16)")
+                   help="max queued designs a free worker stacks into one "
+                        "solve (default 16)")
     p.add_argument("--workers", type=int, default=2,
-                   help="solver worker threads (default 2)")
+                   help="solver worker threads; a queued job starts as "
+                        "soon as one is idle (default 2)")
     p.add_argument("--deadline", type=float, default=None, metavar="SEC",
                    help="default per-request deadline when the request "
                         "does not send one (default: none)")

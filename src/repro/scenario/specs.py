@@ -124,19 +124,15 @@ SERVICE_SPEC = ScenarioSpec(
             Range(1),
         ),
         ConfigVar(
-            "batch_window_seconds", (float,), 0.02,
-            "How long the batcher waits for more jobs to share a solve "
-            "with.",
-            Range(0.0),
-        ),
-        ConfigVar(
             "max_batch", (int,), 16,
-            "Cap on jobs per stacked solve.",
+            "Cap on the queued jobs a free worker takes into one stacked "
+            "solve.",
             Range(1),
         ),
         ConfigVar(
             "workers", (int,), 2,
-            "Worker threads executing batches.",
+            "Worker threads executing batches; a queued job starts as "
+            "soon as one is idle.",
             Range(1),
         ),
         ConfigVar(

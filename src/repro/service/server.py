@@ -9,15 +9,19 @@ execution tier:
   close``).  Routes: ``POST /legalize``, ``GET /healthz``, ``GET
   /stats``, ``GET /metrics``, ``POST /shutdown``.
 * **Bounded queue + backpressure** — accepted jobs enter a bounded
-  :class:`asyncio.Queue`; when it is full the server answers ``429``
-  with a ``Retry-After`` hint instead of buffering without bound.
-* **Cross-request micro-batching** — a batcher task drains the queue,
-  accumulates jobs for a short window, and hands each batch to a
-  :class:`~concurrent.futures.ThreadPoolExecutor` worker that runs
+  :class:`asyncio.Queue` and wait there, and only there, until a worker
+  is free; when it is full the server answers ``429`` with a
+  ``Retry-After`` hint instead of buffering without bound.
+* **Cross-request batching on a free worker** — as soon as one of the
+  ``workers`` :class:`~concurrent.futures.ThreadPoolExecutor` threads is
+  idle, the batcher hands it the next job together with every job
+  already queued behind it (up to ``max_batch``), and the worker runs
   :func:`repro.core.multi.legalize_many`: a lone request runs
   ``legalize()``'s own phases (the same answer bit for bit), and two or
   more compatible designs are stacked block-diagonally and swept as
-  **one** batched MMSIM (see :mod:`repro.core.multi`).
+  **one** batched MMSIM (see :mod:`repro.core.multi`).  An idle server
+  starts a request at once; jobs stack only when they queue behind
+  busy workers.
 * **Keyed warm-state store** — each design's KKT solution is cached
   under the request key (:mod:`repro.service.store`); the next request
   for the same key warm-starts and converges in a handful of sweeps.
@@ -25,8 +29,9 @@ execution tier:
   legalizer, so a structurally changed design is rejected loudly
   (``cache: "stale"``) and re-solved cold.
 * **Deadlines** — a request's ``deadline_seconds`` bounds queue wait +
-  solve; an expired job answers ``504`` and is skipped (or its result
-  discarded) by the execution tier.
+  solve; an expired job answers ``504`` and the batcher drops it from
+  the queue unsolved (a job that expires mid-solve has its result
+  discarded).
 * **Graceful drain** — SIGTERM/SIGINT stop the listener, finish every
   queued and in-flight job, then exit; new jobs during the drain get
   ``503``.
@@ -94,11 +99,10 @@ class ServiceConfig:
     port: int = 8787
     #: Bounded job queue; a full queue answers 429 + Retry-After.
     queue_limit: int = 64
-    #: How long the batcher waits for more jobs to share a solve with.
-    batch_window_seconds: float = 0.02
-    #: Cap on jobs per stacked solve.
+    #: Cap on the queued jobs a free worker takes into one stacked solve.
     max_batch: int = 16
-    #: Worker threads executing batches.
+    #: Worker threads executing batches; a queued job starts as soon as
+    #: one is idle.
     workers: int = 2
     #: Deadline applied when a request does not send one; None = none.
     default_deadline_seconds: Optional[float] = None
@@ -249,22 +253,29 @@ class LegalizationServer:
 
     # ------------------------------------------------------------- batching
     async def _batcher(self) -> None:
-        """Drain the queue into accumulation-window batches."""
+        """Hand batches to free workers: once one of the ``workers`` is
+        idle, take the next job and every job already queued behind it
+        (up to ``max_batch``).  The backlog therefore waits in the
+        bounded queue, where ``queue_limit`` and deadlines cover it,
+        never in the executor's own unbounded work queue."""
         assert self._queue is not None and self._loop is not None
+        idle = asyncio.Semaphore(self.config.workers)
+
+        def batch_done(fut: "asyncio.Future") -> None:
+            idle.release()
+            if not fut.cancelled() and fut.exception() is not None:
+                # _execute_batch answers per-job failures itself;
+                # reaching here means the batch runner itself is broken.
+                self.metrics.counter("service.errors").inc()
+
         while True:
-            job = await self._queue.get()
-            batch = [job]
-            deadline = self._loop.time() + self.config.batch_window_seconds
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            await idle.acquire()
+            batch = [await self._queue.get()]
+            while (
+                len(batch) < self.config.max_batch
+                and not self._queue.empty()
+            ):
+                batch.append(self._queue.get_nowait())
             self.metrics.gauge("service.queue_depth").set(
                 self._queue.qsize()
             )
@@ -273,20 +284,14 @@ class LegalizationServer:
                 if j.cancelled:
                     self._complete(j, None)
             if not live:
+                idle.release()
                 continue
             self.metrics.counter("service.batches").inc()
             self.metrics.histogram("service.batch_size").observe(len(live))
             fut = self._loop.run_in_executor(
                 self._executor, self._execute_batch, live
             )
-            fut.add_done_callback(self._batch_done)
-
-    def _batch_done(self, fut: "asyncio.Future") -> None:
-        exc = fut.exception() if not fut.cancelled() else None
-        if exc is not None:
-            # _execute_batch answers per-job failures itself; reaching
-            # here means the batch runner itself is broken.
-            self.metrics.counter("service.errors").inc()
+            fut.add_done_callback(batch_done)
 
     def _execute_batch(self, batch: List[_Job]) -> None:
         """Worker-thread body: warm lookup → stacked solve → respond."""
@@ -584,7 +589,6 @@ class LegalizationServer:
         return {
             **self._health_payload(),
             "workers": self.config.workers,
-            "batch_window_seconds": self.config.batch_window_seconds,
             "max_batch": self.config.max_batch,
             "counters": counters,
             "responses_by_status": dict(self._responses_by_status),

@@ -228,7 +228,10 @@ REMOVED_KNOBS = frozenset(
 #: Knobs deleted from ServiceConfig: the same three outcomes, with
 #: ServiceConfig and ``repro serve`` as the Python and CLI boundaries.
 REMOVED_SERVICE_KNOBS = frozenset(
-    {"merge", "retry_after_seconds", "latency_reservoir"}
+    {
+        "merge", "retry_after_seconds", "latency_reservoir",
+        "batch_window_seconds",
+    }
 )
 ALL_REMOVED = REMOVED_KNOBS | REMOVED_SERVICE_KNOBS
 
@@ -267,6 +270,13 @@ INVALID_CONFIGS = [
         {"merge": False}, "merge",
         ["serve", "--queue-limit=0", "--no-merge"],
         id="merge-removed",
+    ),
+    # A job starts as soon as a worker is idle, so there is no
+    # accumulation window left to set.
+    pytest.param(
+        {"batch_window_seconds": 0.02}, "batch_window_seconds",
+        ["serve", "--queue-limit=0", "--batch-window", "0.02"],
+        id="batch-window-removed",
     ),
     # Neither knob ever had a ``repro serve`` flag.
     pytest.param(
@@ -576,7 +586,7 @@ class TestSweep:
         assert main(["spec", "check"]) == 0
         out = capsys.readouterr().out
         assert "spec check: ok" in out
-        assert "(12 legalizer + 10 service + 6 benchgen knobs" in out
+        assert "(12 legalizer + 9 service + 6 benchgen knobs" in out
         assert f"{len(oracle_matrix())}-point oracle matrix" in out
         assert "constraint" not in out
 

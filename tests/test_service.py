@@ -17,6 +17,7 @@ import pytest
 from repro import cli
 from repro.benchgen.generator import generate_benchmark
 from repro.core.legalizer import legalize
+from repro.core.multi import legalize_many
 from repro.io.jsonio import load_design, save_design
 from repro.service import (
     LegalizationServer,
@@ -24,6 +25,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
+from repro.service import server as server_module
 
 
 @contextmanager
@@ -51,8 +53,60 @@ def running_server(**cfg_kwargs):
         assert not thread.is_alive(), "server thread did not drain"
 
 
-def make_design(seed: int = 7, scale: float = 0.01):
-    return generate_benchmark("fft_2", scale=scale, seed=seed)
+def make_design(seed: int = 7, scale: float = 0.01, name: str = None):
+    design = generate_benchmark("fft_2", scale=scale, seed=seed)
+    if name is not None:
+        design.name = name
+    return design
+
+
+class HeldWorker:
+    """Stands in for the server's ``legalize_many``: records the design
+    names of every call, and holds the first call (and with it the
+    worker running it) until :meth:`release`.  Leaving the ``with``
+    block releases it, so a failed test cannot wedge the drain."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = []
+        self.response = None
+        self.entered = threading.Event()
+        self._release = threading.Event()
+        monkeypatch.setattr(server_module, "legalize_many", self)
+
+    def __call__(self, jobs):
+        self.calls.append([job.design.name for job in jobs])
+        if len(self.calls) == 1:
+            self.entered.set()
+            self._release.wait(30)
+        return legalize_many(jobs)
+
+    def release(self) -> None:
+        self._release.set()
+
+    def __enter__(self) -> "HeldWorker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+    def hold(self, client) -> threading.Thread:
+        """Submit a job named ``hold`` from a thread and wait until it
+        occupies a worker; its answer lands in :attr:`response`."""
+
+        def submit():
+            self.response = client.legalize(make_design(name="hold"))
+
+        thread = threading.Thread(target=submit)
+        thread.start()
+        assert self.entered.wait(30), "the held job never reached a worker"
+        return thread
+
+
+def wait_for_queue_depth(client, depth: int) -> None:
+    deadline = time.monotonic() + 10
+    while client.healthz()["queue_depth"] < depth:
+        assert time.monotonic() < deadline, f"queue never reached {depth}"
+        time.sleep(0.01)
 
 
 def perturb(design, cells: int = 5, dx: float = 0.05) -> None:
@@ -165,13 +219,16 @@ def test_warm_bypass_and_store_opt_out():
         assert r.cache == "miss"  # nothing was stored
 
 
-def test_concurrent_submissions_share_batches():
-    with running_server(batch_window_seconds=0.5, max_batch=8) as (
+def test_concurrent_submissions_share_batches(monkeypatch):
+    with running_server(workers=1, max_batch=8) as (
         _,
         client,
         __,
-    ):
-        designs = [make_design(seed=s, scale=0.005) for s in range(4)]
+    ), HeldWorker(monkeypatch) as held:
+        holder = held.hold(client)
+        designs = [
+            make_design(seed=s, scale=0.005, name=f"d{s}") for s in range(4)
+        ]
         results = [None] * 4
 
         def submit(i):
@@ -182,19 +239,23 @@ def test_concurrent_submissions_share_batches():
         ]
         for t in threads:
             t.start()
-        for t in threads:
+        wait_for_queue_depth(client, 4)
+        held.release()
+        for t in threads + [holder]:
             t.join(60)
+        assert held.response.ok
         assert all(r is not None and r.ok and r.audit_clean for r in results)
         counters = client.stats()["counters"]
-        assert counters["service.requests"] == 4
-        # All four arrive well inside the 0.5 s accumulation window, so
-        # they ride one or two stacked solves, not four.
-        assert counters["service.batches"] <= 2
+        assert counters["service.requests"] == 5
+        # All four queued behind the busy worker, so the worker takes
+        # them together when it frees up: one stacked solve.
+        assert counters["service.batches"] == 2
+        assert sorted(held.calls[1]) == ["d0", "d1", "d2", "d3"]
 
 
 # ---------------------------------------------------------------- protection
 def test_backpressure_full_queue_answers_429():
-    with running_server(queue_limit=2, batch_window_seconds=0.1) as (
+    with running_server(queue_limit=2) as (
         server,
         client,
         _,
@@ -226,12 +287,60 @@ def test_backpressure_full_queue_answers_429():
         assert counters["service.deadline_timeouts"] >= 2
 
 
-def test_deadline_expiry_answers_504():
-    with running_server(batch_window_seconds=0.4) as (_, client, __):
+def test_queue_limit_bounds_the_backlog_behind_busy_workers(monkeypatch):
+    """The backlog waits in the bounded queue, not in the executor: with
+    the only worker busy, ``queue_limit`` jobs fill the queue and the
+    next one answers 429."""
+    with running_server(queue_limit=2, workers=1) as (
+        _,
+        client,
+        __,
+    ), HeldWorker(monkeypatch) as held:
+        holder = held.hold(client)
+        results = {}
+
+        def submit(name):
+            results[name] = client.legalize(make_design(name=name))
+
+        fillers = [
+            threading.Thread(target=submit, args=(name,))
+            for name in ("q1", "q2")
+        ]
+        for t in fillers:
+            t.start()
+        wait_for_queue_depth(client, 2)
         with pytest.raises(ServiceError) as excinfo:
-            client.legalize(make_design(), key="late",
-                            deadline_seconds=0.05)
+            client.legalize(make_design(name="overflow"))
+        assert excinfo.value.status == 429
+        assert client.healthz()["queue_depth"] == 2
+        held.release()
+        for t in fillers + [holder]:
+            t.join(60)
+        assert held.response.ok
+        assert all(r.ok and r.audit_clean for r in results.values())
+        assert sorted(results) == ["q1", "q2"]
+        assert client.stats()["counters"]["service.rejected_busy"] == 1
+        assert "overflow" not in sum(held.calls, [])
+
+
+def test_deadline_expiry_answers_504(monkeypatch):
+    """A job whose deadline expires while it waits behind a busy worker
+    answers 504 and is dropped from the queue: it never reaches
+    ``legalize_many``."""
+    with running_server(workers=1) as (_, client, __), HeldWorker(
+        monkeypatch
+    ) as held:
+        holder = held.hold(client)
+        with pytest.raises(ServiceError) as excinfo:
+            client.legalize(make_design(name="late"), deadline_seconds=0.05)
         assert excinfo.value.status == 504
+        held.release()
+        holder.join(60)
+        assert held.response.ok
+        # The one worker takes queued jobs in order, so by the time this
+        # later job is answered the expired one has been dropped.
+        assert client.legalize(make_design(name="after")).ok
+        assert held.calls == [["hold"], ["after"]]
         assert client.stats()["counters"]["service.deadline_timeouts"] == 1
 
 
@@ -246,21 +355,34 @@ def test_draining_rejects_new_work_with_503():
         server._draining = False  # let the fixture shut down normally
 
 
-def test_shutdown_drains_in_flight_jobs():
-    with running_server(batch_window_seconds=0.4) as (_, client, thread):
+def test_shutdown_drains_in_flight_jobs(monkeypatch):
+    with running_server(workers=1) as (
+        server,
+        client,
+        thread,
+    ), HeldWorker(monkeypatch) as held:
+        holder = held.hold(client)
         result = {}
 
         def submit():
-            result["r"] = client.legalize(make_design(), key="inflight")
+            result["r"] = client.legalize(make_design(name="queued"))
 
         t = threading.Thread(target=submit)
         t.start()
-        time.sleep(0.1)  # job is queued, still inside the batch window
+        wait_for_queue_depth(client, 1)  # queued behind the busy worker
         client.shutdown()
-        t.join(30)
+        deadline = time.monotonic() + 10
+        while not server._draining:
+            assert time.monotonic() < deadline, "shutdown never began"
+            time.sleep(0.01)
+        held.release()
+        for worker in (t, holder):
+            worker.join(30)
         thread.join(30)
         assert not thread.is_alive()
+        assert held.response.ok
         assert result["r"].ok and result["r"].audit_clean
+        assert held.calls == [["hold"], ["queued"]]
     with pytest.raises(OSError):
         ServiceClient("127.0.0.1", client.port).healthz()
 
