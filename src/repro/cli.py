@@ -340,11 +340,15 @@ def cmd_submit(args: argparse.Namespace) -> int:
     print(f"cache: {response.cache} (key={response.key!r})")
     if response.warm_start_rejected:
         print(f"  state rejected: {response.warm_start_rejected}")
+    if not response.ok:
+        # A failed run answers no positions: there is nothing to write.
+        print(f"error: {response.error}", file=sys.stderr)
+        return 1
     if args.output:
         client.apply(design, response)
         _save(design, args.output)
         print(f"wrote {args.output}")
-    return 0 if response.ok and response.audit_clean else 1
+    return 0 if response.audit_clean else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

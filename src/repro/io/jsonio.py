@@ -8,7 +8,7 @@ shipping benchmark instances alongside results.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from repro.netlist.cell import CellMaster, RailType
 from repro.netlist.design import Design
@@ -21,6 +21,28 @@ FORMAT_VERSION = 1
 
 def design_to_dict(design: Design) -> Dict[str, Any]:
     """Serialize a design to plain dictionaries."""
+    return design_envelope(
+        design,
+        [
+            {
+                "name": c.name,
+                "master": c.master.name,
+                "gp_x": c.gp_x,
+                "gp_y": c.gp_y,
+                "x": c.x,
+                "y": c.y,
+                "fixed": c.fixed,
+                "flipped": c.flipped,
+            }
+            for c in design.cells
+        ],
+    )
+
+
+def design_envelope(design: Design, cells: Any) -> Dict[str, Any]:
+    """Everything of the design-file layout but the cells, which are
+    passed in as *cells* (one dict per cell in a design file; the service
+    protocol sends columns instead)."""
     core = design.core
     return {
         "format_version": FORMAT_VERSION,
@@ -43,19 +65,7 @@ def design_to_dict(design: Design) -> Dict[str, Any]:
             }
             for m in design.masters.values()
         ],
-        "cells": [
-            {
-                "name": c.name,
-                "master": c.master.name,
-                "gp_x": c.gp_x,
-                "gp_y": c.gp_y,
-                "x": c.x,
-                "y": c.y,
-                "fixed": c.fixed,
-                "flipped": c.flipped,
-            }
-            for c in design.cells
-        ],
+        "cells": cells,
         "nets": [
             {
                 "name": net.name,
@@ -91,6 +101,31 @@ def design_to_dict(design: Design) -> Dict[str, Any]:
 
 def design_from_dict(data: Dict[str, Any]) -> Design:
     """Deserialize a design from :func:`design_to_dict` output."""
+
+    def add_cells(design: Design, masters: Dict[str, CellMaster]) -> None:
+        for cdata in data["cells"]:
+            cell = design.add_cell(
+                cdata["name"],
+                masters[cdata["master"]],
+                cdata["gp_x"],
+                cdata["gp_y"],
+                fixed=cdata["fixed"],
+            )
+            cell.x = cdata["x"]
+            cell.y = cdata["y"]
+            cell.flipped = cdata["flipped"]
+
+    return design_from_envelope(data, add_cells)
+
+
+def design_from_envelope(
+    data: Dict[str, Any],
+    add_cells: Callable[[Design, Dict[str, CellMaster]], None],
+) -> Design:
+    """Deserialize a :func:`design_envelope` dict.  ``add_cells(design,
+    masters)`` adds the cells from ``data["cells"]`` (masters by name)
+    between the masters and the nets, which name cells; the fence and
+    coordinate checks then run on the finished design."""
     version = data.get("format_version", 0)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported design JSON version {version}")
@@ -114,17 +149,7 @@ def design_from_dict(data: Dict[str, Any]) -> Design:
             height_rows=md["height_rows"],
             bottom_rail=rail,
         )
-    for cdata in data["cells"]:
-        cell = design.add_cell(
-            cdata["name"],
-            masters[cdata["master"]],
-            cdata["gp_x"],
-            cdata["gp_y"],
-            fixed=cdata["fixed"],
-        )
-        cell.x = cdata["x"]
-        cell.y = cdata["y"]
-        cell.flipped = cdata["flipped"]
+    add_cells(design, masters)
     by_name = {c.name: c for c in design.cells}
     for ndata in data["nets"]:
         pins = [

@@ -178,16 +178,11 @@ class Design:
         fixed: bool = False,
     ) -> CellInstance:
         """Create a cell instance at a global-placement position."""
-        self.add_master(master)
+        if self.masters.get(master.name) is not master:
+            self.add_master(master)
+        # Positional: decoders add thousands of cells per design.
         cell = CellInstance(
-            id=len(self.cells),
-            name=name,
-            master=master,
-            gp_x=gp_x,
-            gp_y=gp_y,
-            x=gp_x,
-            y=gp_y,
-            fixed=fixed,
+            len(self.cells), name, master, gp_x, gp_y, gp_x, gp_y, fixed
         )
         self.cells.append(cell)
         return cell

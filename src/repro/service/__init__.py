@@ -15,7 +15,11 @@ Pieces:
   solves, graceful SIGTERM drain, ``/healthz`` ``/stats`` ``/metrics``.
 * :mod:`repro.service.store` — the keyed warm-state store (LRU + TTL +
   byte budget) of :class:`~repro.core.state.SolverState` entries.
-* :mod:`repro.service.protocol` — the JSON wire protocol.
+* :mod:`repro.service.protocol` — the JSON wire protocol, v2: the
+  request's cells and the response's positions travel as columns
+  (names as JSON strings, numbers as base64 of little-endian arrays),
+  bit for bit; ``LegalizeResponse.positions`` is still one dict per
+  cell.
 * :mod:`repro.service.client` — stdlib HTTP client + ``repro submit``.
 """
 

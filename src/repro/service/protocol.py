@@ -1,26 +1,46 @@
 """The service wire protocol: JSON request/response dataclasses + codecs.
 
-One request carries one design (in the :mod:`repro.io.jsonio` format,
-``format_version`` 1) plus service directives; one response carries the
-legalized positions, the run's headline metrics, and the warm-state cache
-decision.  The protocol is deliberately transport-agnostic — the HTTP
-server and the in-process tests share these codecs — and versioned
-separately from the design format so either can evolve alone.
+One request carries one design plus service directives; one response
+carries the legalized positions, the run's headline metrics, and the
+warm-state cache decision.  The design keeps the :mod:`repro.io.jsonio`
+layout (``format_version`` 1) for its core, masters, nets and fences,
+but its cells, like the response's positions, travel as one object of
+columns in ``design.cells`` order: names as JSON string lists, numbers
+as base64 of little-endian arrays (float64 coordinates, uint8 0/1 flags,
+int64 row indices with -1 for none), so every coordinate crosses the
+wire bit for bit and neither side parses one JSON object per cell.  The
+protocol is deliberately transport-agnostic — the HTTP server and the
+in-process tests share these codecs — and versioned separately from the
+design format so either can evolve alone.
 """
 
 from __future__ import annotations
 
+import base64
+import math
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.legalizer import LegalizationResult, LegalizerConfig
-from repro.io.jsonio import design_from_dict, design_to_dict
+from repro.io.jsonio import design_envelope, design_from_envelope
+from repro.netlist.cell import CellInstance, CellMaster
 from repro.netlist.design import Design
 from repro.scenario.spec import ConfigVar, Range, ScenarioSpec, format_violations
 from repro.scenario.specs import LEGALIZER_SPEC
 
 #: Bump on incompatible request/response layout changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: Column dtypes.  Explicitly little-endian, whatever the host's order.
+_F64 = np.dtype("<f8")
+_U8 = np.dtype("u1")
+_I64 = np.dtype("<i8")
+
+#: ``row_index`` of a cell without one.
+_NO_ROW = -1
 
 #: LegalizerConfig fields a request may override.  Everything solver- or
 #: flow-visible is allowed; the object-valued resilience hook is not
@@ -64,7 +84,8 @@ _RESPONSE_SPEC = ScenarioSpec(
         ),
         ConfigVar("summary", (str,), "", "One-line human summary."),
         ConfigVar(
-            "positions", (list,), [], "Legalized cell positions."
+            "positions", (dict,), {},
+            "Legalized cell positions, as columns.",
         ),
         ConfigVar(
             "error", (str,), None,
@@ -107,7 +128,9 @@ class LegalizeRequest:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "protocol_version": PROTOCOL_VERSION,
-            "design": design_to_dict(self.design),
+            "design": design_envelope(
+                self.design, _cell_columns(self.design.cells)
+            ),
             "key": self.key,
             "config": dict(self.config),
             "deadline_seconds": self.deadline_seconds,
@@ -124,7 +147,9 @@ class LegalizeRequest:
             raise ProtocolError(f"unsupported protocol version {version!r}")
         if "design" not in data:
             raise ProtocolError("request is missing 'design'")
-        config = data.get("config") or {}
+        config = data.get("config")
+        if config is None:
+            config = {}
         if not isinstance(config, dict):
             raise ProtocolError("'config' must be an object")
         bad_keys = [k for k in config if not isinstance(k, str)]
@@ -147,26 +172,50 @@ class LegalizeRequest:
             raise ProtocolError(
                 f"invalid config: {format_violations(violations)}"
             )
-        deadline = data.get("deadline_seconds")
-        if deadline is not None:
-            deadline = float(deadline)
-            if deadline <= 0:
-                raise ProtocolError("deadline_seconds must be positive")
-        try:
-            design = design_from_dict(data["design"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad design payload: {exc}") from exc
+        deadline = _deadline_seconds(data.get("deadline_seconds"))
+        store_state = data.get("store_state", True)
+        warm = data.get("warm", True)
+        for name, value in (("store_state", store_state), ("warm", warm)):
+            if not isinstance(value, bool):
+                raise ProtocolError(
+                    f"'{name}' must be a JSON boolean, got {value!r}"
+                )
         key = data.get("key")
         if key is not None and not isinstance(key, str):
             raise ProtocolError("'key' must be a string")
+        envelope = data["design"]
+        if not isinstance(envelope, dict):
+            raise ProtocolError("'design' must be an object")
+        try:
+            design = design_from_envelope(
+                envelope, _cells_from_columns(envelope.get("cells"))
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"bad design payload: {exc}") from exc
         return cls(
             design=design,
             key=key,
             config=dict(config),
             deadline_seconds=deadline,
-            store_state=bool(data.get("store_state", True)),
-            warm=bool(data.get("warm", True)),
+            store_state=store_state,
+            warm=warm,
         )
+
+
+def _deadline_seconds(value: Any) -> Optional[float]:
+    """A request's ``deadline_seconds``: null, or a finite positive
+    number (not a bool, which JSON would otherwise read as 0 or 1 s)."""
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond float range
+            seconds = float(value)
+            if 0 < seconds < math.inf:
+                return seconds
+    raise ProtocolError(
+        "deadline_seconds must be null or a finite positive number, "
+        f"got {value!r}"
+    )
 
 
 @dataclass
@@ -250,7 +299,7 @@ class LegalizeResponse:
             "runtime_seconds": self.runtime_seconds,
             "stage_seconds": self.stage_seconds,
             "summary": self.summary,
-            "positions": self.positions,
+            "positions": _position_columns(self.positions),
             "error": self.error,
         }
 
@@ -271,6 +320,8 @@ class LegalizeResponse:
         for required in ("ok", "key", "design_name"):
             if required not in kwargs:
                 raise ProtocolError(f"response is missing {required!r}")
+        if "positions" in kwargs:
+            kwargs["positions"] = _positions_from_columns(kwargs["positions"])
         return cls(**kwargs)
 
 
@@ -291,20 +342,188 @@ def positions_payload(design: Design) -> List[Dict[str, Any]]:
 def apply_positions(design: Design, positions: List[Dict[str, Any]]) -> None:
     """Write a response's positions back onto a local copy of the design.
 
-    Every entry must name a cell of *design*; cells absent from
-    *positions* are left untouched (the server always returns all of
-    them, so a partial list indicates a protocol mismatch and raises).
+    The server answers one entry per cell, in ``design.cells`` order, so
+    a missing, extra or misnamed entry indicates a protocol mismatch (or
+    the answer to another design) and raises :class:`ProtocolError`
+    before any cell is written.
     """
-    by_name = {c.name: c for c in design.cells}
-    for entry in positions:
-        cell = by_name.get(entry["name"])
-        if cell is None:
+    cells = design.cells
+    if len(positions) != len(cells):
+        raise ProtocolError(
+            f"{len(positions)} positions for a design of {len(cells)} cells"
+        )
+    for i, (entry, cell) in enumerate(zip(positions, cells)):
+        if entry["name"] != cell.name:
             raise ProtocolError(
-                f"position for unknown cell {entry['name']!r}"
+                f"position {i} is for cell {entry['name']!r}, but cell {i} "
+                f"of the design is {cell.name!r}"
             )
+    for entry, cell in zip(positions, cells):
         cell.x = entry["x"]
         cell.y = entry["y"]
         cell.flipped = bool(entry.get("flipped", False))
         row_index = entry.get("row_index")
         if row_index is not None:
             cell.row_index = row_index
+
+
+# ---------------------------------------------------------------- columns
+def _pack(values: Sequence[Any], dtype: np.dtype) -> str:
+    """*values* as base64 of *dtype* bytes."""
+    raw = np.asarray(values, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _pack_flags(values: Sequence[Any]) -> str:
+    return _pack(np.asarray(values, dtype=bool), _U8)
+
+
+def _cell_columns(cells: Sequence[CellInstance]) -> Dict[str, Any]:
+    """The request's ``design.cells``: one column per cell field."""
+    return {
+        "name": [c.name for c in cells],
+        "master": [c.master.name for c in cells],
+        "gp_x": _pack([c.gp_x for c in cells], _F64),
+        "gp_y": _pack([c.gp_y for c in cells], _F64),
+        "x": _pack([c.x for c in cells], _F64),
+        "y": _pack([c.y for c in cells], _F64),
+        "fixed": _pack_flags([c.fixed for c in cells]),
+        "flipped": _pack_flags([c.flipped for c in cells]),
+    }
+
+
+def _position_columns(positions: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """The response's ``positions``: one column per position field."""
+    return {
+        "name": [p["name"] for p in positions],
+        "x": _pack([p["x"] for p in positions], _F64),
+        "y": _pack([p["y"] for p in positions], _F64),
+        "flipped": _pack_flags([p.get("flipped", False) for p in positions]),
+        "row_index": _pack(
+            [
+                _NO_ROW if p.get("row_index") is None else p["row_index"]
+                for p in positions
+            ],
+            _I64,
+        ),
+    }
+
+
+class _ColumnReader:
+    """Reads one object of columns (``design.cells`` or ``positions``).
+
+    Every column must hold one entry per name; each error names the
+    table and the column.
+    """
+
+    def __init__(self, table: str, columns: Any) -> None:
+        if not isinstance(columns, dict):
+            raise ProtocolError(
+                f"{table} must be an object of columns, "
+                f"got {type(columns).__name__}"
+            )
+        self.table = table
+        self.columns = columns
+        self.names = self._strings("name")
+        self.size = len(self.names)
+
+    def error(self, column: str, problem: str) -> ProtocolError:
+        return ProtocolError(f"{self.table}: column {column!r} {problem}")
+
+    def _get(self, column: str) -> Any:
+        if column not in self.columns:
+            raise self.error(column, "is missing")
+        return self.columns[column]
+
+    def _strings(self, column: str) -> List[str]:
+        values = self._get(column)
+        if not isinstance(values, list) or not set(map(type, values)) <= {str}:
+            raise self.error(column, "must be a list of strings")
+        return values
+
+    def strings(self, column: str) -> List[str]:
+        values = self._strings(column)
+        if len(values) != self.size:
+            raise self.error(
+                column, f"has {len(values)} entries for {self.size} names"
+            )
+        return values
+
+    def array(self, column: str, dtype: np.dtype) -> np.ndarray:
+        text = self._get(column)
+        if not isinstance(text, str):
+            raise self.error(column, "must be a base64 string")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise self.error(column, f"is not valid base64 ({exc})") from None
+        want = self.size * dtype.itemsize
+        if len(raw) != want:
+            raise self.error(
+                column,
+                f"holds {len(raw)} bytes; {self.size} names need {want} "
+                f"({dtype.name})",
+            )
+        return np.frombuffer(raw, dtype)
+
+    def floats(self, column: str) -> List[float]:
+        return self.array(column, _F64).tolist()
+
+    def flags(self, column: str) -> List[bool]:
+        values = self.array(column, _U8)
+        if (values > 1).any():
+            raise self.error(column, "holds a byte other than 0 or 1")
+        return values.astype(bool).tolist()
+
+    def rows(self, column: str) -> List[Optional[int]]:
+        values = self.array(column, _I64)
+        if (values < _NO_ROW).any():
+            raise self.error(column, f"holds a row index below {_NO_ROW}")
+        return [None if r == _NO_ROW else r for r in values.tolist()]
+
+
+def _cells_from_columns(
+    columns: Any,
+) -> Callable[[Design, Dict[str, CellMaster]], None]:
+    """The ``add_cells`` step of :func:`design_from_envelope` for a
+    request's ``design.cells`` columns."""
+
+    def add_cells(design: Design, masters: Dict[str, CellMaster]) -> None:
+        table = _ColumnReader("design.cells", columns)
+        try:
+            cell_masters = [masters[name] for name in table.strings("master")]
+        except KeyError as exc:
+            raise table.error(
+                "master", f"names unknown master {exc.args[0]!r}"
+            ) from None
+        for name, master, gp_x, gp_y, x, y, fixed, flipped in zip(
+            table.names,
+            cell_masters,
+            table.floats("gp_x"),
+            table.floats("gp_y"),
+            table.floats("x"),
+            table.floats("y"),
+            table.flags("fixed"),
+            table.flags("flipped"),
+        ):
+            cell = design.add_cell(name, master, gp_x, gp_y, fixed=fixed)
+            cell.x = x
+            cell.y = y
+            cell.flipped = flipped
+
+    return add_cells
+
+
+def _positions_from_columns(columns: Any) -> List[Dict[str, Any]]:
+    """A response's ``positions`` columns as one dict per cell."""
+    table = _ColumnReader("positions", columns)
+    return [
+        {"name": name, "x": x, "y": y, "flipped": flipped, "row_index": row}
+        for name, x, y, flipped, row in zip(
+            table.names,
+            table.floats("x"),
+            table.floats("y"),
+            table.flags("flipped"),
+            table.rows("row_index"),
+        )
+    ]

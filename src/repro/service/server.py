@@ -143,6 +143,9 @@ class _HttpRequest:
     path: str
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    #: The declared ``Content-Length`` exceeds ``MAX_BODY_BYTES``; the
+    #: body was left unread.
+    too_large: bool = False
 
 
 class LegalizationServer:
@@ -435,22 +438,27 @@ class LegalizationServer:
     ) -> Optional[_HttpRequest]:
         try:
             request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            parts = request_line.decode("latin-1").split()
+            if len(parts) < 3:
+                return None
+            method, path = parts[0].upper(), parts[1]
+            headers: Dict[str, str] = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except (ConnectionError, ValueError):
+            # ValueError: readline's answer to a line over the reader's
+            # 64 KiB limit.
             return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 3:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
-            return _HttpRequest(method, path, headers, b"\x00")  # oversized marker
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            return None  # not a decimal length: a negative, a sign, junk
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            return _HttpRequest(method, path, headers, too_large=True)
         try:
             body = await reader.readexactly(length) if length else b""
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -507,7 +515,7 @@ class LegalizationServer:
         self, request: _HttpRequest
     ) -> Tuple[int, Any, Dict[str, str]]:
         self.metrics.counter("service.requests").inc()
-        if request.body == b"\x00":
+        if request.too_large:
             return 413, {"error": "request body too large"}, {}
         if self._draining:
             self.metrics.counter("service.rejected_draining").inc()

@@ -407,15 +407,14 @@ class TestFenceIO:
 
     def test_service_accepts_fence_payload(self):
         design = _fenced_design()
-        req = LegalizeRequest.from_dict(
-            {"design": design_to_dict(design), "key": "k"}
-        )
+        body = LegalizeRequest(design=design, key="k").to_dict()
+        req = LegalizeRequest.from_dict(body)
         assert len(req.design.fences) == 1
         assert req.design.fences[0].members == design.fences[0].members
 
     def test_service_rejects_bad_fence_payload(self):
         design = _fenced_design()
-        payload = design_to_dict(design)
-        payload["fences"][0]["members"] = ["ghost"]
+        body = LegalizeRequest(design=design).to_dict()
+        body["design"]["fences"][0]["members"] = ["ghost"]
         with pytest.raises(ProtocolError):
-            LegalizeRequest.from_dict({"design": payload})
+            LegalizeRequest.from_dict(body)

@@ -93,8 +93,8 @@ class TestLibrary:
 class TestService:
     def _payload(self):
         design = small_design()
+        design.cells[4].gp_x = math.nan
         body = LegalizeRequest(design=design).to_dict()
-        body["design"]["cells"][4]["gp_x"] = math.nan
         return body, design.cells[4].name
 
     def test_protocol_error(self):

@@ -8,6 +8,9 @@ production traffic takes.
 from __future__ import annotations
 
 import asyncio
+import json
+import math
+import socket
 import threading
 import time
 from contextlib import contextmanager, suppress
@@ -18,9 +21,10 @@ from repro import cli
 from repro.benchgen.generator import generate_benchmark
 from repro.core.legalizer import legalize
 from repro.core.multi import legalize_many
-from repro.io.jsonio import load_design, save_design
+from repro.io.jsonio import design_to_dict, load_design, save_design
 from repro.service import (
     LegalizationServer,
+    LegalizeRequest,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -396,6 +400,84 @@ def test_http_error_paths():
         assert status == 405
         status, payload, _ = client._http("POST", "/legalize", {"bad": 1})
         assert status == 400 and "design" in payload["error"]
+
+
+def raw_post(port, content_length, body=b"", extra_header=""):
+    """POST /legalize over a bare socket with a hand-written
+    ``Content-Length``; returns ``(status, decoded JSON body)``."""
+    head = (
+        f"POST /legalize HTTP/1.1\r\nHost: localhost\r\n{extra_header}"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head + body)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    status_line, _, rest = data.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def test_malformed_content_length_answers_400():
+    """A non-integer or negative length is a malformed request (it used
+    to answer 500 and 413), a one-byte NUL body is just a bad body (it
+    used to be the 413 marker), and only a declared length over the cap
+    answers 413."""
+    with running_server() as (server, client, _):
+        for length in ("twelve", "-5", "1.5", "+3", "\u00b2"):
+            status, payload = raw_post(server.port, length)
+            assert (length, status) == (length, 400)
+            assert payload["error"] == "malformed request"
+        status, payload = raw_post(server.port, 1, b"\x00")
+        assert status == 400 and "too large" not in payload["error"]
+        # A header line over the reader's 64 KiB limit used to answer 500.
+        status, payload = raw_post(
+            server.port, 0, extra_header="X-Big: " + "a" * 70_000 + "\r\n"
+        )
+        assert status == 400 and payload["error"] == "malformed request"
+        status, payload = raw_post(
+            server.port, server_module.MAX_BODY_BYTES + 1
+        )
+        assert status == 413 and payload["error"] == "request body too large"
+        counters = client.stats()["counters"]
+        assert counters["service.errors"] == 0
+        assert counters["service.batches"] == 0
+
+
+def test_bad_directives_answer_400_before_queueing():
+    body = LegalizeRequest(design=make_design(scale=0.005)).to_dict()
+    with running_server() as (_, client, __):
+        for name, value in (
+            ("deadline_seconds", "soon"),
+            ("deadline_seconds", math.nan),
+            ("deadline_seconds", True),
+            ("warm", "false"),
+            ("store_state", "no"),
+        ):
+            status, payload, _ = client._http(
+                "POST", "/legalize", dict(body, **{name: value})
+            )
+            assert status == 400, (name, value, payload)
+            assert name in payload["error"]
+        counters = client.stats()["counters"]
+        assert counters["service.errors"] == 0
+        assert counters["service.batches"] == 0
+        assert counters["service.deadline_timeouts"] == 0
+
+
+def test_v1_body_answers_400():
+    """Protocol v1 sent one JSON object per cell; the server speaks only
+    v2 and says so."""
+    design = make_design(scale=0.005)
+    v1 = {"protocol_version": 1, "design": design_to_dict(design)}
+    with running_server() as (_, client, __):
+        status, payload, _ = client._http("POST", "/legalize", v1)
+        assert status == 400
+        assert payload["error"] == "unsupported protocol version 1"
+        assert client.stats()["counters"]["service.batches"] == 0
 
 
 def test_metrics_and_stats_endpoints():
